@@ -18,6 +18,7 @@ for the one-level reading use neighborhood:1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -111,8 +112,9 @@ def cmd_import(args) -> int:
         t = taxonomy.parse_taxonomy(text, format=args.taxonomy_format)
         if args.infer_hierarchy:
             parents = taxonomy.infer_parents(t.nodes)
-            for code, parent in parents.items():
-                t.nodes[code].parent = parent
+            t = taxonomy._build(
+                [dataclasses.replace(node, parent=parents[node.code]) for node in t.nodes.values()]
+            )
         repo.taxonomy = t
         store.check_integrity(repo)
         doc = {"imported": "taxonomy", "nodes": len(t.nodes)}

@@ -9,6 +9,11 @@ or within a breadth-first neighborhood of radius k.
 Only human-confirmed assignments count by default; proposed ones join in
 behind an explicit flag.  Rejected assignments and archived artifacts
 never participate.  Everything here is read-only.
+
+Each call builds one link index in one pass over the assignments: codes
+per artifact and artifacts per code.  It is not kept, since repositories
+are mutable.  A trace reads only the artifacts under its admissible codes;
+coverage is one pass over the sources, with no trace per source.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ from fractions import Fraction
 
 from .errors import EmptyClassification, UnknownId
 from .linkage import CONFIRMED, PROPOSED, UNCLASSIFIABLE
-from .store import Repository, get_artifact
+from .store import Repository, check_kind, get_artifact
 from .taxonomy import (
     Relation,
-    SIBLING,
     Taxonomy,
     ancestors,
     descendants,
@@ -95,10 +99,12 @@ def _admissible_codes(t: Taxonomy, f: RelationFilter, source_code: str) -> set[s
     if f.kind == EQUAL_OR_DESCENDANT:
         return {source_code} | set(descendants(t, source_code))
     if f.kind == SIBLING_OF:
+        # Classes sharing the source's parent; roots share the absent parent.
+        parent = t.nodes[t.resolve(source_code)].parent
         return {
             code
-            for code in t.nodes
-            if code != source_code and relation(t, code, source_code).kind == SIBLING
+            for code, node in t.nodes.items()
+            if node.parent == parent and code != source_code
         }
     assert f.k is not None
     return set(neighborhood(t, source_code, f.k))
@@ -125,13 +131,27 @@ class TraceHit:
         }
 
 
-def _participating_codes(repo: Repository, include_proposed: bool) -> dict[str, set[str]]:
+def _link_index(
+    repo: Repository, include_proposed: bool
+) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Active codes per artifact and artifacts per active code, in one pass."""
     wanted = {CONFIRMED, PROPOSED} if include_proposed else {CONFIRMED}
     codes: dict[str, set[str]] = {}
+    holders: dict[str, set[str]] = {}
     for a in repo.assignments:
         if a.status in wanted and a.code is not None:
             codes.setdefault(a.artifact_id, set()).add(a.code)
-    return codes
+            holders.setdefault(a.code, set()).add(a.artifact_id)
+    return codes, holders
+
+
+def _is_target(repo: Repository, target_id: str, source_id: str, target_kind: str | None) -> bool:
+    target = repo.artifacts[target_id]
+    return (
+        target_id != source_id
+        and not target.archived
+        and (target_kind is None or target.kind == target_kind)
+    )
 
 
 def trace(
@@ -144,33 +164,23 @@ def trace(
     """Targets whose codes relate to the source's codes per the filter.
 
     Raises EmptyClassification when the source carries no usable
-    assignment: an unclassified artifact cannot be traced from.
+    assignment: an unclassified artifact cannot be traced from, and
+    ValueError for a target kind that no artifact can have.
     """
+    if target_kind is not None:
+        check_kind(target_kind)
     get_artifact(repo, source_id)
-    by_artifact = _participating_codes(repo, include_proposed)
-    source_codes = by_artifact.get(source_id, set())
+    by_artifact, holders = _link_index(repo, include_proposed)
+    source_codes = by_artifact.get(source_id)
     if not source_codes:
         raise EmptyClassification(f"artifact {source_id!r} has no confirmed classification")
-    admissible: dict[str, set[str]] = {
-        s: _admissible_codes(repo.taxonomy, f, s) for s in sorted(source_codes)
-    }
-    hits = []
-    for target_id in sorted(repo.artifacts):
-        if target_id == source_id:
-            continue
-        target = repo.artifacts[target_id]
-        if target.archived:
-            continue
-        if target_kind is not None and target.kind != target_kind:
-            continue
-        via = []
-        for s in sorted(source_codes):
-            for c in sorted(by_artifact.get(target_id, set())):
-                if c in admissible[s]:
-                    via.append((s, c, relation(repo.taxonomy, c, s)))
-        if via:
-            hits.append(TraceHit(target=target_id, via=via))
-    return hits
+    via: dict[str, list[tuple[str, str, Relation]]] = {}
+    for s in sorted(source_codes):
+        for c in sorted(holders.keys() & _admissible_codes(repo.taxonomy, f, s)):
+            for target_id in holders[c]:
+                if _is_target(repo, target_id, source_id, target_kind):
+                    via.setdefault(target_id, []).append((s, c, relation(repo.taxonomy, c, s)))
+    return [TraceHit(target=target_id, via=via[target_id]) for target_id in sorted(via)]
 
 
 @dataclass
@@ -207,12 +217,15 @@ def coverage(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown coverage policy {policy!r}")
+    check_kind(from_kind)
     if to_kind is not None:
+        check_kind(to_kind)
         f = require_filter(f)
     marked = {
         a.artifact_id for a in repo.assignments if a.status == UNCLASSIFIABLE
     }
-    by_artifact = _participating_codes(repo, include_proposed)
+    by_artifact, holders = _link_index(repo, include_proposed)
+    admissible: dict[str, set[str]] = {}
     covered: list[str] = []
     uncovered: list[str] = []
     for artifact_id in sorted(repo.artifacts):
@@ -227,8 +240,16 @@ def coverage(
         if to_kind is None:
             covered.append(artifact_id)
             continue
-        hits = trace(repo, artifact_id, to_kind, f, include_proposed)
-        (covered if hits else uncovered).append(artifact_id)
+        for s in by_artifact[artifact_id]:
+            if s not in admissible:
+                admissible[s] = holders.keys() & _admissible_codes(repo.taxonomy, f, s)
+        hit = any(
+            _is_target(repo, target_id, artifact_id, to_kind)
+            for s in by_artifact[artifact_id]
+            for c in admissible[s]
+            for target_id in holders[c]
+        )
+        (covered if hit else uncovered).append(artifact_id)
     total = len(covered) + len(uncovered)
     rate = Fraction(len(covered), total) if total else Fraction(1)
     return CoverageReport(covered=covered, uncovered=uncovered, rate=rate, policy=policy)

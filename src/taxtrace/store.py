@@ -77,10 +77,15 @@ def new_repository(t: Taxonomy | None = None) -> Repository:
     return Repository(taxonomy=t if t is not None else Taxonomy())
 
 
+def check_kind(kind: str) -> None:
+    """Raise ValueError unless ``kind`` is one of ARTIFACT_KINDS."""
+    if kind not in ARTIFACT_KINDS:
+        raise ValueError(f"unknown artifact kind {kind!r}")
+
+
 def add_artifact(repo: Repository, artifact: Artifact) -> str:
     """Append an artifact.  Ids are caller-supplied and unique."""
-    if artifact.kind not in ARTIFACT_KINDS:
-        raise ValueError(f"unknown artifact kind {artifact.kind!r}")
+    check_kind(artifact.kind)
     if artifact.id in repo.artifacts:
         raise DuplicateId(f"artifact id {artifact.id!r} already exists")
     repo.artifacts[artifact.id] = artifact

@@ -161,6 +161,17 @@ class TestWorkflow:
                              "--policy", "exclude-unclassifiable")
         assert "1/1" in out
 
+    def test_unknown_kind_is_a_usage_error(self, workspace, capsys):
+        seed_repo(capsys, workspace)
+        run(capsys, "assign", "R3", "32QG")
+        code, out, err = run(capsys, "--strict", "coverage", "--from", "requirment",
+                             "--to", "design-object")
+        assert code == 2
+        assert "unknown artifact kind 'requirment'" in err
+        code, out, err = run(capsys, "trace", "R3", "--to", "design-objct")
+        assert code == 2
+        assert "unknown artifact kind 'design-objct'" in err
+
     def test_split_via_flags(self, workspace, capsys):
         seed_repo(capsys, workspace)
         run(capsys, "assign", "R3", "32QG")

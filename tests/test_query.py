@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import ALL_KINDS, NOW, random_repo, repo_model
+from conftest import ALL_KINDS, NOW, random_repo, repo_model, tax_from_parents
 from taxtrace import linkage
 from taxtrace.errors import EmptyClassification, UnknownId
 from taxtrace.linkage import assign, unassign
@@ -21,6 +21,7 @@ from taxtrace.query import (
     trace,
 )
 from taxtrace.store import Artifact, add_artifact, new_repository, serialize_repository
+from taxtrace.taxonomy import relation
 
 
 def ids(hits):
@@ -207,6 +208,15 @@ class TestCoverage:
     def test_to_dict_rate_is_a_fraction_string(self, sampled_repo):
         assert coverage(sampled_repo, "requirement", None).to_dict()["rate"] == "26/27"
 
+    def test_unknown_kinds_are_rejected(self, sampled_repo):
+        f = RelationFilter("equal")
+        with pytest.raises(ValueError, match="unknown artifact kind 'requirment'"):
+            coverage(sampled_repo, "requirment", "design-object", f)
+        with pytest.raises(ValueError, match="unknown artifact kind 'design-objct'"):
+            coverage(sampled_repo, "requirement", "design-objct", f)
+        with pytest.raises(ValueError, match="unknown artifact kind 'design-objct'"):
+            trace(sampled_repo, "R3", "design-objct", f)
+
 
 class TestImpact:
     def test_groups_only_reached_kinds(self, canon_tax):
@@ -264,22 +274,45 @@ class TestAgainstOracle:
         rng = random.Random(61)
         for _ in range(8):
             repo = random_repo(rng, max_artifacts=30, max_assignments=90)
-            _, artifacts, codes_by_artifact = repo_model(repo)
-            f = RelationFilter("equal")
-            for from_kind in ALL_KINDS:
-                for to_kind in ALL_KINDS:
-                    report = coverage(repo, from_kind, to_kind, f)
-                    population = {
-                        a for a, (kind, archived) in artifacts.items()
-                        if kind == from_kind and not archived
-                    }
-                    assert set(report.covered) | set(report.uncovered) == population
-                    for artifact_id in report.covered:
-                        assert codes_by_artifact.get(artifact_id)
-                        assert trace(repo, artifact_id, to_kind, f)
-                    for artifact_id in report.uncovered:
-                        if codes_by_artifact.get(artifact_id):
-                            assert trace(repo, artifact_id, to_kind, f) == []
+            for proposed in (False, True):
+                _, artifacts, codes_by_artifact = repo_model(repo, proposed)
+                for kind, k in oracles.FILTER_SPECS:
+                    f = RelationFilter(kind, k)
+                    for from_kind in ALL_KINDS:
+                        for to_kind in ALL_KINDS:
+                            report = coverage(repo, from_kind, to_kind, f,
+                                              include_proposed=proposed)
+                            population = {
+                                a for a, (akind, archived) in artifacts.items()
+                                if akind == from_kind and not archived
+                            }
+                            assert set(report.covered) | set(report.uncovered) == population
+                            for artifact_id in report.covered:
+                                assert codes_by_artifact.get(artifact_id)
+                                assert trace(repo, artifact_id, to_kind, f, proposed)
+                            for artifact_id in report.uncovered:
+                                if codes_by_artifact.get(artifact_id):
+                                    assert trace(repo, artifact_id, to_kind, f, proposed) == []
+
+    def test_sibling_filter_matches_relation_on_a_forest(self):
+        rng = random.Random(71)
+        for _ in range(8):
+            parents = oracles.random_forest(rng, 30)
+            # N0 is always a root; two more make the forest several trees.
+            parents.update({"X1": None, "X2": None})
+            repo = new_repository(tax_from_parents(parents))
+            for code in parents:
+                add_artifact(repo, Artifact(id=f"R-{code}", kind="requirement", title=code))
+                add_artifact(repo, Artifact(id=f"D-{code}", kind="design-object", title=code))
+                assign(repo, f"R-{code}", code, now=NOW)
+                assign(repo, f"D-{code}", code, now=NOW)
+            for code in parents:
+                want = [
+                    f"D-{c}" for c in sorted(parents)
+                    if c != code and relation(repo.taxonomy, c, code).kind == "sibling"
+                ]
+                got = trace(repo, f"R-{code}", "design-object", RelationFilter("sibling"))
+                assert sorted(ids(got)) == sorted(want), code
 
     def test_impact_is_trace_without_a_kind_restriction(self):
         rng = random.Random(67)

@@ -296,31 +296,35 @@ def inter_reliability(
     For each sampled code the sets of type labels used with it are
     compared; a code used by both sides on entirely disjoint type sets is
     flagged (the same class naming two apparently different things).
-    Codes only one side uses have nothing to compare and pass.
+    Codes only one side uses have nothing to compare and pass.  Each
+    model is walked once, collecting labels and carriers for every
+    sampled code in the same pass.
     """
     _require_design_objects(a, "model a")
     _require_design_objects(b, "model b")
     sample = {t.resolve(code) for code in sample_codes}
+    labels: dict[str, dict[str, set[str]]] = {code: {"a": set(), "b": set()} for code in sample}
+    carriers: dict[str, set[str]] = {code: set() for code in sample}
+    for side, objects in (("a", a), ("b", b)):
+        for obj in objects:
+            code = object_code(obj)
+            if code not in labels:
+                continue
+            label = obj.attrs.get(type_attr)
+            if label is None or not label.strip():
+                continue
+            labels[code][side].add(label.strip())
+            carriers[code].add(obj.id)
     findings: list[AuditFinding] = []
     per_code: dict[str, dict[str, list[str]]] = {}
     for code in sorted(sample):
-        types: dict[str, set[str]] = {"a": set(), "b": set()}
-        carriers: list[str] = []
-        for side, objects in (("a", a), ("b", b)):
-            for obj in objects:
-                if object_code(obj) != code:
-                    continue
-                label = obj.attrs.get(type_attr)
-                if label is None or not label.strip():
-                    continue
-                types[side].add(label.strip())
-                carriers.append(obj.id)
+        types = labels[code]
         per_code[code] = {"a": sorted(types["a"]), "b": sorted(types["b"])}
         if types["a"] and types["b"] and not (types["a"] & types["b"]):
             findings.append(
                 AuditFinding(
                     INCONSISTENT_TYPE,
-                    sorted(set(carriers)),
+                    sorted(carriers[code]),
                     f"code {code!r} types {sorted(types['a'])} in model a"
                     f" but {sorted(types['b'])} in model b",
                     ERROR,

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateAssignment,
+    EmptyCode,
     InvalidCategory,
     MalformedRecord,
     MalformedScenario,
@@ -33,7 +34,7 @@ from .errors import (
     UnknownAssignment,
     UnknownId,
 )
-from .taxonomy import normalize_code
+from .taxonomy import _decode, normalize_code
 
 if TYPE_CHECKING:
     from .store import Artifact, Repository
@@ -425,20 +426,14 @@ def _scenario_artifact(doc, where: str, seen_ids: set[str]) -> ScenarioArtifact:
         raise MalformedScenario(f"{where}: codes must be a list")
     try:
         codes = {normalize_code(str(c)) for c in raw_codes}
-    except Exception as exc:
+    except EmptyCode as exc:
         raise MalformedScenario(f"{where}: bad code ({exc})") from exc
     return ScenarioArtifact(id=artifact_id, kind=kind, codes=codes)
 
 
 def load_scenario(source) -> Scenario:
     """Parse and validate a scenario document (JSON text, bytes, or file)."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(source)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -497,7 +492,7 @@ def load_scenario(source) -> Scenario:
             raise MalformedScenario("change-codes mutation needs a 'codes' list")
         try:
             mutation.codes = {normalize_code(str(c)) for c in raw_codes}
-        except Exception as exc:
+        except EmptyCode as exc:
             raise MalformedScenario(f"mutation codes: {exc}") from exc
     return Scenario(artifacts=artifacts, mutation=mutation, links=links)
 
@@ -591,13 +586,7 @@ def write_assignments_csv(assignments: list[Assignment]) -> str:
 
 
 def read_assignments_csv(source, now: str | None = None) -> list[Assignment]:
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(source)
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != _ASSIGNMENT_HEADER:
         raise MalformedRecord(f"expected header {','.join(_ASSIGNMENT_HEADER)!r}")

@@ -27,7 +27,7 @@ from .errors import (
     UnknownId,
 )
 from .linkage import Assignment, EditRecord
-from .taxonomy import Taxonomy, parse_taxonomy, write_taxonomy
+from .taxonomy import Taxonomy, _build, _decode, _structured_doc, _structured_records
 
 REQUIREMENT = "requirement"
 DESIGN_OBJECT = "design-object"
@@ -177,15 +177,11 @@ def _artifact_from_dict(doc: dict, where: str) -> Artifact:
     )
 
 
-def _taxonomy_to_dict(t: Taxonomy) -> dict:
-    return json.loads(write_taxonomy(t, format="structured"))
-
-
 def serialize_repository(repo: Repository) -> str:
     """Render the repository as canonical JSON text."""
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "taxonomy": _taxonomy_to_dict(repo.taxonomy),
+        "taxonomy": _structured_doc(repo.taxonomy),
         "artifacts": [
             _artifact_to_dict(repo.artifacts[artifact_id])
             for artifact_id in sorted(repo.artifacts)
@@ -197,6 +193,11 @@ def serialize_repository(repo: Repository) -> str:
 
 
 def deserialize_repository(text: str) -> Repository:
+    """Rebuild a repository from canonical JSON text.
+
+    The stored taxonomy is validated from the decoded document with the
+    same checks as a structured taxonomy file, without re-encoding it.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -208,9 +209,7 @@ def deserialize_repository(text: str) -> Repository:
         raise SchemaVersionMismatch(
             f"repository schema version {version!r}, expected {SCHEMA_VERSION}"
         )
-    taxonomy = parse_taxonomy(
-        json.dumps(doc.get("taxonomy") or {"nodes": []}), format="structured"
-    )
+    taxonomy = _build(_structured_records(doc.get("taxonomy") or {"nodes": []}))
     repo = Repository(taxonomy=taxonomy)
     for i, item in enumerate(doc.get("artifacts") or []):
         artifact = _artifact_from_dict(item, f"artifacts[{i}]")
@@ -248,13 +247,7 @@ def load_repository(path: str | os.PathLike) -> Repository:
 
 def read_artifacts_jsonl(source) -> list[Artifact]:
     """Parse artifacts from JSON-Lines text, one object per line."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(source)
     artifacts = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -282,13 +275,7 @@ def read_design_objects_csv(source) -> list[Artifact]:
     (audits need the faulty spelling, so no normalization here); an empty
     code cell leaves the attribute unset.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(source)
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise MalformedRecord("empty design-object file")

@@ -46,8 +46,11 @@ class Suggestion:
         }
 
 
-def _index(t: Taxonomy) -> tuple[dict[str, dict[str, str]], dict[str, int]]:
-    """Token -> {code -> best source field}, plus document frequencies."""
+def _index(t: Taxonomy, wanted: set[str]) -> tuple[dict[str, dict[str, str]], dict[str, int]]:
+    """Token -> {code -> best source field}, plus document frequencies.
+
+    Only the ``wanted`` tokens are recorded: scoring reads nothing else.
+    """
     postings: dict[str, dict[str, str]] = {}
     for code, node in t.nodes.items():
         fields = [(TITLE, node.title)]
@@ -55,7 +58,7 @@ def _index(t: Taxonomy) -> tuple[dict[str, dict[str, str]], dict[str, int]]:
         if node.description:
             fields.append((DESCRIPTION, node.description))
         for source, text in fields:
-            for token in tokenize(text):
+            for token in wanted.intersection(tokenize(text)):
                 per_code = postings.setdefault(token, {})
                 previous = per_code.get(code)
                 if previous is None or _SOURCE_RANK[source] < _SOURCE_RANK[previous]:
@@ -76,9 +79,10 @@ def suggest(text: str, t: Taxonomy, n: int) -> list[Suggestion]:
     total = len(t.nodes)
     if total == 0:
         return []
-    postings, df = _index(t)
+    wanted = set(tokenize(text))
+    postings, df = _index(t, wanted)
     matched: dict[str, list[tuple[str, str]]] = {}
-    for token in sorted(set(tokenize(text))):
+    for token in sorted(wanted):
         per_code = postings.get(token)
         if not per_code or df[token] == total:
             continue

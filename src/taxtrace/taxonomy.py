@@ -350,6 +350,11 @@ def _parse_structured(text: str) -> list[TaxonomyNode]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
+    return _structured_records(doc)
+
+
+def _structured_records(doc) -> list[TaxonomyNode]:
+    """Validated node records from a decoded ``{"nodes": [...]}`` document."""
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MalformedRecord("expected an object with a 'nodes' list")
     records = []
@@ -410,6 +415,22 @@ def parse_taxonomy(source, format: str = TABULAR) -> Taxonomy:
     return _build(records)
 
 
+def _structured_doc(t: Taxonomy) -> dict:
+    """The ``{"nodes": [...]}`` document of the structured format, by code."""
+    items = []
+    for code in sorted(t.nodes):
+        node = t.nodes[code]
+        item: dict = {"code": node.code, "title": node.title}
+        if node.parent is not None:
+            item["parent"] = node.parent
+        if node.description is not None:
+            item["description"] = node.description
+        if node.synonyms:
+            item["synonyms"] = list(node.synonyms)
+        items.append(item)
+    return {"nodes": items}
+
+
 def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:
     """Serialize a taxonomy so that parse_taxonomy round-trips it."""
     if format == TABULAR:
@@ -429,18 +450,7 @@ def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:
             )
         return buf.getvalue()
     if format == STRUCTURED:
-        items = []
-        for code in sorted(t.nodes):
-            node = t.nodes[code]
-            item: dict = {"code": node.code, "title": node.title}
-            if node.parent is not None:
-                item["parent"] = node.parent
-            if node.description is not None:
-                item["description"] = node.description
-            if node.synonyms:
-                item["synonyms"] = list(node.synonyms)
-            items.append(item)
-        return json.dumps({"nodes": items}, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(_structured_doc(t), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     raise ValueError(f"unknown taxonomy format {format!r}")
 
 

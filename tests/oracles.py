@@ -235,3 +235,45 @@ def scoring_oracle(nodes: dict[str, dict], text: str) -> dict[str, float]:
             elif token in weak[code]:
                 scores[code] = scores.get(code, 0.0) + 0.5 * idf
     return scores
+
+
+# --- cross-model reliability oracle: one full scan per sampled code ---
+
+
+def inter_reliability_oracle(a: list, b: list, sample: set[str], type_attr: str) -> dict:
+    """``InterReliabilityReport.to_dict()`` by a nested per-code scan.
+
+    ``sample`` holds resolved codes.  Object codes are normalized here
+    with their own trim, uppercase and dash-strip rule.
+    """
+
+    def code_of(obj):
+        raw = obj.attrs.get("sb11_code")
+        if raw is None:
+            return None
+        return raw.strip().upper().rstrip("-") or None
+
+    findings = []
+    per_code = {}
+    for code in sorted(sample):
+        types = {"a": set(), "b": set()}
+        carriers = []
+        for side, objects in (("a", a), ("b", b)):
+            for obj in objects:
+                if code_of(obj) != code:
+                    continue
+                label = obj.attrs.get(type_attr)
+                if label is None or not label.strip():
+                    continue
+                types[side].add(label.strip())
+                carriers.append(obj.id)
+        per_code[code] = {"a": sorted(types["a"]), "b": sorted(types["b"])}
+        if types["a"] and types["b"] and not (types["a"] & types["b"]):
+            findings.append({
+                "category": "inconsistent-type",
+                "object_ids": sorted(set(carriers)),
+                "detail": f"code {code!r} types {sorted(types['a'])} in model a"
+                          f" but {sorted(types['b'])} in model b",
+                "severity": "error",
+            })
+    return {"findings": findings, "per_code": per_code}

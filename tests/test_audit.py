@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conftest import OBJECT_CODES, clone_object, make_object
 from taxtrace import audit
 from taxtrace.errors import KindMismatch, MissingAttribute, UnknownCode
@@ -296,6 +297,41 @@ class TestInterReliability:
         wrong = Artifact(id="R", kind="requirement", title="r")
         with pytest.raises(KindMismatch):
             inter_reliability([wrong], [], {"18B"}, "type", canon_tax)
+
+    def test_random_models_match_nested_scan_oracle(self, canon_tax):
+        rng = random.Random(31)
+        codes = sorted(canon_tax.nodes)
+        spellings = {code: [code, code.lower(), f" {code.lower()}-- ", f"{code}--"]
+                     for code in codes}
+        labels = ["ditch", "drain", "culvert", "fence", "  fence ", "", "   ", None]
+        for trial in range(200):
+            # Each side codes with its own subset, so some codes are used
+            # by one side only and some sampled codes by no object at all.
+            used = {side: rng.sample(codes, rng.randint(0, len(codes)))
+                    for side in ("a", "b")}
+            sides = {}
+            for side, pool in used.items():
+                objects = []
+                for i in range(rng.randint(0, 15)):
+                    roll = rng.random()
+                    if not pool or roll < 0.1:
+                        raw = None
+                    elif roll < 0.15:
+                        raw = "  -- "
+                    else:
+                        raw = rng.choice(spellings[rng.choice(pool)])
+                    label = rng.choice(labels)
+                    obj = make_object(f"{side.upper()}{i}", raw, salt=trial,
+                                      type_label=label or "")
+                    if label is None:
+                        del obj.attrs["type"]
+                    objects.append(obj)
+                sides[side] = objects
+            sample = set(rng.sample(codes, rng.randint(0, len(codes))))
+            raw_sample = {rng.choice(spellings[code]) for code in sample}
+            report = inter_reliability(sides["a"], sides["b"], raw_sample, "type", canon_tax)
+            assert report.to_dict() == oracles.inter_reliability_oracle(
+                sides["a"], sides["b"], sample, "type")
 
 
 def test_finding_to_dict_shape():

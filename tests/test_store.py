@@ -14,6 +14,7 @@ from taxtrace.errors import (
     RepositoryIOError,
     SchemaVersionMismatch,
     UnknownId,
+    UnknownParent,
 )
 from taxtrace.store import (
     Artifact,
@@ -144,6 +145,18 @@ class TestPersistence:
         doc = json.loads(serialize_repository(repo))
         doc["taxonomy"] = {"nodes": []}
         with pytest.raises(ReferentialIntegrityError, match="18B"):
+            deserialize_repository(json.dumps(doc))
+
+    @pytest.mark.parametrize("taxonomy, error", [
+        ({"nodes": [{"code": "18B", "title": "Tunnels", "colour": "red"}]}, MalformedRecord),
+        ({"nodes": [{"code": "18B", "title": "  "}]}, MalformedRecord),
+        ({"nodes": {"18B": {"title": "Tunnels"}}}, MalformedRecord),
+        ({"nodes": [{"code": "18B", "title": "Tunnels", "parent": "1"}]}, UnknownParent),
+    ])
+    def test_stored_taxonomy_is_validated(self, canon_tax, taxonomy, error):
+        doc = json.loads(serialize_repository(new_repository(canon_tax)))
+        doc["taxonomy"] = taxonomy
+        with pytest.raises(error):
             deserialize_repository(json.dumps(doc))
 
     def test_serialization_ends_with_newline_and_sorted_keys(self, sampled_repo):

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateAssignment,
+    DuplicateId,
     EmptyCode,
     InvalidCategory,
     MalformedRecord,
@@ -304,9 +305,10 @@ def split_artifact(
     The original stays on record as archived.  Its half-links are retired
     and each part receives the codes allocated to it; every change lands
     in the edit log.  A warning (not an error) is returned when the parts
-    do not jointly cover the original's codes.
+    do not jointly cover the original's codes.  Every part is checked
+    before any is added, so a rejected split changes nothing.
     """
-    from .store import add_artifact, get_artifact
+    from .store import add_artifact, check_kind, get_artifact
 
     original = get_artifact(repo, artifact_id)
     if len(parts) < 2:
@@ -314,6 +316,10 @@ def split_artifact(
     part_ids = [p.id for p in parts]
     if len(set(part_ids)) != len(part_ids):
         raise ValueError("split parts must have distinct ids")
+    for part in parts:
+        check_kind(part.kind)
+        if part.id in repo.artifacts:
+            raise DuplicateId(f"artifact id {part.id!r} already exists")
     unknown_targets = set(code_allocation) - set(part_ids)
     if unknown_targets:
         raise ValueError(f"code_allocation names unknown parts {sorted(unknown_targets)}")

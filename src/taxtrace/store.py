@@ -5,6 +5,10 @@ clauses all live in a single repository file together with the taxonomy,
 the artifact-to-class assignments, and the edit log.  Persistence is a
 canonical JSON document: sorted keys, stable ordering, trailing newline,
 so that saving the same repository twice yields byte-identical files.
+Schema 2 writes each artifact, assignment, edit-log entry and taxonomy
+node as one compact line, so a change to one record is one line in a
+diff.  Schema 1 files, the same document indented, still load and are
+rewritten as schema 2 by their next save.
 
 The repository is single-writer: mutating helpers (here and in the
 linkage module) must not run concurrently; reads between mutations may.
@@ -12,10 +16,12 @@ linkage module) must not run concurrently; reads between mutations may.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -39,7 +45,12 @@ ARTIFACT_KINDS = frozenset(
     {REQUIREMENT, DESIGN_OBJECT, TEST_CASE, SOURCE_UNIT, COMPLIANCE_CLAUSE}
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# Without ``indent`` json uses its C encoder; records hold no cycles to check.
+encode_record = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, check_circular=False
+).encode
 
 CODE_ATTR = "sb11_code"
 
@@ -177,19 +188,26 @@ def _artifact_from_dict(doc: dict, where: str) -> Artifact:
     )
 
 
+def _record_lines(records) -> str:
+    """A JSON list with one encoded record per line; ``[]`` when empty."""
+    if not records:
+        return "[]"
+    return "[\n" + ",\n".join(map(encode_record, records)) + "\n]"
+
+
 def serialize_repository(repo: Repository) -> str:
-    """Render the repository as canonical JSON text."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "taxonomy": _structured_doc(repo.taxonomy),
-        "artifacts": [
-            _artifact_to_dict(repo.artifacts[artifact_id])
-            for artifact_id in sorted(repo.artifacts)
-        ],
-        "assignments": [a.to_dict() for a in repo.assignments],
-        "edit_log": [e.to_dict() for e in repo.edit_log],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Render the repository as canonical JSON text, one record per line."""
+    artifacts = _record_lines(
+        [_artifact_to_dict(repo.artifacts[artifact_id]) for artifact_id in sorted(repo.artifacts)]
+    )
+    assignments = _record_lines([a.to_dict() for a in repo.assignments])
+    edit_log = _record_lines([e.to_dict() for e in repo.edit_log])
+    nodes = _record_lines(_structured_doc(repo.taxonomy)["nodes"])
+    return (
+        f'{{\n"artifacts": {artifacts},\n"assignments": {assignments},\n'
+        f'"edit_log": {edit_log},\n"schema_version": {SCHEMA_VERSION},\n'
+        f'"taxonomy": {{"nodes": {nodes}}}\n}}\n'
+    )
 
 
 def deserialize_repository(text: str) -> Repository:
@@ -205,9 +223,10 @@ def deserialize_repository(text: str) -> Repository:
     if not isinstance(doc, dict):
         raise RepositoryIOError("repository file must hold a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # Schema 1 is the same document indented, so both decode alike.
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise SchemaVersionMismatch(
-            f"repository schema version {version!r}, expected {SCHEMA_VERSION}"
+            f"repository schema version {version!r}, expected 1 or {SCHEMA_VERSION}"
         )
     taxonomy = _build(_structured_records(doc.get("taxonomy") or {"nodes": []}))
     repo = Repository(taxonomy=taxonomy)
@@ -225,12 +244,33 @@ def deserialize_repository(text: str) -> Repository:
 
 
 def save_repository(repo: Repository, path: str | os.PathLike) -> None:
+    """Write the repository to ``path`` atomically, always as the current schema.
+
+    The text goes to ``<path>.tmp`` in the same directory, which is
+    flushed, fsynced and then renamed over ``path`` with ``os.replace``,
+    so a crash leaves either the old file or the new one.  As with a
+    write in place, a symlink at ``path`` is followed and the replaced
+    file's permission bits are kept; a new file gets the umask's.  On any
+    failure the temporary file is removed; an ``OSError`` is raised as
+    ``RepositoryIOError``.  Nothing stops a second concurrent writer.
+    """
     text = serialize_repository(repo)
+    target = os.path.realpath(path)
+    tmp = f"{target}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(target, tmp)
             f.write(text)
-    except OSError as exc:
-        raise RepositoryIOError(f"cannot write repository {path!s}: {exc}") from exc
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise RepositoryIOError(f"cannot write repository {path!s}: {exc}") from exc
+        raise
 
 
 def load_repository(path: str | os.PathLike) -> Repository:

@@ -10,6 +10,7 @@ from conftest import NOW, build_sampled_repo, random_repo
 from taxtrace import linkage, store
 from taxtrace.errors import (
     DuplicateAssignment,
+    DuplicateId,
     InvalidCategory,
     MalformedRecord,
     MalformedScenario,
@@ -34,7 +35,7 @@ from taxtrace.linkage import (
     utc_now,
     write_assignments_csv,
 )
-from taxtrace.store import Artifact, add_artifact, new_repository
+from taxtrace.store import Artifact, add_artifact, new_repository, serialize_repository
 from taxtrace.taxonomy import parse_taxonomy
 
 
@@ -230,6 +231,19 @@ class TestSplit:
         ]
         with pytest.raises(UnknownCode):
             split_artifact(repo, "R1", parts, {"R1A": {"ZZZ"}}, now=NOW)
+
+    @pytest.mark.parametrize("second, error", [
+        (Artifact(id="R2", kind="requirement", title="R2"), DuplicateId),
+        (Artifact(id="R1B", kind="sculpture", title="R1B"), ValueError),
+    ], ids=["existing-id", "unknown-kind"])
+    def test_rejected_second_part_changes_nothing(self, canon_tax, second, error):
+        repo = fresh_repo(canon_tax, ("R1", "requirement"), ("R2", "requirement"))
+        assign(repo, "R1", "32QG", now=NOW)
+        before = serialize_repository(repo)
+        parts = [Artifact(id="P1", kind="requirement", title="P1"), second]
+        with pytest.raises(error):
+            split_artifact(repo, "R1", parts, {"P1": {"32QG"}}, now=NOW)
+        assert serialize_repository(repo) == before
 
     def test_random_splits_match_set_difference_oracle(self):
         rng = random.Random(31)

@@ -1,12 +1,15 @@
 """Repository storage: filtering, canonical persistence, ingestion."""
 
 import json
+import os
 import random
+import stat
 
 import pytest
 
-from conftest import NOW, random_repo
-from taxtrace import linkage, store
+import oracles
+from conftest import NOW, random_repo, tax_from_parents
+from taxtrace import linkage, store, taxonomy
 from taxtrace.errors import (
     DuplicateId,
     MalformedRecord,
@@ -93,6 +96,63 @@ class TestArtifacts:
         assert ids == sorted(ids)
 
 
+# Strings that imitate the file's own layout, or need escaping.
+TRICKY = ('}, {', '"},\n{"', 'a "quoted" word', 'back\\slash \\"', 'two\nlines\r\n',
+          'Brücke – 橋 ✓', '],\n"edit_log": [')
+
+
+def tricky_repo(rng):
+    """A seeded repository with tricky text in every kind of record."""
+    def text():
+        return "<" + "".join(rng.choice(TRICKY) for _ in range(rng.randint(1, 3))) + ">"
+
+    tax = tax_from_parents(oracles.random_forest(rng, rng.randint(1, 12)))
+    for node in tax.nodes.values():
+        node.title, node.description, node.synonyms = text(), text(), [text(), text()]
+    repo = new_repository(tax)
+    ids = [f"{text()}{i}" for i in range(rng.randint(1, 8))]
+    for artifact_id in ids:
+        add_artifact(repo, Artifact(
+            id=artifact_id, kind="requirement", title=text(), body=text(),
+            attrs={text(): text()}, document=text(), version=text(),
+        ))
+        linkage.assign(repo, artifact_id, rng.choice(sorted(tax.nodes)), now=NOW)
+    linkage.unassign(repo, ids[0], repo.assignments[0].code, now=NOW)
+    linkage.mark_unclassifiable(repo, ids[-1], "vagueness", note=text(), now=NOW)
+    return repo
+
+
+def schema_1_text(repo):
+    """The file the schema-1 writer made: the same document, indented."""
+    doc = {
+        "schema_version": 1,
+        "taxonomy": taxonomy._structured_doc(repo.taxonomy),
+        "artifacts": [store._artifact_to_dict(repo.artifacts[i]) for i in sorted(repo.artifacts)],
+        "assignments": [a.to_dict() for a in repo.assignments],
+        "edit_log": [e.to_dict() for e in repo.edit_log],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+SECTIONS = {'"artifacts": [': "artifacts", '"assignments": [': "assignments",
+            '"edit_log": [': "edit_log", '"taxonomy": {"nodes": [': "nodes"}
+
+
+def record_lines(text):
+    """The lines between each record list's opening and closing line."""
+    found, current = {}, None
+    for line in text.split("\n"):
+        if current is None:
+            current = SECTIONS.get(line)
+            if current is not None:
+                found[current] = []
+        elif line in ("],", "]}"):
+            current = None
+        else:
+            found[current].append(line)
+    return found
+
+
 class TestPersistence:
     def test_save_then_load_is_structurally_equal(self, sampled_repo, tmp_path):
         path = tmp_path / "repo.json"
@@ -128,6 +188,84 @@ class TestPersistence:
         doc["schema_version"] = 99
         with pytest.raises(SchemaVersionMismatch):
             deserialize_repository(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", [0, 3, True, "2", None])
+    def test_unsupported_schema_versions_are_rejected(self, sampled_repo, version):
+        doc = json.loads(serialize_repository(sampled_repo))
+        doc["schema_version"] = version
+        with pytest.raises(SchemaVersionMismatch):
+            deserialize_repository(json.dumps(doc))
+
+    def test_schema_1_file_loads_and_is_saved_as_schema_2(self, sampled_repo, tmp_path):
+        rng = random.Random(12)
+        repos = [sampled_repo, new_repository()]
+        repos += [tricky_repo(rng) for _ in range(5)]
+        repos += [random_repo(rng, max_artifacts=40, max_assignments=80) for _ in range(5)]
+        path = tmp_path / "repo.json"
+        for repo in repos:
+            old = schema_1_text(repo)
+            path.write_text(old, encoding="utf-8")
+            save_repository(load_repository(path), path)
+            saved = path.read_text(encoding="utf-8")
+            assert saved == serialize_repository(repo)
+            assert json.loads(saved) == dict(json.loads(old), schema_version=2)
+
+    def test_each_record_is_one_line(self):
+        rng = random.Random(21)
+        for _ in range(30):
+            repo = tricky_repo(rng)
+            text = serialize_repository(repo)
+            doc = json.loads(text)
+            expected = {"artifacts": doc["artifacts"], "assignments": doc["assignments"],
+                        "edit_log": doc["edit_log"], "nodes": doc["taxonomy"]["nodes"]}
+            found = record_lines(text)
+            assert set(found) == set(expected)
+            for name, records in expected.items():
+                lines = found[name]
+                assert [json.loads(line.removesuffix(",")) for line in lines] == records
+                assert all(line.endswith("},") for line in lines[:-1])
+                assert lines[-1].endswith("}")
+            assert serialize_repository(deserialize_repository(text)) == text
+
+    def test_empty_lists_are_written_inline(self):
+        assert serialize_repository(new_repository()) == (
+            '{\n"artifacts": [],\n"assignments": [],\n"edit_log": [],\n'
+            '"schema_version": 2,\n"taxonomy": {"nodes": []}\n}\n'
+        )
+
+    @pytest.mark.parametrize("failure, raised", [
+        (OSError("disk full"), RepositoryIOError),
+        (KeyboardInterrupt(), KeyboardInterrupt),
+    ])
+    def test_failed_replace_keeps_the_old_file(self, sampled_repo, tmp_path, monkeypatch,
+                                               failure, raised):
+        path = tmp_path / "repo.json"
+        save_repository(new_repository(), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise failure
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(raised):
+            save_repository(sampled_repo, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["repo.json"]
+        monkeypatch.undo()
+        save_repository(sampled_repo, path)
+        assert path.read_text(encoding="utf-8") == serialize_repository(sampled_repo)
+        assert os.listdir(tmp_path) == ["repo.json"]
+
+    def test_save_follows_symlink_and_keeps_mode(self, sampled_repo, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "repo.json"
+        save_repository(new_repository(), real)
+        os.chmod(real, 0o600)
+        link.symlink_to(real)
+        save_repository(sampled_repo, link)
+        assert link.is_symlink()
+        assert stat.S_IMODE(real.stat().st_mode) == 0o600
+        assert real.read_text(encoding="utf-8") == serialize_repository(sampled_repo)
+        assert sorted(os.listdir(tmp_path)) == ["real.json", "repo.json"]
 
     def test_assignment_to_missing_artifact_names_it(self, canon_tax):
         repo = new_repository(canon_tax)

@@ -166,19 +166,76 @@ class EditRecord:
         )
 
 
-def _active(repo: "Repository", artifact_id: str | None = None):
-    for a in repo.assignments:
-        if a.status == REJECTED or a.code is None:
-            continue
-        if artifact_id is not None and a.artifact_id != artifact_id:
-            continue
-        yield a
+@dataclass
+class LinkIndex:
+    """Active half-links per artifact and per code, and each artifact's marker.
+
+    Entries are the repository's own ``Assignment`` objects, in file
+    order, so the first of two active records for one pair wins, as in a
+    scan.  Only confirmed and proposed assignments are listed; ``markers``
+    holds each artifact's first unclassifiable marker.
+    """
+
+    by_artifact: dict[str, list[Assignment]] = field(default_factory=dict)
+    by_code: dict[str, list[Assignment]] = field(default_factory=dict)
+    markers: dict[str, Assignment] = field(default_factory=dict)
+
+    def add(self, a: Assignment) -> None:
+        if a.status == UNCLASSIFIABLE:
+            self.markers.setdefault(a.artifact_id, a)
+        elif a.status != REJECTED:
+            self.by_artifact.setdefault(a.artifact_id, []).append(a)
+            self.by_code.setdefault(a.code, []).append(a)
+
+    def remove(self, a: Assignment) -> None:
+        """Drop an active assignment, found by identity."""
+        for entries, key in ((self.by_artifact, a.artifact_id), (self.by_code, a.code)):
+            items = entries[key]
+            del items[next(i for i, x in enumerate(items) if x is a)]
+            if not items:
+                del entries[key]
+
+    def find(self, artifact_id: str, code: str) -> Assignment | None:
+        """The first active assignment of ``code`` to the artifact, if any."""
+        for a in self.by_artifact.get(artifact_id, ()):
+            if a.code == code:
+                return a
+        return None
+
+    def codes(self, artifact_id: str, include_proposed: bool = False) -> set[str]:
+        """Codes of an artifact: confirmed, optionally proposed."""
+        return {
+            a.code
+            for a in self.by_artifact.get(artifact_id, ())
+            if include_proposed or a.status == CONFIRMED
+        }
+
+    def holders(self, code: str, include_proposed: bool = False) -> set[str]:
+        """Artifacts holding a code: confirmed, optionally proposed."""
+        return {
+            a.artifact_id
+            for a in self.by_code.get(code, ())
+            if include_proposed or a.status == CONFIRMED
+        }
+
+
+def links(repo: "Repository") -> LinkIndex:
+    """The repository's link index, built in one pass on first use.
+
+    From then on ``assign``, ``unassign`` and ``mark_unclassifiable``
+    keep it up to date; nothing else may change ``repo.assignments``.
+    """
+    if repo.links is None:
+        index = LinkIndex()
+        for a in repo.assignments:
+            index.add(a)
+        repo.links = index
+    return repo.links
 
 
 def active_codes(repo: "Repository", artifact_id: str, include_proposed: bool = False) -> set[str]:
     """Codes currently assigned to an artifact (confirmed, optionally proposed)."""
-    wanted = {CONFIRMED, PROPOSED} if include_proposed else {CONFIRMED}
-    return {a.code for a in _active(repo, artifact_id) if a.status in wanted}
+    return links(repo).codes(artifact_id, include_proposed)
 
 
 def assign(
@@ -199,11 +256,11 @@ def assign(
     if artifact_id not in repo.artifacts:
         raise UnknownId(f"no artifact with id {artifact_id!r}")
     normalized = repo.taxonomy.resolve(code)
-    for a in _active(repo, artifact_id):
-        if a.code == normalized:
-            raise DuplicateAssignment(
-                f"artifact {artifact_id!r} is already assigned code {normalized!r}"
-            )
+    index = links(repo)
+    if index.find(artifact_id, normalized) is not None:
+        raise DuplicateAssignment(
+            f"artifact {artifact_id!r} is already assigned code {normalized!r}"
+        )
     assignment = Assignment(
         artifact_id=artifact_id,
         code=normalized,
@@ -212,6 +269,7 @@ def assign(
         created_at=utc_now(now),
     )
     repo.assignments.append(assignment)
+    index.add(assignment)
     repo.edit_log.append(
         EditRecord(ADD, TAXONOMIC, (artifact_id, normalized), cause="assign")
     )
@@ -221,15 +279,16 @@ def assign(
 def unassign(repo: "Repository", artifact_id: str, code: str, now: str | None = None) -> None:
     """Retire a half-link: status flips to rejected, history stays."""
     normalized = normalize_code(code)
-    for a in _active(repo, artifact_id):
-        if a.code == normalized:
-            a.status = REJECTED
-            repo.edit_log.append(
-                EditRecord(DELETE, TAXONOMIC, (artifact_id, normalized), cause="unassign")
-            )
-            return
-    raise UnknownAssignment(
-        f"artifact {artifact_id!r} has no active assignment to code {normalized!r}"
+    index = links(repo)
+    a = index.find(artifact_id, normalized)
+    if a is None:
+        raise UnknownAssignment(
+            f"artifact {artifact_id!r} has no active assignment to code {normalized!r}"
+        )
+    index.remove(a)
+    a.status = REJECTED
+    repo.edit_log.append(
+        EditRecord(DELETE, TAXONOMIC, (artifact_id, normalized), cause="unassign")
     )
 
 
@@ -252,10 +311,11 @@ def mark_unclassifiable(
             f"reason {reason_category!r} is not one of {', '.join(REASON_CATEGORIES)}"
         )
     text = f"{reason_category}: {note}" if note else reason_category
-    for a in repo.assignments:
-        if a.artifact_id == artifact_id and a.status == UNCLASSIFIABLE:
-            a.note = text
-            return a
+    index = links(repo)
+    marker = index.markers.get(artifact_id)
+    if marker is not None:
+        marker.note = text
+        return marker
     assignment = Assignment(
         artifact_id=artifact_id,
         code=None,
@@ -265,6 +325,7 @@ def mark_unclassifiable(
         created_at=utc_now(now),
     )
     repo.assignments.append(assignment)
+    index.add(assignment)
     return assignment
 
 

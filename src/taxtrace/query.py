@@ -10,10 +10,10 @@ Only human-confirmed assignments count by default; proposed ones join in
 behind an explicit flag.  Rejected assignments and archived artifacts
 never participate.  Everything here is read-only.
 
-Each call builds one link index in one pass over the assignments: codes
-per artifact and artifacts per code.  It is not kept, since repositories
-are mutable.  A trace reads only the artifacts under its admissible codes;
-coverage is one pass over the sources, with no trace per source.
+Both read the repository's link index (``linkage.links``): codes per
+artifact and artifacts per code.  A trace reads only the artifacts under
+its admissible codes; coverage is one pass over the sources, with no
+trace per source.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyClassification, UnknownId
-from .linkage import CONFIRMED, PROPOSED, UNCLASSIFIABLE
+from .linkage import CONFIRMED, links
 from .store import Repository, check_kind, get_artifact
 from .taxonomy import (
     Relation,
@@ -131,20 +131,6 @@ class TraceHit:
         }
 
 
-def _link_index(
-    repo: Repository, include_proposed: bool
-) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """Active codes per artifact and artifacts per active code, in one pass."""
-    wanted = {CONFIRMED, PROPOSED} if include_proposed else {CONFIRMED}
-    codes: dict[str, set[str]] = {}
-    holders: dict[str, set[str]] = {}
-    for a in repo.assignments:
-        if a.status in wanted and a.code is not None:
-            codes.setdefault(a.artifact_id, set()).add(a.code)
-            holders.setdefault(a.code, set()).add(a.artifact_id)
-    return codes, holders
-
-
 def _is_target(repo: Repository, target_id: str, source_id: str, target_kind: str | None) -> bool:
     target = repo.artifacts[target_id]
     return (
@@ -170,14 +156,14 @@ def trace(
     if target_kind is not None:
         check_kind(target_kind)
     get_artifact(repo, source_id)
-    by_artifact, holders = _link_index(repo, include_proposed)
-    source_codes = by_artifact.get(source_id)
+    index = links(repo)
+    source_codes = index.codes(source_id, include_proposed)
     if not source_codes:
         raise EmptyClassification(f"artifact {source_id!r} has no confirmed classification")
     via: dict[str, list[tuple[str, str, Relation]]] = {}
     for s in sorted(source_codes):
-        for c in sorted(holders.keys() & _admissible_codes(repo.taxonomy, f, s)):
-            for target_id in holders[c]:
+        for c in sorted(index.by_code.keys() & _admissible_codes(repo.taxonomy, f, s)):
+            for target_id in index.holders(c, include_proposed):
                 if _is_target(repo, target_id, source_id, target_kind):
                     via.setdefault(target_id, []).append((s, c, relation(repo.taxonomy, c, s)))
     return [TraceHit(target=target_id, via=via[target_id]) for target_id in sorted(via)]
@@ -212,8 +198,10 @@ def coverage(
     With ``to_kind`` None the question degenerates to classification
     coverage: an artifact is covered as soon as it carries a usable
     assignment.  The exclude-unclassifiable policy drops artifacts that
-    were explicitly marked unclassifiable from both lists and from the
-    denominator; the default counts them as uncovered.
+    were explicitly marked unclassifiable and carry no usable code from
+    both lists and from the denominator; the default counts them as
+    uncovered.  A marked artifact that was classified since is judged
+    like any other.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown coverage policy {policy!r}")
@@ -221,10 +209,7 @@ def coverage(
     if to_kind is not None:
         check_kind(to_kind)
         f = require_filter(f)
-    marked = {
-        a.artifact_id for a in repo.assignments if a.status == UNCLASSIFIABLE
-    }
-    by_artifact, holders = _link_index(repo, include_proposed)
+    index = links(repo)
     admissible: dict[str, set[str]] = {}
     covered: list[str] = []
     uncovered: list[str] = []
@@ -232,22 +217,23 @@ def coverage(
         artifact = repo.artifacts[artifact_id]
         if artifact.kind != from_kind or artifact.archived:
             continue
-        if policy == EXCLUDE_UNCLASSIFIABLE and artifact_id in marked:
-            continue
-        if not by_artifact.get(artifact_id):
-            uncovered.append(artifact_id)
+        codes = index.codes(artifact_id, include_proposed)
+        if not codes:
+            if policy != EXCLUDE_UNCLASSIFIABLE or artifact_id not in index.markers:
+                uncovered.append(artifact_id)
             continue
         if to_kind is None:
             covered.append(artifact_id)
             continue
-        for s in by_artifact[artifact_id]:
+        for s in codes:
             if s not in admissible:
-                admissible[s] = holders.keys() & _admissible_codes(repo.taxonomy, f, s)
+                admissible[s] = index.by_code.keys() & _admissible_codes(repo.taxonomy, f, s)
         hit = any(
-            _is_target(repo, target_id, artifact_id, to_kind)
-            for s in by_artifact[artifact_id]
+            (include_proposed or a.status == CONFIRMED)
+            and _is_target(repo, a.artifact_id, artifact_id, to_kind)
+            for s in codes
             for c in admissible[s]
-            for target_id in holders[c]
+            for a in index.by_code[c]
         )
         (covered if hit else uncovered).append(artifact_id)
     total = len(covered) + len(uncovered)

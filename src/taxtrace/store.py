@@ -32,7 +32,7 @@ from .errors import (
     SchemaVersionMismatch,
     UnknownId,
 )
-from .linkage import Assignment, EditRecord
+from .linkage import Assignment, EditRecord, LinkIndex
 from .taxonomy import Taxonomy, _build, _decode, _structured_doc, _structured_records
 
 REQUIREMENT = "requirement"
@@ -76,12 +76,19 @@ class Artifact:
 
 @dataclass
 class Repository:
-    """Taxonomy, artifacts, assignments, and the append-only edit log."""
+    """Taxonomy, artifacts, assignments, and the append-only edit log.
+
+    ``links`` is the link index that ``linkage.links`` builds from the
+    assignments on first use.  Once it exists, assignments change only
+    through ``linkage`` (``assign``, ``unassign``, ``mark_unclassifiable``
+    and ``split_artifact``), which keep it up to date.
+    """
 
     taxonomy: Taxonomy
     artifacts: dict[str, Artifact] = field(default_factory=dict)
     assignments: list[Assignment] = field(default_factory=list)
     edit_log: list[EditRecord] = field(default_factory=list)
+    links: LinkIndex | None = field(default=None, repr=False, compare=False)
 
 
 def new_repository(t: Taxonomy | None = None) -> Repository:

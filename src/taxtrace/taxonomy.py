@@ -18,6 +18,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CycleDetected,
@@ -52,9 +53,9 @@ def normalize_code(raw: str) -> str:
     return code
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaxonomyNode:
-    """One class of the taxonomy."""
+    """One class of the taxonomy.  Frozen, so ``Taxonomy.children`` stays valid."""
 
     code: str
     title: str
@@ -81,6 +82,17 @@ class Taxonomy:
 
     def codes(self) -> list[str]:
         return sorted(self.nodes)
+
+    @cached_property
+    def children(self) -> dict[str, list[str]]:
+        """Sorted child codes of every code, computed once."""
+        children: dict[str, list[str]] = {code: [] for code in self.nodes}
+        for code, node in self.nodes.items():
+            if node.parent is not None and node.parent in self.nodes:
+                children[node.parent].append(code)
+        for kids in children.values():
+            kids.sort()
+        return children
 
     def resolve(self, raw: str) -> str:
         """Normalize ``raw`` and check membership, returning the stored code."""
@@ -125,16 +137,6 @@ class ValidationReport:
         return {"ok": self.ok, "findings": [f.to_dict() for f in self.findings]}
 
 
-def _children_index(t: Taxonomy) -> dict[str, list[str]]:
-    children: dict[str, list[str]] = {code: [] for code in t.nodes}
-    for code, node in t.nodes.items():
-        if node.parent is not None and node.parent in t.nodes:
-            children[node.parent].append(code)
-    for kids in children.values():
-        kids.sort()
-    return children
-
-
 def _parent_chain(t: Taxonomy, code: str) -> list[str]:
     """Ancestor codes ordered child-to-root.  Guards against cycles."""
     chain: list[str] = []
@@ -159,7 +161,7 @@ def ancestors(t: Taxonomy, code: str) -> list[str]:
 def descendants(t: Taxonomy, code: str) -> list[str]:
     """All codes below ``code``, excluding it, in lexicographic order."""
     start = t.resolve(code)
-    children = _children_index(t)
+    children = t.children
     found: set[str] = set()
     stack = list(children[start])
     while stack:
@@ -198,7 +200,7 @@ def neighborhood(t: Taxonomy, code: str, k: int) -> list[str]:
     if k < 0:
         raise ValueError("neighborhood radius must be non-negative")
     start = t.resolve(code)
-    children = _children_index(t)
+    children = t.children
     distances = {start: 0}
     frontier = [start]
     while frontier:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from conftest import NOW, build_sampled_repo, random_repo
+from conftest import NOW, build_sampled_repo, random_repo, repo_model
 from taxtrace import linkage, store
 from taxtrace.errors import (
     DuplicateAssignment,
@@ -35,6 +35,7 @@ from taxtrace.linkage import (
     utc_now,
     write_assignments_csv,
 )
+from taxtrace.query import POLICIES, RelationFilter, coverage, trace
 from taxtrace.store import Artifact, add_artifact, new_repository, serialize_repository
 from taxtrace.taxonomy import parse_taxonomy
 
@@ -271,6 +272,118 @@ class TestSplit:
             after = active_pairs(repo)
             assert outcome.deletes == len(before - after)
             assert outcome.adds == len(after - before)
+
+
+def index_by_scan(repo):
+    """The link index by a literal scan, as identities: (by artifact, by code, markers)."""
+    by_artifact, by_code, markers = {}, {}, {}
+    for a in repo.assignments:
+        if a.status == linkage.UNCLASSIFIABLE:
+            markers.setdefault(a.artifact_id, id(a))
+        elif a.status != linkage.REJECTED:
+            by_artifact.setdefault(a.artifact_id, []).append(id(a))
+            by_code.setdefault(a.code, []).append(id(a))
+    return by_artifact, by_code, markers
+
+
+def index_ids(index):
+    return (
+        {k: [id(a) for a in v] for k, v in index.by_artifact.items()},
+        {k: [id(a) for a in v] for k, v in index.by_code.items()},
+        {k: id(a) for k, a in index.markers.items()},
+    )
+
+
+class TestLinkIndex:
+    def test_built_lazily_once(self, sampled_repo):
+        repo = store.deserialize_repository(serialize_repository(sampled_repo))
+        assert repo.links is None
+        index = linkage.links(repo)
+        assert linkage.links(repo) is index
+        assert index_ids(index) == index_by_scan(repo)
+
+    def test_first_of_two_active_records_wins(self, canon_tax):
+        repo = fresh_repo(canon_tax, ("R1", "requirement"))
+        first = assign(repo, "R1", "32QG", now=NOW)
+        repo.links = None
+        repo.assignments.append(linkage.Assignment(**first.to_dict()))
+        with pytest.raises(DuplicateAssignment):
+            assign(repo, "R1", "32QG", now=NOW)
+        unassign(repo, "R1", "32QG", now=NOW)
+        assert [a.status for a in repo.assignments] == [linkage.REJECTED, linkage.CONFIRMED]
+        assert active_codes(repo, "R1") == {"32QG"}
+
+    def test_maintained_index_matches_a_rebuild_and_the_trace_oracle(self):
+        """Random edits keep the index equal to a scan of the assignments."""
+        rng = random.Random(83)
+        provenances = sorted(linkage.PROVENANCES)
+        for round_no in range(16):
+            repo = store.deserialize_repository(serialize_repository(
+                random_repo(rng, max_artifacts=20, max_assignments=40, taxonomy_nodes=15)))
+            actives = [a for a in repo.assignments if a.status == linkage.CONFIRMED]
+            if round_no % 4 == 0 and actives:
+                # A hand-edited file may hold two active records for one pair.
+                repo.assignments.append(linkage.Assignment(**actives[0].to_dict()))
+            codes = sorted(repo.taxonomy.nodes)
+            parents, _, _ = repo_model(repo)
+            dist = oracles.all_pairs_distances(parents)
+            new_ids = iter(f"S{i:03d}" for i in range(1000))
+            for _ in range(60):
+                ids = sorted(repo.artifacts)
+                artifact_id = rng.choice(ids)
+                step = rng.randrange(7)
+                if step == 0:
+                    try:
+                        assign(repo, artifact_id, rng.choice(codes),
+                               provenance=rng.choice(provenances), now=NOW)
+                    except DuplicateAssignment:
+                        pass
+                elif step == 1:
+                    held = sorted(linkage.links(repo).by_artifact.get(artifact_id, []),
+                                  key=lambda a: a.code)
+                    code = rng.choice(held).code if held else rng.choice(codes)
+                    try:
+                        unassign(repo, artifact_id, code, now=NOW)
+                    except UnknownAssignment:
+                        assert not held
+                elif step == 2:
+                    mark_unclassifiable(repo, artifact_id, rng.choice(linkage.REASON_CATEGORIES),
+                                        note=f"n{rng.randrange(3)}", now=NOW)
+                elif step == 3:
+                    parts = [Artifact(id=next(new_ids), kind=repo.artifacts[artifact_id].kind,
+                                      title="part") for _ in range(2)]
+                    if rng.random() < 0.3:
+                        parts[1] = Artifact(id=rng.choice(ids), kind="requirement", title="dup")
+                    allocation = {p.id: {rng.choice(codes)} for p in parts}
+                    try:
+                        split_artifact(repo, artifact_id, parts, allocation, now=NOW)
+                    except DuplicateId:
+                        pass
+                elif step == 4:
+                    # A batch of imports, as ``import model`` does.
+                    for target in rng.sample(ids, min(5, len(ids))):
+                        try:
+                            assign(repo, target, rng.choice(codes),
+                                   provenance=linkage.IMPORTED, now=NOW)
+                        except DuplicateAssignment:
+                            pass
+                else:
+                    proposed = rng.random() < 0.5
+                    kind, k = rng.choice(oracles.FILTER_SPECS)
+                    f = RelationFilter(kind, k)
+                    target_kind = rng.choice([None, *sorted(store.ARTIFACT_KINDS)])
+                    _, artifacts, codes_by_artifact = repo_model(repo, proposed)
+                    if step == 5 and codes_by_artifact.get(artifact_id):
+                        want = oracles.trace_oracle(parents, dist, artifacts, codes_by_artifact,
+                                                    artifact_id, target_kind, kind, k)
+                        got = trace(repo, artifact_id, target_kind, f, proposed)
+                        assert {h.target for h in got} == want
+                    else:
+                        coverage(repo, rng.choice(sorted(store.ARTIFACT_KINDS)), target_kind, f,
+                                 policy=rng.choice(POLICIES), include_proposed=proposed)
+                if repo.links is not None:
+                    assert index_ids(repo.links) == index_by_scan(repo)
+            assert repo.links is not None
 
 
 class TestReplay:

@@ -186,6 +186,23 @@ class TestCoverage:
         assert report.uncovered == ["R1", "R2"]
         assert report.rate == Fraction(0)
 
+    def test_usable_code_supersedes_an_unclassifiable_marker(self):
+        repo = new_repository(tax_from_parents({"A": None}))
+        for artifact_id, kind in [("R1", "requirement"), ("R2", "requirement"),
+                                  ("D1", "design-object")]:
+            add_artifact(repo, Artifact(id=artifact_id, kind=kind, title=artifact_id))
+        linkage.mark_unclassifiable(repo, "R1", "vagueness", now=NOW)
+        linkage.mark_unclassifiable(repo, "R2", "compound", now=NOW)
+        assign(repo, "R1", "A", now=NOW)
+        assign(repo, "D1", "A", now=NOW)
+        assign(repo, "R2", "A", provenance=linkage.SUGGESTED, now=NOW)
+        for to_kind in ("design-object", None):
+            report = coverage(repo, "requirement", to_kind, policy=EXCLUDE_UNCLASSIFIABLE)
+            assert (report.covered, report.uncovered) == (["R1"], [])
+            report = coverage(repo, "requirement", to_kind, policy=EXCLUDE_UNCLASSIFIABLE,
+                              include_proposed=True)
+            assert (report.covered, report.uncovered) == (["R1", "R2"], [])
+
     def test_trace_coverage_against_a_target_kind(self, sampled_repo):
         report = coverage(sampled_repo, "requirement", "design-object",
                           RelationFilter("equal"))

@@ -1,5 +1,6 @@
 """Repository storage: filtering, canonical persistence, ingestion."""
 
+import dataclasses
 import json
 import os
 import random
@@ -107,8 +108,9 @@ def tricky_repo(rng):
         return "<" + "".join(rng.choice(TRICKY) for _ in range(rng.randint(1, 3))) + ">"
 
     tax = tax_from_parents(oracles.random_forest(rng, rng.randint(1, 12)))
-    for node in tax.nodes.values():
-        node.title, node.description, node.synonyms = text(), text(), [text(), text()]
+    for code, node in tax.nodes.items():
+        tax.nodes[code] = dataclasses.replace(
+            node, title=text(), description=text(), synonyms=[text(), text()])
     repo = new_repository(tax)
     ids = [f"{text()}{i}" for i in range(rng.randint(1, 8))]
     for artifact_id in ids:

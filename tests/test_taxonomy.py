@@ -1,5 +1,6 @@
 """Taxonomy parsing, relations, and traversals against brute-force oracles."""
 
+import dataclasses
 import random
 
 import pytest
@@ -241,7 +242,7 @@ class TestValidate:
 
     def test_empty_title_is_one_finding(self):
         t = tax_from_parents({"A": None})
-        t.nodes["A"].title = "   "
+        t.nodes["A"] = dataclasses.replace(t.nodes["A"], title="   ")
         report = validate(t)
         assert [f.category for f in report.findings] == ["empty-title"]
 

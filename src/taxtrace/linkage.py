@@ -210,14 +210,6 @@ class LinkIndex:
             if include_proposed or a.status == CONFIRMED
         }
 
-    def holders(self, code: str, include_proposed: bool = False) -> set[str]:
-        """Artifacts holding a code: confirmed, optionally proposed."""
-        return {
-            a.artifact_id
-            for a in self.by_code.get(code, ())
-            if include_proposed or a.status == CONFIRMED
-        }
-
 
 def links(repo: "Repository") -> LinkIndex:
     """The repository's link index, built in one pass on first use.

@@ -12,8 +12,8 @@ never participate.  Everything here is read-only.
 
 Both read the repository's link index (``linkage.links``): codes per
 artifact and artifacts per code.  A trace reads only the artifacts under
-its admissible codes; coverage is one pass over the sources, with no
-trace per source.
+its admissible codes and computes each code pair's relation once;
+coverage is one pass over the sources, with no trace per source.
 """
 
 from __future__ import annotations
@@ -100,12 +100,9 @@ def _admissible_codes(t: Taxonomy, f: RelationFilter, source_code: str) -> set[s
         return {source_code} | set(descendants(t, source_code))
     if f.kind == SIBLING_OF:
         # Classes sharing the source's parent; roots share the absent parent.
-        parent = t.nodes[t.resolve(source_code)].parent
-        return {
-            code
-            for code, node in t.nodes.items()
-            if node.parent == parent and code != source_code
-        }
+        code = t.resolve(source_code)
+        parent = t.nodes[code].parent
+        return set(t.roots if parent is None else t.children[parent]) - {code}
     assert f.k is not None
     return set(neighborhood(t, source_code, f.k))
 
@@ -160,12 +157,20 @@ def trace(
     source_codes = index.codes(source_id, include_proposed)
     if not source_codes:
         raise EmptyClassification(f"artifact {source_id!r} has no confirmed classification")
+    t = repo.taxonomy
     via: dict[str, list[tuple[str, str, Relation]]] = {}
     for s in sorted(source_codes):
-        for c in sorted(index.by_code.keys() & _admissible_codes(repo.taxonomy, f, s)):
-            for target_id in index.holders(c, include_proposed):
-                if _is_target(repo, target_id, source_id, target_kind):
-                    via.setdefault(target_id, []).append((s, c, relation(repo.taxonomy, c, s)))
+        for c in sorted(index.by_code.keys() & _admissible_codes(t, f, s)):
+            pair = (s, c, relation(t, c, s))
+            for a in index.by_code[c]:
+                if not (include_proposed or a.status == CONFIRMED):
+                    continue
+                if not _is_target(repo, a.artifact_id, source_id, target_kind):
+                    continue
+                hits = via.setdefault(a.artifact_id, [])
+                # A second active record of the same target under c adds nothing.
+                if not hits or hits[-1] is not pair:
+                    hits.append(pair)
     return [TraceHit(target=target_id, via=via[target_id]) for target_id in sorted(via)]
 
 

@@ -20,8 +20,6 @@ TITLE = "title"
 SYNONYM = "synonym"
 DESCRIPTION = "description"
 
-# Priority when one token occurs in several fields of the same node.
-_SOURCE_RANK = {TITLE: 0, SYNONYM: 1, DESCRIPTION: 2}
 _WEIGHTS = {TITLE: 1.0, SYNONYM: 1.0, DESCRIPTION: 0.5}
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -51,18 +49,19 @@ def _index(t: Taxonomy, wanted: set[str]) -> tuple[dict[str, dict[str, str]], di
 
     Only the ``wanted`` tokens are recorded: scoring reads nothing else.
     """
+    # Wanted tokens all pass ``tokenize``'s length filter, so raw matches
+    # suffice.  Fields are read best source first; the first one wins.
+    findall = _TOKEN_RE.findall
     postings: dict[str, dict[str, str]] = {}
     for code, node in t.nodes.items():
-        fields = [(TITLE, node.title)]
-        fields.extend((SYNONYM, s) for s in node.synonyms)
+        for token in wanted.intersection(findall(node.title.casefold())):
+            postings.setdefault(token, {})[code] = TITLE
+        for synonym in node.synonyms:
+            for token in wanted.intersection(findall(synonym.casefold())):
+                postings.setdefault(token, {}).setdefault(code, SYNONYM)
         if node.description:
-            fields.append((DESCRIPTION, node.description))
-        for source, text in fields:
-            for token in wanted.intersection(tokenize(text)):
-                per_code = postings.setdefault(token, {})
-                previous = per_code.get(code)
-                if previous is None or _SOURCE_RANK[source] < _SOURCE_RANK[previous]:
-                    per_code[code] = source
+            for token in wanted.intersection(findall(node.description.casefold())):
+                postings.setdefault(token, {}).setdefault(code, DESCRIPTION)
     df = {token: len(per_code) for token, per_code in postings.items()}
     return postings, df
 

@@ -70,8 +70,9 @@ class Taxonomy:
 
     nodes: dict[str, TaxonomyNode] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def roots(self) -> list[str]:
+        """Sorted top-level codes, computed once."""
         return sorted(code for code, node in self.nodes.items() if node.parent is None)
 
     def __len__(self) -> int:
@@ -79,9 +80,6 @@ class Taxonomy:
 
     def __contains__(self, code: str) -> bool:
         return code in self.nodes
-
-    def codes(self) -> list[str]:
-        return sorted(self.nodes)
 
     @cached_property
     def children(self) -> dict[str, list[str]]:
@@ -102,9 +100,9 @@ class Taxonomy:
         return code
 
 
-@dataclass
+@dataclass(frozen=True)
 class Relation:
-    """How two classes relate in the forest.
+    """How two classes relate in the forest.  Frozen, so hits can share one.
 
     ``distance`` is the undirected path length; it is None for nodes in
     different trees (except root pairs, which are siblings at the

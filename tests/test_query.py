@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import ALL_KINDS, NOW, random_repo, repo_model, tax_from_parents
-from taxtrace import linkage
+from taxtrace import linkage, store
 from taxtrace.errors import EmptyClassification, UnknownId
 from taxtrace.linkage import assign, unassign
 from taxtrace.query import (
@@ -286,6 +286,41 @@ class TestAgainstOracle:
                         got = trace(repo, source_id, target_kind, f)
                         assert set(ids(got)) == want, (source_id, kind, k, target_kind)
                         assert ids(got) == sorted(ids(got))
+
+    def test_random_repositories_match_nested_loop_via(self):
+        """Every hit's ``via`` is each admitted code pair, in order, with its relation."""
+        rng = random.Random(97)
+        for round_no in range(12):
+            repo = store.deserialize_repository(serialize_repository(
+                random_repo(rng, max_artifacts=30, max_assignments=90, taxonomy_nodes=20)))
+            actives = [a for a in repo.assignments if a.status == linkage.CONFIRMED]
+            if round_no % 3 == 0 and actives:
+                # A hand-edited file may hold two active records for one pair.
+                repo.assignments.append(linkage.Assignment(**rng.choice(actives).to_dict()))
+            parents, _, _ = repo_model(repo)
+            dist = oracles.all_pairs_distances(parents)
+            for proposed in (False, True):
+                _, artifacts, codes_by_artifact = repo_model(repo, proposed)
+                sources = sorted(a for a, codes in codes_by_artifact.items() if codes)
+                for source_id in rng.sample(sources, min(6, len(sources))):
+                    for kind, k in oracles.FILTER_SPECS:
+                        want = {}
+                        for target_id, (_, archived) in artifacts.items():
+                            if target_id == source_id or archived:
+                                continue
+                            via = [
+                                (s, c, oracles.relation_oracle(parents, dist, c, s))
+                                for s in sorted(codes_by_artifact[source_id])
+                                for c in sorted(codes_by_artifact.get(target_id, ()))
+                                if oracles.pair_matches(parents, dist, kind, k, s, c)
+                            ]
+                            if via:
+                                want[target_id] = via
+                        got = trace(repo, source_id, None, RelationFilter(kind, k), proposed)
+                        assert {
+                            hit.target: [(s, c, (r.kind, r.distance)) for s, c, r in hit.via]
+                            for hit in got
+                        } == want, (source_id, kind, k, proposed)
 
     def test_coverage_agrees_with_per_artifact_trace(self):
         rng = random.Random(61)

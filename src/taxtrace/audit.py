@@ -139,19 +139,19 @@ def check_comprehensiveness(objects: list[Artifact], t: Taxonomy) -> Comprehensi
 def fingerprint(
     obj: Artifact,
     attrs: tuple[str, ...] | list[str] = DEFAULT_FINGERPRINT_ATTRS,
-    blocklist: frozenset[str] | set[str] = DEFAULT_ABSOLUTE_BLOCKLIST,
 ) -> str:
     """Concatenate shape attributes into a stand-in identifier.
 
     Values pass through verbatim apart from whitespace trimming; a listed
-    attribute missing from the object is an error, while blocklisted
-    names are silently skipped wherever they appear in the list.
+    attribute missing from the object is an error, while names in
+    ``DEFAULT_ABSOLUTE_BLOCKLIST`` are silently skipped wherever they
+    appear in the list.
     """
     if not attrs:
         raise ValueError("fingerprint needs at least one attribute name")
     parts = []
     for name in attrs:
-        if name in blocklist:
+        if name in DEFAULT_ABSOLUTE_BLOCKLIST:
             continue
         if name not in obj.attrs:
             raise MissingAttribute(f"object {obj.id!r} lacks attribute {name!r}")
@@ -183,7 +183,6 @@ def match_versions(
     v1: list[Artifact],
     v2: list[Artifact],
     attrs: tuple[str, ...] | list[str] = DEFAULT_FINGERPRINT_ATTRS,
-    blocklist: frozenset[str] | set[str] = DEFAULT_ABSOLUTE_BLOCKLIST,
 ) -> VersionMatchReport:
     """Pair objects across two versions by equal fingerprints.
 
@@ -196,9 +195,9 @@ def match_versions(
     prints_1: dict[str, list[Artifact]] = {}
     prints_2: dict[str, list[Artifact]] = {}
     for obj in v1:
-        prints_1.setdefault(fingerprint(obj, attrs, blocklist), []).append(obj)
+        prints_1.setdefault(fingerprint(obj, attrs), []).append(obj)
     for obj in v2:
-        prints_2.setdefault(fingerprint(obj, attrs, blocklist), []).append(obj)
+        prints_2.setdefault(fingerprint(obj, attrs), []).append(obj)
     ambiguous = {
         fp
         for fp, objs in list(prints_1.items()) + list(prints_2.items())

@@ -17,8 +17,6 @@ simulation.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -627,53 +625,3 @@ def maintenance_cost(scenario: Scenario, strategy: str) -> EditCount:
             before = _direct_pairs(scenario.artifacts, affected)
         after = _direct_pairs(after_artifacts, affected)
     return EditCount(adds=len(after - before), deletes=len(before - after))
-
-
-# --- assignment exchange format ---
-
-_ASSIGNMENT_HEADER = ["artifact_id", "code", "provenance", "status", "note"]
-
-
-def write_assignments_csv(assignments: list[Assignment]) -> str:
-    """Render assignments as exchange CSV (drops timestamps by design)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_ASSIGNMENT_HEADER)
-    for a in assignments:
-        writer.writerow([a.artifact_id, a.code or "", a.provenance, a.status, a.note or ""])
-    return buf.getvalue()
-
-
-def read_assignments_csv(source, now: str | None = None) -> list[Assignment]:
-    text = _decode(source)
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != _ASSIGNMENT_HEADER:
-        raise MalformedRecord(f"expected header {','.join(_ASSIGNMENT_HEADER)!r}")
-    stamp = utc_now(now)
-    assignments = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(_ASSIGNMENT_HEADER):
-            raise MalformedRecord(f"row {lineno}: expected {len(_ASSIGNMENT_HEADER)} fields")
-        artifact_id, raw_code, provenance, status, note = row
-        if provenance not in PROVENANCES:
-            raise MalformedRecord(f"row {lineno}: unknown provenance {provenance!r}")
-        if status not in STATUSES:
-            raise MalformedRecord(f"row {lineno}: unknown status {status!r}")
-        code = normalize_code(raw_code) if raw_code.strip() else None
-        if (code is None) != (status == UNCLASSIFIABLE):
-            raise MalformedRecord(
-                f"row {lineno}: empty code is only valid with unclassifiable status"
-            )
-        assignments.append(
-            Assignment(
-                artifact_id=artifact_id,
-                code=code,
-                provenance=provenance,
-                status=status,
-                note=note or None,
-                created_at=stamp,
-            )
-        )
-    return assignments

@@ -268,7 +268,6 @@ def impact(
     include_proposed: bool = False,
 ) -> ImpactReport:
     """Artifacts of every kind traced from the changed one, grouped by kind."""
-    get_artifact(repo, changed_id)
     hits = trace(repo, changed_id, None, f, include_proposed)
     groups: dict[str, list[TraceHit]] = {}
     for hit in hits:

@@ -117,25 +117,17 @@ def get_artifact(repo: Repository, artifact_id: str) -> Artifact:
         raise UnknownId(f"no artifact with id {artifact_id!r}") from None
 
 
-def list_artifacts(
-    repo: Repository,
-    kind: str | None = None,
-    attrs: dict[str, str] | None = None,
-) -> list[Artifact]:
-    """Artifacts ordered by id, filtered conjunctively.
+def list_artifacts(repo: Repository, kind: str | None = None) -> list[Artifact]:
+    """Artifacts ordered by id, restricted to one kind when ``kind`` is given.
 
-    ``kind`` restricts to one artifact kind; ``attrs`` requires equality
-    on every given attribute.  Archived artifacts are listed too; query
-    operations apply their own exclusion.
+    Archived artifacts are listed too; query operations apply their own
+    exclusion.
     """
     result = []
     for artifact_id in sorted(repo.artifacts):
         artifact = repo.artifacts[artifact_id]
-        if kind is not None and artifact.kind != kind:
-            continue
-        if attrs and any(artifact.attrs.get(k) != v for k, v in attrs.items()):
-            continue
-        result.append(artifact)
+        if kind is None or artifact.kind == kind:
+            result.append(artifact)
     return result
 
 

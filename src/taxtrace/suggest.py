@@ -71,7 +71,9 @@ def suggest(text: str, t: Taxonomy, n: int) -> list[Suggestion]:
 
     Tokens occurring in every node carry no information (idf zero) and
     are skipped, so a positive score always has matched terms behind it.
-    Ties break by code for determinism.
+    Equal float scores break by code for determinism.  Scores are float
+    sums of idf terms, so two that are equal in exact arithmetic can
+    differ in the last bit and then rank by that bit, not by code.
     """
     if n < 1:
         raise ValueError("suggestion count must be at least 1")

@@ -113,28 +113,6 @@ class Relation:
     distance: int | None
 
 
-@dataclass
-class ValidationFinding:
-    category: str
-    code: str
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {"category": self.category, "code": self.code, "detail": self.detail}
-
-
-@dataclass
-class ValidationReport:
-    findings: list[ValidationFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "findings": [f.to_dict() for f in self.findings]}
-
-
 def _parent_chain(t: Taxonomy, code: str) -> list[str]:
     """Ancestor codes ordered child-to-root.  Guards against cycles."""
     chain: list[str] = []
@@ -219,68 +197,8 @@ def neighborhood(t: Taxonomy, code: str, k: int) -> list[str]:
     return sorted(distances)
 
 
-def validate(t: Taxonomy) -> ValidationReport:
-    """Check structural invariants; violations are findings, not errors.
-
-    Semantic quality (e.g., sibling classes not overlapping in meaning) is
-    not machine-checkable and is out of scope here.
-    """
-    findings: list[ValidationFinding] = []
-    by_normal: dict[str, list[str]] = {}
-    for key in sorted(t.nodes):
-        node = t.nodes[key]
-        if key != node.code:
-            findings.append(
-                ValidationFinding("duplicate-code", key, f"stored under key {key!r} but codes itself {node.code!r}")
-            )
-        try:
-            normal = normalize_code(node.code)
-        except EmptyCode:
-            findings.append(ValidationFinding("duplicate-code", key, "code is empty after normalization"))
-            continue
-        by_normal.setdefault(normal, []).append(key)
-        if normal != node.code:
-            findings.append(ValidationFinding("duplicate-code", key, f"code {node.code!r} is not normalized"))
-    for normal, keys in sorted(by_normal.items()):
-        if len(keys) > 1:
-            findings.append(
-                ValidationFinding("duplicate-code", normal, f"codes {keys} collide after normalization")
-            )
-    for key in sorted(t.nodes):
-        node = t.nodes[key]
-        if not node.title.strip():
-            findings.append(ValidationFinding("empty-title", key, "title is empty"))
-        if node.parent is not None and node.parent not in t.nodes:
-            findings.append(ValidationFinding("orphan-parent", key, f"parent {node.parent!r} does not exist"))
-    acyclic: set[str] = set()
-    on_cycle: set[str] = set()
-    into_cycle: set[str] = set()
-    for key in sorted(t.nodes):
-        if key in acyclic or key in on_cycle or key in into_cycle:
-            continue
-        path: list[str] = []
-        index: dict[str, int] = {}
-        current: str | None = key
-        while True:
-            if current is None or current not in t.nodes or current in acyclic:
-                acyclic.update(path)
-                break
-            if current in on_cycle or current in into_cycle:
-                into_cycle.update(path)
-                break
-            if current in index:
-                on_cycle.update(path[index[current] :])
-                into_cycle.update(path[: index[current]])
-                break
-            index[current] = len(path)
-            path.append(current)
-            current = t.nodes[current].parent
-    for key in sorted(on_cycle):
-        findings.append(ValidationFinding("cycle", key, "node lies on a parent cycle"))
-    return ValidationReport(findings)
-
-
 def _build(records: list[TaxonomyNode]) -> Taxonomy:
+    """Index records by code, rejecting duplicate codes, unknown parents and cycles."""
     nodes: dict[str, TaxonomyNode] = {}
     for node in records:
         if node.code in nodes:
@@ -466,21 +384,3 @@ def infer_parents(codes) -> dict[str, str | None]:
                 break
         parents[code] = parent
     return parents
-
-
-def infer_hierarchy_from_codes(codes) -> Taxonomy:
-    """Build a taxonomy from bare codes, nesting by code prefixes.
-
-    Used for classification exports that carry codes but no explicit
-    hierarchy ("3" contains "31" contains "31B").  Titles default to the
-    code itself.
-    """
-    code_list = list(codes)
-    if not code_list:
-        raise EmptyCode("cannot infer a hierarchy from an empty code set")
-    parents = infer_parents(code_list)
-    records = [
-        TaxonomyNode(code=code, title=code, parent=parent)
-        for code, parent in sorted(parents.items())
-    ]
-    return _build(records)

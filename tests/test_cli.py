@@ -326,6 +326,23 @@ class TestOutputContract:
         assert code == 0
         assert out.strip() == "ok"
 
+    def test_validate_rejects_a_stored_cycle_at_load(self, workspace, capsys):
+        run(capsys, "init")
+        path = workspace / "repo.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["taxonomy"] = {"nodes": [
+            {"code": "A", "title": "Alpha", "parent": "B"},
+            {"code": "B", "title": "Beta", "parent": "A"},
+        ]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        before = path.read_bytes()
+        code, out, err = run(capsys, "--strict", "validate")
+        assert code == 2
+        assert "error:" in err
+        assert "cycle through node 'A'" in err
+        assert out == ""
+        assert path.read_bytes() == before
+
     def test_malformed_taxonomy_is_rejected_at_import(self, workspace, capsys):
         run(capsys, "init")
         path = workspace / "repo.json"

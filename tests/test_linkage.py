@@ -12,7 +12,6 @@ from taxtrace.errors import (
     DuplicateAssignment,
     DuplicateId,
     InvalidCategory,
-    MalformedRecord,
     MalformedScenario,
     TooFewParts,
     UnknownAssignment,
@@ -27,13 +26,11 @@ from taxtrace.linkage import (
     load_scenario,
     maintenance_cost,
     mark_unclassifiable,
-    read_assignments_csv,
     replay_edit_log,
     split_artifact,
     unassign,
     unclassifiable_reason,
     utc_now,
-    write_assignments_csv,
 )
 from taxtrace.query import POLICIES, RelationFilter, coverage, trace
 from taxtrace.store import Artifact, add_artifact, new_repository, serialize_repository
@@ -569,26 +566,6 @@ class TestMaintenanceCost:
 class TestEditCount:
     def test_touched_is_adds_plus_deletes(self):
         assert EditCount(adds=2, deletes=1).touched == 3
-
-
-class TestAssignmentCsv:
-    def test_round_trip(self, sampled_repo):
-        text = write_assignments_csv(sampled_repo.assignments)
-        again = read_assignments_csv(text, now=NOW)
-        assert [(a.artifact_id, a.code, a.provenance, a.status, a.note) for a in again] == [
-            (a.artifact_id, a.code, a.provenance, a.status, a.note)
-            for a in sampled_repo.assignments
-        ]
-
-    def test_bad_status_rejected(self):
-        text = "artifact_id,code,provenance,status,note\nR1,18B,manual,maybe,\n"
-        with pytest.raises(MalformedRecord):
-            read_assignments_csv(text)
-
-    def test_empty_code_requires_unclassifiable(self):
-        text = "artifact_id,code,provenance,status,note\nR1,,manual,confirmed,\n"
-        with pytest.raises(MalformedRecord):
-            read_assignments_csv(text)
 
 
 class TestClock:

@@ -12,6 +12,8 @@ import oracles
 from conftest import NOW, random_repo, tax_from_parents
 from taxtrace import linkage, store, taxonomy
 from taxtrace.errors import (
+    CycleDetected,
+    DuplicateCode,
     DuplicateId,
     MalformedRecord,
     ReferentialIntegrityError,
@@ -43,10 +45,7 @@ def mixed_fixture(canon_tax):
         "design-object", "source-unit",
     ]
     for i, kind in enumerate(kinds):
-        add_artifact(repo, Artifact(
-            id=f"M{i}", kind=kind, title=f"Mixed {i}",
-            attrs={"zone": "north" if i % 2 == 0 else "south"},
-        ))
+        add_artifact(repo, Artifact(id=f"M{i}", kind=kind, title=f"Mixed {i}"))
     return repo
 
 
@@ -85,11 +84,6 @@ class TestArtifacts:
         )
         assert got == expected
         assert len(got) == 3
-
-    def test_list_filters_are_conjunctive(self, canon_tax):
-        repo = mixed_fixture(canon_tax)
-        got = list_artifacts(repo, kind="design-object", attrs={"zone": "north"})
-        assert [a.id for a in got] == ["M8"]
 
     def test_list_is_ordered_by_id(self, canon_tax):
         repo = mixed_fixture(canon_tax)
@@ -292,6 +286,10 @@ class TestPersistence:
         ({"nodes": [{"code": "18B", "title": "  "}]}, MalformedRecord),
         ({"nodes": {"18B": {"title": "Tunnels"}}}, MalformedRecord),
         ({"nodes": [{"code": "18B", "title": "Tunnels", "parent": "1"}]}, UnknownParent),
+        ({"nodes": [{"code": "A", "title": "Alpha", "parent": "B"},
+                    {"code": "B", "title": "Beta", "parent": "A"}]}, CycleDetected),
+        ({"nodes": [{"code": "A", "title": "Alpha"},
+                    {"code": "a--", "title": "Alpha too"}]}, DuplicateCode),
     ])
     def test_stored_taxonomy_is_validated(self, canon_tax, taxonomy, error):
         doc = json.loads(serialize_repository(new_repository(canon_tax)))

@@ -101,26 +101,24 @@ class Assignment:
     def from_dict(doc: dict, where: str) -> "Assignment":
         if not isinstance(doc, dict):
             raise MalformedRecord(f"{where}: expected an object")
-        if not isinstance(doc.get("artifact_id"), str):
+        get = doc.get
+        artifact_id = get("artifact_id")
+        if not isinstance(artifact_id, str):
             raise MalformedRecord(f"{where}: missing artifact_id")
-        provenance = doc.get("provenance")
-        if provenance not in PROVENANCES:
+        # The str check first: a list or an object is not hashable.
+        provenance = get("provenance")
+        if not isinstance(provenance, str) or provenance not in PROVENANCES:
             raise MalformedRecord(f"{where}: unknown provenance {provenance!r}")
-        status = doc.get("status")
-        if status not in STATUSES:
+        status = get("status")
+        if not isinstance(status, str) or status not in STATUSES:
             raise MalformedRecord(f"{where}: unknown status {status!r}")
-        code = doc.get("code")
+        code = get("code")
         if code is not None and not isinstance(code, str):
             raise MalformedRecord(f"{where}: code must be a string or null")
         if (code is None) != (status == UNCLASSIFIABLE):
             raise MalformedRecord(f"{where}: code must be null exactly for unclassifiable status")
         return Assignment(
-            artifact_id=doc["artifact_id"],
-            code=code,
-            provenance=provenance,
-            status=status,
-            note=doc.get("note"),
-            created_at=str(doc.get("created_at") or ""),
+            artifact_id, code, provenance, status, get("note"), str(get("created_at") or "")
         )
 
 
@@ -145,23 +143,20 @@ class EditRecord:
     def from_dict(doc: dict, where: str) -> "EditRecord":
         if not isinstance(doc, dict):
             raise MalformedRecord(f"{where}: expected an object")
-        if doc.get("op") not in (ADD, DELETE):
-            raise MalformedRecord(f"{where}: unknown op {doc.get('op')!r}")
-        if doc.get("link_kind") not in (TAXONOMIC, DIRECT):
-            raise MalformedRecord(f"{where}: unknown link_kind {doc.get('link_kind')!r}")
-        endpoints = doc.get("endpoints")
-        if (
-            not isinstance(endpoints, list)
-            or len(endpoints) != 2
-            or not all(isinstance(e, str) for e in endpoints)
+        get = doc.get
+        op, link_kind, endpoints = get("op"), get("link_kind"), get("endpoints")
+        if op not in (ADD, DELETE):
+            raise MalformedRecord(f"{where}: unknown op {op!r}")
+        if link_kind not in (TAXONOMIC, DIRECT):
+            raise MalformedRecord(f"{where}: unknown link_kind {link_kind!r}")
+        if not (
+            isinstance(endpoints, list)
+            and len(endpoints) == 2
+            and isinstance(endpoints[0], str)
+            and isinstance(endpoints[1], str)
         ):
             raise MalformedRecord(f"{where}: endpoints must be a pair of strings")
-        return EditRecord(
-            op=doc["op"],
-            link_kind=doc["link_kind"],
-            endpoints=(endpoints[0], endpoints[1]),
-            cause=str(doc.get("cause") or ""),
-        )
+        return EditRecord(op, link_kind, tuple(endpoints), str(get("cause") or ""))
 
 
 @dataclass

@@ -47,10 +47,24 @@ ARTIFACT_KINDS = frozenset(
 
 SCHEMA_VERSION = 2
 
-# Without ``indent`` json uses its C encoder; records hold no cycles to check.
-encode_record = json.JSONEncoder(
-    sort_keys=True, ensure_ascii=False, check_circular=False
-).encode
+# One C encoder for ``json.dumps(record, sort_keys=True, ensure_ascii=False)``,
+# built once here because ``JSONEncoder.encode`` builds a new one per call.
+_encoder = json.encoder.c_make_encoder(
+    None,  # markers: records hold no cycles to check
+    json.JSONEncoder().default,
+    json.encoder.encode_basestring,  # ensure_ascii=False
+    None,  # indent
+    ": ",
+    ", ",
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+
+
+def encode_record(record: dict) -> str:
+    """One record as compact canonical JSON with sorted keys, on one line."""
+    return "".join(_encoder(record, 0))
 
 CODE_ATTR = "sb11_code"
 
@@ -152,7 +166,7 @@ def _artifact_to_dict(artifact: Artifact) -> dict:
         "id": artifact.id,
         "kind": artifact.kind,
         "title": artifact.title,
-        "attrs": dict(sorted(artifact.attrs.items())),
+        "attrs": artifact.attrs,
         "archived": artifact.archived,
     }
     if artifact.body is not None:
@@ -164,34 +178,45 @@ def _artifact_to_dict(artifact: Artifact) -> dict:
     return doc
 
 
+_STR_OR_NONE = (str, type(None))
+_OPTIONAL_TEXT = ("body", "document", "version")
+
+
 def _artifact_from_dict(doc: dict, where: str) -> Artifact:
     if not isinstance(doc, dict):
         raise MalformedRecord(f"{where}: expected an object")
-    for key in ("id", "kind", "title"):
-        if not isinstance(doc.get(key), str):
-            raise MalformedRecord(f"{where}: missing or non-string {key!r}")
-    if doc["kind"] not in ARTIFACT_KINDS:
-        raise MalformedRecord(f"{where}: unknown artifact kind {doc['kind']!r}")
-    attrs = doc.get("attrs") or {}
+    get = doc.get
+    artifact_id, kind, title = get("id"), get("kind"), get("title")
+    if not (isinstance(artifact_id, str) and isinstance(kind, str) and isinstance(title, str)):
+        key = next(k for k in ("id", "kind", "title") if not isinstance(get(k), str))
+        raise MalformedRecord(f"{where}: missing or non-string {key!r}")
+    if kind not in ARTIFACT_KINDS:
+        raise MalformedRecord(f"{where}: unknown artifact kind {kind!r}")
+    attrs = get("attrs") or {}
     if not isinstance(attrs, dict):
         raise MalformedRecord(f"{where}: attrs must be an object")
-    return Artifact(
-        id=doc["id"],
-        kind=doc["kind"],
-        title=doc["title"],
-        body=doc.get("body"),
-        attrs={str(k): str(v) for k, v in attrs.items()},
-        document=doc.get("document"),
-        version=doc.get("version"),
-        archived=bool(doc.get("archived", False)),
-    )
+    if attrs and not all(isinstance(v, str) for v in attrs.values()):
+        attrs = {k: str(v) for k, v in attrs.items()}
+    body, document, version = get("body"), get("document"), get("version")
+    if not (
+        isinstance(body, _STR_OR_NONE)
+        and isinstance(document, _STR_OR_NONE)
+        and isinstance(version, _STR_OR_NONE)
+    ):
+        key = next(k for k in _OPTIONAL_TEXT if not isinstance(get(k), _STR_OR_NONE))
+        raise MalformedRecord(f"{where}: {key} must be a string or null")
+    archived = get("archived", False)
+    if not isinstance(archived, bool):
+        raise MalformedRecord(f"{where}: archived must be true or false")
+    return Artifact(artifact_id, kind, title, body, attrs, document, version, archived)
 
 
 def _record_lines(records) -> str:
-    """A JSON list with one encoded record per line; ``[]`` when empty."""
+    """A JSON list with one ``encode_record`` line per record; ``[]`` when empty."""
     if not records:
         return "[]"
-    return "[\n" + ",\n".join(map(encode_record, records)) + "\n]"
+    # ``encode_record`` inlined: a call per record costs more than its join.
+    return "[\n" + ",\n".join(["".join(_encoder(r, 0)) for r in records]) + "\n]"
 
 
 def serialize_repository(repo: Repository) -> str:
@@ -228,16 +253,21 @@ def deserialize_repository(text: str) -> Repository:
             f"repository schema version {version!r}, expected 1 or {SCHEMA_VERSION}"
         )
     taxonomy = _build(_structured_records(doc.get("taxonomy") or {"nodes": []}))
-    repo = Repository(taxonomy=taxonomy)
+    artifacts: dict[str, Artifact] = {}
     for i, item in enumerate(doc.get("artifacts") or []):
         artifact = _artifact_from_dict(item, f"artifacts[{i}]")
-        if artifact.id in repo.artifacts:
+        if artifact.id in artifacts:
             raise ReferentialIntegrityError(f"artifact id {artifact.id!r} appears twice")
-        repo.artifacts[artifact.id] = artifact
-    for i, item in enumerate(doc.get("assignments") or []):
-        repo.assignments.append(Assignment.from_dict(item, f"assignments[{i}]"))
-    for i, item in enumerate(doc.get("edit_log") or []):
-        repo.edit_log.append(EditRecord.from_dict(item, f"edit_log[{i}]"))
+        artifacts[artifact.id] = artifact
+    assignments = [
+        Assignment.from_dict(item, f"assignments[{i}]")
+        for i, item in enumerate(doc.get("assignments") or [])
+    ]
+    edit_log = [
+        EditRecord.from_dict(item, f"edit_log[{i}]")
+        for i, item in enumerate(doc.get("edit_log") or [])
+    ]
+    repo = Repository(taxonomy, artifacts, assignments, edit_log)
     check_integrity(repo)
     return repo
 

@@ -53,7 +53,7 @@ def normalize_code(raw: str) -> str:
     return code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TaxonomyNode:
     """One class of the taxonomy.  Frozen, so ``Taxonomy.children`` stays valid."""
 
@@ -62,6 +62,13 @@ class TaxonomyNode:
     description: str | None = None
     synonyms: list[str] = field(default_factory=list)
     parent: str | None = None
+
+    def __init__(self, code: str, title: str, description: str | None = None,
+                 synonyms: list[str] | None = None, parent: str | None = None) -> None:
+        # Filling ``__dict__`` directly costs half of the generated frozen
+        # ``__init__``, which calls ``object.__setattr__`` once per field.
+        self.__dict__.update(code=code, title=title, description=description,
+                             synonyms=[] if synonyms is None else synonyms, parent=parent)
 
 
 @dataclass
@@ -207,13 +214,19 @@ def _build(records: list[TaxonomyNode]) -> Taxonomy:
     for node in records:
         if node.parent is not None and node.parent not in nodes:
             raise UnknownParent(f"node {node.code!r} names unknown parent {node.parent!r}")
-    t = Taxonomy(nodes)
-    for code in nodes:
-        try:
-            _parent_chain(t, code)
-        except CycleDetected as exc:
-            raise CycleDetected(f"cycle through node {code!r}") from exc
-    return t
+    # One walk up from each code, in record order.  ``reached`` maps each
+    # code walked so far to the code whose walk reached it first; a walk
+    # that meets a code of an earlier walk stops there, because that one
+    # ended at a root.  Meeting its own start's mark again is a cycle.
+    reached: dict[str, str] = {}
+    for start in nodes:
+        current: str | None = start
+        while current is not None and current not in reached:
+            reached[current] = start
+            current = nodes[current].parent
+        if current is not None and reached[current] == start:
+            raise CycleDetected(f"cycle through node {start!r}")
+    return Taxonomy(nodes)
 
 
 def _decode(source) -> str:
@@ -271,49 +284,43 @@ def _parse_structured(text: str) -> list[TaxonomyNode]:
     return _structured_records(doc)
 
 
+_NODE_FIELDS = frozenset({"code", "parent", "title", "description", "synonyms"})
+
+
 def _structured_records(doc) -> list[TaxonomyNode]:
     """Validated node records from a decoded ``{"nodes": [...]}`` document."""
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MalformedRecord("expected an object with a 'nodes' list")
     records = []
-    allowed = {"code", "parent", "title", "description", "synonyms"}
     for i, item in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
         if not isinstance(item, dict):
-            raise MalformedRecord(f"{where}: expected an object")
-        extra = set(item) - allowed
-        if extra:
-            raise MalformedRecord(f"{where}: unknown fields {sorted(extra)}")
+            raise MalformedRecord(f"nodes[{i}]: expected an object")
+        if not _NODE_FIELDS.issuperset(item):
+            raise MalformedRecord(f"nodes[{i}]: unknown fields {sorted(set(item) - _NODE_FIELDS)}")
         if "code" not in item or "title" not in item:
-            raise MalformedRecord(f"{where}: 'code' and 'title' are required")
+            raise MalformedRecord(f"nodes[{i}]: 'code' and 'title' are required")
         try:
             code = normalize_code(str(item["code"]))
         except EmptyCode as exc:
-            raise MalformedRecord(f"{where}: empty code") from exc
+            raise MalformedRecord(f"nodes[{i}]: empty code") from exc
         title = str(item["title"]).strip()
         if not title:
-            raise MalformedRecord(f"{where}: empty title for code {code!r}")
-        parent = None
-        if item.get("parent") is not None:
+            raise MalformedRecord(f"nodes[{i}]: empty title for code {code!r}")
+        parent = item.get("parent")
+        if parent is not None:
             try:
-                parent = normalize_code(str(item["parent"]))
+                parent = normalize_code(str(parent))
             except EmptyCode as exc:
-                raise MalformedRecord(f"{where}: unusable parent") from exc
+                raise MalformedRecord(f"nodes[{i}]: unusable parent") from exc
         description = item.get("description")
         if description is not None:
             description = str(description).strip() or None
         synonyms = item.get("synonyms") or []
         if not isinstance(synonyms, list):
-            raise MalformedRecord(f"{where}: synonyms must be a list")
-        records.append(
-            TaxonomyNode(
-                code=code,
-                title=title,
-                description=description,
-                synonyms=[str(s).strip() for s in synonyms if str(s).strip()],
-                parent=parent,
-            )
-        )
+            raise MalformedRecord(f"nodes[{i}]: synonyms must be a list")
+        if synonyms:
+            synonyms = [s for s in map(str.strip, map(str, synonyms)) if s]
+        records.append(TaxonomyNode(code, title, description, synonyms, parent))
     return records
 
 

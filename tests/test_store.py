@@ -304,6 +304,261 @@ class TestPersistence:
         assert list(doc) == sorted(doc)
 
 
+def base_doc():
+    """A small valid document: three artifacts, two links, one marker, two log entries."""
+    repo = new_repository(taxonomy.parse_taxonomy(
+        "code,parent,title,description,synonyms\nA,,Alpha,,\nB,A,Beta,,\n"))
+    add_artifact(repo, Artifact(id="R1", kind="requirement", title="One"))
+    add_artifact(repo, Artifact(id="R2", kind="requirement", title="Two"))
+    add_artifact(repo, Artifact(id="R3", kind="requirement", title="Three"))
+    linkage.assign(repo, "R1", "A", now=NOW)
+    linkage.assign(repo, "R2", "B", now=NOW)
+    linkage.mark_unclassifiable(repo, "R3", "vagueness", now=NOW)
+    return json.loads(serialize_repository(repo))
+
+
+def load_error(doc):
+    with pytest.raises(Exception) as info:
+        deserialize_repository(json.dumps(doc))
+    return type(info.value), str(info.value)
+
+
+DROP = object()
+
+
+def patched(record, **changes):
+    """``record`` with ``changes`` applied; a value of ``DROP`` removes the key."""
+    out = dict(record)
+    for key, value in changes.items():
+        if value is DROP:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+# Each case replaces the record at index 1 of its list; a plain value
+# replaces it whole, a dict of changes patches the valid record.
+ARTIFACT_REJECTS = [
+    ("x", "artifacts[1]: expected an object"),
+    (None, "artifacts[1]: expected an object"),
+    ({"id": DROP}, "artifacts[1]: missing or non-string 'id'"),
+    ({"id": 5}, "artifacts[1]: missing or non-string 'id'"),
+    ({"kind": DROP}, "artifacts[1]: missing or non-string 'kind'"),
+    ({"kind": ["requirement"]}, "artifacts[1]: missing or non-string 'kind'"),
+    ({"title": None}, "artifacts[1]: missing or non-string 'title'"),
+    ({"id": 5, "kind": 6, "title": 7}, "artifacts[1]: missing or non-string 'id'"),
+    ({"kind": "poem"}, "artifacts[1]: unknown artifact kind 'poem'"),
+    ({"kind": "poem", "attrs": [1]}, "artifacts[1]: unknown artifact kind 'poem'"),
+    ({"attrs": [1]}, "artifacts[1]: attrs must be an object"),
+    ({"attrs": "a=b"}, "artifacts[1]: attrs must be an object"),
+    ({"archived": "false"}, "artifacts[1]: archived must be true or false"),
+    ({"archived": 0}, "artifacts[1]: archived must be true or false"),
+    ({"archived": None}, "artifacts[1]: archived must be true or false"),
+    ({"body": 5}, "artifacts[1]: body must be a string or null"),
+    ({"document": []}, "artifacts[1]: document must be a string or null"),
+    ({"version": {"v": 1}}, "artifacts[1]: version must be a string or null"),
+    ({"attrs": [1], "archived": "no"}, "artifacts[1]: attrs must be an object"),
+]
+
+ASSIGNMENT_REJECTS = [
+    (7, "assignments[1]: expected an object"),
+    ({"artifact_id": DROP}, "assignments[1]: missing artifact_id"),
+    ({"artifact_id": 1, "provenance": "robot"}, "assignments[1]: missing artifact_id"),
+    ({"provenance": "robot"}, "assignments[1]: unknown provenance 'robot'"),
+    ({"provenance": DROP}, "assignments[1]: unknown provenance None"),
+    ({"provenance": "robot", "status": "maybe"}, "assignments[1]: unknown provenance 'robot'"),
+    ({"status": "maybe"}, "assignments[1]: unknown status 'maybe'"),
+    ({"status": 1}, "assignments[1]: unknown status 1"),
+    ({"code": 5}, "assignments[1]: code must be a string or null"),
+    ({"code": None}, "assignments[1]: code must be null exactly for unclassifiable status"),
+    ({"code": "A", "status": "unclassifiable"},
+     "assignments[1]: code must be null exactly for unclassifiable status"),
+    ({"provenance": []}, "assignments[1]: unknown provenance []"),
+    ({"status": {"a": 1}}, "assignments[1]: unknown status {'a': 1}"),
+]
+
+EDIT_LOG_REJECTS = [
+    ([], "edit_log[1]: expected an object"),
+    ({"op": "move"}, "edit_log[1]: unknown op 'move'"),
+    ({"op": DROP}, "edit_log[1]: unknown op None"),
+    ({"op": ["add"]}, "edit_log[1]: unknown op ['add']"),
+    ({"op": "move", "link_kind": "x"}, "edit_log[1]: unknown op 'move'"),
+    ({"link_kind": "x"}, "edit_log[1]: unknown link_kind 'x'"),
+    ({"link_kind": {}}, "edit_log[1]: unknown link_kind {}"),
+    ({"endpoints": "R1"}, "edit_log[1]: endpoints must be a pair of strings"),
+    ({"endpoints": ["R1"]}, "edit_log[1]: endpoints must be a pair of strings"),
+    ({"endpoints": ["R1", "A", "B"]}, "edit_log[1]: endpoints must be a pair of strings"),
+    ({"endpoints": ["R1", None]}, "edit_log[1]: endpoints must be a pair of strings"),
+    ({"endpoints": DROP}, "edit_log[1]: endpoints must be a pair of strings"),
+]
+
+NODE_REJECTS = [
+    ([1], MalformedRecord, "nodes[1]: expected an object"),
+    ({"colour": "red"}, MalformedRecord, "nodes[1]: unknown fields ['colour']"),
+    ({"title": DROP, "z": 1, "a": 2}, MalformedRecord, "nodes[1]: unknown fields ['a', 'z']"),
+    ({"code": DROP}, MalformedRecord, "nodes[1]: 'code' and 'title' are required"),
+    ({"title": DROP}, MalformedRecord, "nodes[1]: 'code' and 'title' are required"),
+    ({"code": " -- "}, MalformedRecord, "nodes[1]: empty code"),
+    ({"code": "--", "title": ""}, MalformedRecord, "nodes[1]: empty code"),
+    ({"title": " "}, MalformedRecord, "nodes[1]: empty title for code 'B'"),
+    ({"parent": "-"}, MalformedRecord, "nodes[1]: unusable parent"),
+    ({"synonyms": "x|y"}, MalformedRecord, "nodes[1]: synonyms must be a list"),
+    ({"code": "a--"}, DuplicateCode, "code 'A' appears more than once"),
+    ({"parent": "Z"}, UnknownParent, "node 'B' names unknown parent 'Z'"),
+    ({"parent": "B"}, CycleDetected, "cycle through node 'B'"),
+]
+
+
+def case_ids(cases):
+    """Test ids from each case's message, without the record's position."""
+    return [case[-1].split("]: ", 1)[-1] for case in cases]
+
+
+def _reject(section, index, change):
+    doc = base_doc()
+    records = doc["taxonomy"]["nodes"] if section == "nodes" else doc[section]
+    records[index] = patched(records[index], **change) if isinstance(change, dict) else change
+    return doc
+
+
+class TestRecordRejects:
+    """Every reject path of the record decoders, with its class and message."""
+
+    @pytest.mark.parametrize("change, message", ARTIFACT_REJECTS, ids=case_ids(ARTIFACT_REJECTS))
+    def test_artifact(self, change, message):
+        assert load_error(_reject("artifacts", 1, change)) == (MalformedRecord, message)
+
+    def test_duplicate_artifact_id(self):
+        doc = _reject("artifacts", 1, {"id": "R1"})
+        assert load_error(doc) == (ReferentialIntegrityError, "artifact id 'R1' appears twice")
+
+    @pytest.mark.parametrize("change, message", ASSIGNMENT_REJECTS,
+                             ids=case_ids(ASSIGNMENT_REJECTS))
+    def test_assignment(self, change, message):
+        assert load_error(_reject("assignments", 1, change)) == (MalformedRecord, message)
+
+    @pytest.mark.parametrize("change, message", EDIT_LOG_REJECTS, ids=case_ids(EDIT_LOG_REJECTS))
+    def test_edit_log(self, change, message):
+        assert load_error(_reject("edit_log", 1, change)) == (MalformedRecord, message)
+
+    @pytest.mark.parametrize("change, error, message", NODE_REJECTS, ids=case_ids(NODE_REJECTS))
+    def test_taxonomy_node(self, change, error, message):
+        assert load_error(_reject("nodes", 1, change)) == (error, message)
+
+    @pytest.mark.parametrize("taxonomy_doc", ["A", {"nodes": {}}, {"nodes": None}, {"node": []}])
+    def test_taxonomy_document(self, taxonomy_doc):
+        doc = base_doc()
+        doc["taxonomy"] = taxonomy_doc
+        assert load_error(doc) == (MalformedRecord, "expected an object with a 'nodes' list")
+
+    def test_taxonomy_is_checked_before_the_records(self):
+        doc = _reject("artifacts", 0, "x")
+        doc["taxonomy"]["nodes"][1]["title"] = ""
+        assert load_error(doc) == (MalformedRecord, "nodes[1]: empty title for code 'B'")
+
+    def test_valid_optional_fields_load(self):
+        doc = base_doc()
+        doc["artifacts"][1].update(body=None, document="Spec", version=None, archived=True)
+        del doc["artifacts"][0]["archived"]
+        repo = deserialize_repository(json.dumps(doc))
+        assert repo.artifacts["R1"].archived is False
+        assert repo.artifacts["R2"].archived is True
+        assert repo.artifacts["R2"].document == "Spec"
+        assert repo.artifacts["R2"].body is None
+
+
+def cycle_error(nodes):
+    doc = base_doc()
+    doc["taxonomy"] = {"nodes": nodes}
+    doc["assignments"], doc["edit_log"] = [], []
+    return load_error(doc)
+
+
+def node(code, parent=None):
+    return {"code": code, "title": code, "parent": parent}
+
+
+class TestCycles:
+    def test_node_below_a_cycle_is_named_when_it_comes_first(self):
+        nodes = [node("C", "A"), node("A", "B"), node("B", "A")]
+        assert cycle_error(nodes) == (CycleDetected, "cycle through node 'C'")
+
+    def test_first_node_of_the_cycle_is_named(self):
+        nodes = [node("R"), node("B", "A"), node("A", "B"), node("C", "A")]
+        assert cycle_error(nodes) == (CycleDetected, "cycle through node 'B'")
+
+    def test_self_parent(self):
+        nodes = [node("R"), node("S", "R"), node("X", "X")]
+        assert cycle_error(nodes) == (CycleDetected, "cycle through node 'X'")
+
+    @pytest.mark.parametrize("order", ["bottom-up", "top-down"])
+    def test_deep_chain_closed_at_the_top(self, order):
+        depth = 1000
+        nodes = [node(f"N{i}", f"N{i + 1}") for i in range(depth)]
+        nodes.append(node(f"N{depth}", "N500"))
+        if order == "top-down":
+            nodes.reverse()
+        first = "N0" if order == "bottom-up" else f"N{depth}"
+        assert cycle_error(nodes) == (CycleDetected, f"cycle through node {first!r}")
+
+    def test_deep_chain_to_a_root_loads(self):
+        depth = 1000
+        nodes = [node(f"N{i}", f"N{i + 1}" if i < depth else None) for i in range(depth + 1)]
+        doc = base_doc()
+        doc["taxonomy"] = {"nodes": nodes}
+        doc["assignments"], doc["edit_log"] = [], []
+        repo = deserialize_repository(json.dumps(doc))
+        assert taxonomy.ancestors(repo.taxonomy, "N0")[-1] == f"N{depth}"
+
+
+# Text that needs escaping or is not ASCII.
+ENCODE_TEXT = ["", "plain", "Brücke – 橋 ✓", "tab\tnew\nline", "\x00\x01\x1f\x7f",
+               'quote " and \\ slash', "  ", "😀 emoji", "𝄞"]
+
+
+def random_value(rng, depth=0):
+    roll = rng.randrange(8 if depth < 2 else 5)
+    if roll == 0:
+        return None
+    if roll == 1:
+        return rng.choice([True, False])
+    if roll == 2:
+        return rng.randint(-10**6, 10**6)
+    if roll in (3, 4):
+        return rng.choice(ENCODE_TEXT) + rng.choice(ENCODE_TEXT)
+    if roll == 5:
+        return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return random_record(rng, depth + 1)
+
+
+def random_record(rng, depth=0):
+    keys = sorted({rng.choice(ENCODE_TEXT) + str(rng.randrange(5))
+                   for _ in range(rng.randint(0, 6))}, reverse=True)
+    return {key: random_value(rng, depth) for key in keys}
+
+
+class TestEncodeRecord:
+    def test_matches_json_dumps(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            record = random_record(rng)
+            record["attrs"] = {k: str(v) for k, v in random_record(rng, 2).items()}
+            expected = json.dumps(record, sort_keys=True, ensure_ascii=False)
+            assert store.encode_record(record) == expected
+
+    def test_matches_json_dumps_on_saved_records(self):
+        rng = random.Random(32)
+        for _ in range(10):
+            doc = json.loads(serialize_repository(tricky_repo(rng)))
+            records = doc["artifacts"] + doc["assignments"] + doc["edit_log"]
+            for record in records + doc["taxonomy"]["nodes"]:
+                if "attrs" in record:
+                    record["attrs"] = dict(reversed(record["attrs"].items()))
+                expected = json.dumps(record, sort_keys=True, ensure_ascii=False)
+                assert store.encode_record(record) == expected
+
+
 class TestJsonlIngestion:
     def test_reads_artifacts_with_coerced_attrs(self):
         lines = "\n".join([

@@ -1,5 +1,6 @@
 """Taxonomy parsing, relations, and traversals against brute-force oracles."""
 
+import dataclasses
 import random
 
 import pytest
@@ -52,6 +53,22 @@ class TestNormalize:
         except EmptyCode:
             return
         assert normalize_code(once) == once
+
+
+class TestNode:
+    def test_fields_cannot_be_set(self):
+        node = TaxonomyNode("A", "Alpha")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.parent = "B"
+        assert node.parent is None
+
+    def test_defaults_equality_and_replace(self):
+        a, b = TaxonomyNode("A", "Alpha"), TaxonomyNode(code="A", title="Alpha")
+        assert a == b
+        assert a.synonyms == [] and a.synonyms is not b.synonyms
+        moved = dataclasses.replace(a, parent="R", synonyms=["first"])
+        assert moved == TaxonomyNode("A", "Alpha", None, ["first"], "R")
+        assert a.parent is None and a.synonyms == []
 
 
 class TestParse:

@@ -1,13 +1,15 @@
 """Command-line surface for the whole toolkit.
 
 One repository file holds everything; commands load it, act, and (only
-when they mutate) save it back.  The repository path comes from --repo or
-the TTL_REPO environment variable.  Timestamps come from TTL_NOW when
-set, so scripted runs are byte-reproducible.
+when they mutate, under ``store.editing``'s writer lock) save it back.
+The repository path comes from --repo or the TTL_REPO environment
+variable.  Timestamps come from TTL_NOW when set, so scripted runs are
+byte-reproducible.
 
 Exit codes: 0 success; 1 error findings of audit --strict or uncovered
-items of coverage --strict; 2 usage or data errors.  Diagnostics go to stderr,
-data to stdout, as text or as schema-stable JSON via --format.
+items of coverage --strict; 2 usage or data errors, including a
+repository locked by another writer.  Diagnostics go to stderr, data to
+stdout, as text or as schema-stable JSON via --format.
 
 Relation filters use the grammar `name` or `neighborhood:k`, where name
 is one of equal, ancestor, descendant, equal-or-descendant, sibling.
@@ -42,10 +44,6 @@ def _repo_path(args) -> str:
 
 def _load(args) -> store.Repository:
     return store.load_repository(_repo_path(args))
-
-
-def _save(repo: store.Repository, args) -> None:
-    store.save_repository(repo, _repo_path(args))
 
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
@@ -106,8 +104,14 @@ def cmd_init(args) -> int:
 
 
 def cmd_import(args) -> int:
-    repo = _load(args)
     text = _read_file(args.file)
+    with store.editing(_repo_path(args)) as repo:
+        doc, lines = _import(repo, args, text)
+    _emit(args, doc, lines)
+    return 0
+
+
+def _import(repo: store.Repository, args, text: str) -> tuple[dict, list[str]]:
     if args.what == "taxonomy":
         t = taxonomy.parse_taxonomy(text, format=args.taxonomy_format)
         if args.infer_hierarchy:
@@ -148,9 +152,7 @@ def cmd_import(args) -> int:
             "warnings": warnings,
         }
         lines = [f"imported {len(objects)} design objects, {assigned} auto-assigned"]
-    _save(repo, args)
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
 def cmd_validate(args) -> int:
@@ -177,17 +179,16 @@ def cmd_suggest(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    repo = _load(args)
-    a = linkage.assign(repo, args.artifact_id, args.code, provenance=args.provenance, now=_now())
-    _save(repo, args)
+    with store.editing(_repo_path(args)) as repo:
+        a = linkage.assign(repo, args.artifact_id, args.code, provenance=args.provenance,
+                           now=_now())
     _emit(args, {"assigned": a.to_dict()}, [f"assigned {a.artifact_id} -> {a.code} ({a.status})"])
     return 0
 
 
 def cmd_unassign(args) -> int:
-    repo = _load(args)
-    linkage.unassign(repo, args.artifact_id, args.code, now=_now())
-    _save(repo, args)
+    with store.editing(_repo_path(args)) as repo:
+        linkage.unassign(repo, args.artifact_id, args.code, now=_now())
     code = taxonomy.normalize_code(args.code)
     _emit(
         args,
@@ -198,9 +199,9 @@ def cmd_unassign(args) -> int:
 
 
 def cmd_mark_unclassifiable(args) -> int:
-    repo = _load(args)
-    a = linkage.mark_unclassifiable(repo, args.artifact_id, args.category, args.note, now=_now())
-    _save(repo, args)
+    with store.editing(_repo_path(args)) as repo:
+        a = linkage.mark_unclassifiable(repo, args.artifact_id, args.category, args.note,
+                                        now=_now())
     _emit(
         args,
         {"marked": a.to_dict()},
@@ -210,18 +211,17 @@ def cmd_mark_unclassifiable(args) -> int:
 
 
 def cmd_split(args) -> int:
-    repo = _load(args)
-    original = store.get_artifact(repo, args.artifact_id)
-    parts = []
-    allocation: dict[str, set[str]] = {}
-    for spec in args.part:
-        part_id, sep, codes = spec.partition(":")
-        if not part_id or not sep:
-            raise ValueError(f"bad --part {spec!r}: expected NEW_ID:CODE[,CODE...]")
-        parts.append(store.Artifact(id=part_id, kind=original.kind, title=part_id))
-        allocation[part_id] = {c for c in codes.split(",") if c.strip()}
-    outcome = linkage.split_artifact(repo, args.artifact_id, parts, allocation, now=_now())
-    _save(repo, args)
+    with store.editing(_repo_path(args)) as repo:
+        original = store.get_artifact(repo, args.artifact_id)
+        parts = []
+        allocation: dict[str, set[str]] = {}
+        for spec in args.part:
+            part_id, sep, codes = spec.partition(":")
+            if not part_id or not sep:
+                raise ValueError(f"bad --part {spec!r}: expected NEW_ID:CODE[,CODE...]")
+            parts.append(store.Artifact(id=part_id, kind=original.kind, title=part_id))
+            allocation[part_id] = {c for c in codes.split(",") if c.strip()}
+        outcome = linkage.split_artifact(repo, args.artifact_id, parts, allocation, now=_now())
     for w in outcome.warnings:
         print(f"warning: {w}", file=sys.stderr)
     _emit(

@@ -50,6 +50,10 @@ class RepositoryIOError(TaxTraceError):
     """A repository file could not be read, written, or parsed."""
 
 
+class RepositoryLocked(TaxTraceError):
+    """Another writer holds the repository's lock."""
+
+
 class SchemaVersionMismatch(TaxTraceError):
     """A repository file declares an unsupported schema version."""
 

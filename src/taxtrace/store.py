@@ -10,18 +10,26 @@ node as one compact line, so a change to one record is one line in a
 diff.  Schema 1 files, the same document indented, still load and are
 rewritten as schema 2 by their next save.
 
-The repository is single-writer: mutating helpers (here and in the
-linkage module) must not run concurrently; reads between mutations may.
+Commands that change the repository go through ``editing``: one writer
+at a time holds an exclusive lock on the sidecar file ``<path>.lock``, and
+the save re-encodes only the records the edit changed.  The sidecar never
+holds data; deleting it costs the next save one full encode.  Library
+callers that mutate a repository and ``save_repository`` it take no lock,
+so they must not run alongside a command that edits the same file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import fcntl
 import io
+import itertools
 import json
+import operator
 import os
 import shutil
+import zlib
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -29,6 +37,7 @@ from .errors import (
     MalformedRecord,
     ReferentialIntegrityError,
     RepositoryIOError,
+    RepositoryLocked,
     SchemaVersionMismatch,
     UnknownId,
 )
@@ -196,6 +205,9 @@ def _artifact_from_dict(doc: dict, where: str) -> Artifact:
     if not isinstance(attrs, dict):
         raise MalformedRecord(f"{where}: attrs must be an object")
     if attrs and not all(isinstance(v, str) for v in attrs.values()):
+        for k, v in attrs.items():
+            if v is None or isinstance(v, (list, dict)):
+                raise MalformedRecord(f"{where}: attr {k!r} must be a string, number or boolean")
         attrs = {k: str(v) for k, v in attrs.items()}
     body, document, version = get("body"), get("document"), get("version")
     if not (
@@ -211,27 +223,45 @@ def _artifact_from_dict(doc: dict, where: str) -> Artifact:
     return Artifact(artifact_id, kind, title, body, attrs, document, version, archived)
 
 
-def _record_lines(records) -> str:
-    """A JSON list with one ``encode_record`` line per record; ``[]`` when empty."""
-    if not records:
-        return "[]"
+def _encoded(records) -> list[str]:
     # ``encode_record`` inlined: a call per record costs more than its join.
-    return "[\n" + ",\n".join(["".join(_encoder(r, 0)) for r in records]) + "\n]"
+    return ["".join(_encoder(r, 0)) for r in records]
 
 
-def serialize_repository(repo: Repository) -> str:
-    """Render the repository as canonical JSON text, one record per line."""
-    artifacts = _record_lines(
-        [_artifact_to_dict(repo.artifacts[artifact_id]) for artifact_id in sorted(repo.artifacts)]
-    )
-    assignments = _record_lines([a.to_dict() for a in repo.assignments])
-    edit_log = _record_lines([e.to_dict() for e in repo.edit_log])
-    nodes = _record_lines(_structured_doc(repo.taxonomy)["nodes"])
+def _record_lines(lines: list[str]) -> str:
+    """A JSON list with one encoded record per line; ``[]`` when empty."""
+    return "[\n" + ",\n".join(lines) + "\n]" if lines else "[]"
+
+
+def _document(artifacts: str, assignments: str, edit_log: str, nodes: str) -> str:
+    """The schema-2 file around each section's ``_record_lines``."""
     return (
         f'{{\n"artifacts": {artifacts},\n"assignments": {assignments},\n'
         f'"edit_log": {edit_log},\n"schema_version": {SCHEMA_VERSION},\n'
         f'"taxonomy": {{"nodes": {nodes}}}\n}}\n'
     )
+
+
+def serialize_repository(repo: Repository) -> str:
+    """Render the repository as canonical JSON text, one record per line."""
+    # One section at a time, so that only one section's records are held.
+    return _document(
+        _record_lines(_encoded(
+            [_artifact_to_dict(repo.artifacts[k]) for k in sorted(repo.artifacts)])),
+        _record_lines(_encoded([a.to_dict() for a in repo.assignments])),
+        _record_lines(_encoded([e.to_dict() for e in repo.edit_log])),
+        _record_lines(_encoded(_structured_doc(repo.taxonomy)["nodes"])),
+    )
+
+
+def _records(doc: dict, key: str) -> list:
+    """The record list under ``key``; a missing key or null means none."""
+    records = doc.get(key)
+    if records is None:
+        return []
+    if not isinstance(records, list):
+        raise MalformedRecord(f"{key} must be a list")
+    return records
 
 
 def deserialize_repository(text: str) -> Repository:
@@ -254,52 +284,68 @@ def deserialize_repository(text: str) -> Repository:
         )
     taxonomy = _build(_structured_records(doc.get("taxonomy") or {"nodes": []}))
     artifacts: dict[str, Artifact] = {}
-    for i, item in enumerate(doc.get("artifacts") or []):
+    for i, item in enumerate(_records(doc, "artifacts")):
         artifact = _artifact_from_dict(item, f"artifacts[{i}]")
         if artifact.id in artifacts:
             raise ReferentialIntegrityError(f"artifact id {artifact.id!r} appears twice")
         artifacts[artifact.id] = artifact
     assignments = [
         Assignment.from_dict(item, f"assignments[{i}]")
-        for i, item in enumerate(doc.get("assignments") or [])
+        for i, item in enumerate(_records(doc, "assignments"))
     ]
     edit_log = [
         EditRecord.from_dict(item, f"edit_log[{i}]")
-        for i, item in enumerate(doc.get("edit_log") or [])
+        for i, item in enumerate(_records(doc, "edit_log"))
     ]
     repo = Repository(taxonomy, artifacts, assignments, edit_log)
     check_integrity(repo)
     return repo
 
 
-def save_repository(repo: Repository, path: str | os.PathLike) -> None:
-    """Write the repository to ``path`` atomically, always as the current schema.
+def _write(text: str, path: str | os.PathLike) -> bytes:
+    """Write ``text`` over ``path`` atomically and durably; return the bytes written.
 
-    The text goes to ``<path>.tmp`` in the same directory, which is
-    flushed, fsynced and then renamed over ``path`` with ``os.replace``,
-    so a crash leaves either the old file or the new one.  As with a
-    write in place, a symlink at ``path`` is followed and the replaced
-    file's permission bits are kept; a new file gets the umask's.  On any
-    failure the temporary file is removed; an ``OSError`` is raised as
-    ``RepositoryIOError``.  Nothing stops a second concurrent writer.
+    The bytes go to ``<path>.tmp`` in the same directory, which is
+    flushed, fsynced and then renamed over ``path`` with ``os.replace``;
+    the directory is fsynced after the rename, so that the rename itself
+    survives a crash.  A crash leaves either the old file or the new one.
+    As with a write in place, a symlink at ``path`` is followed and the
+    replaced file's permission bits are kept; a new file gets the umask's.
+    On any failure the temporary file is removed; an ``OSError`` is
+    raised as ``RepositoryIOError``.
     """
-    text = serialize_repository(repo)
+    data = text.encode("utf-8")
     target = os.path.realpath(path)
     tmp = f"{target}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
+        with open(tmp, "wb") as f:
             with contextlib.suppress(FileNotFoundError):
                 shutil.copymode(target, tmp)
-            f.write(text)
+            f.write(data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, target)
+        directory = os.open(os.path.dirname(target), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise RepositoryIOError(f"cannot write repository {path!s}: {exc}") from exc
         raise
+    return data
+
+
+def save_repository(repo: Repository, path: str | os.PathLike) -> None:
+    """Write the repository to ``path`` atomically, always as the current schema.
+
+    See ``_write`` for how.  This takes no lock and writes no sidecar;
+    commands save through ``editing``.
+    """
+    _write(serialize_repository(repo), path)
 
 
 def load_repository(path: str | os.PathLike) -> Repository:
@@ -309,6 +355,142 @@ def load_repository(path: str | os.PathLike) -> Repository:
     except OSError as exc:
         raise RepositoryIOError(f"cannot read repository {path!s}: {exc}") from exc
     return deserialize_repository(text)
+
+
+# --- editing: one locked writer, re-encoding only what changed ---
+
+
+def _artifact_fields(a: Artifact) -> tuple:
+    return (a.id, a.kind, a.title, a.body, tuple(a.attrs.items()), a.document, a.version,
+            a.archived)
+
+
+_assignment_fields = operator.attrgetter(
+    "artifact_id", "code", "provenance", "status", "note", "created_at")
+_edit_fields = operator.attrgetter("op", "link_kind", "endpoints", "cause")
+
+
+def _section_lines(text: str, repo: Repository) -> list[list[str]] | None:
+    """The record lines of each section of ``text``, which loaded as ``repo``.
+
+    None unless ``text`` is exactly ``_document``'s output for those lines.
+    """
+    counts = (len(repo.artifacts), len(repo.assignments), len(repo.edit_log),
+              len(repo.taxonomy.nodes))
+    lines = text.split("\n")
+    if len(lines) != 4 + sum(n + 2 if n else 1 for n in counts):
+        return None
+    sections = []
+    start = 1  # the opening brace
+    for n, after in zip(counts, (0, 0, 1, 0)):  # the schema line follows the edit log
+        body = lines[start + 1:start + 1 + n]
+        # Each record line but a section's last ends with the separating comma.
+        sections.append([line[:-1] for line in body[:-1]] + body[-1:])
+        start += (n + 2 if n else 1) + after
+    return sections if _document(*map(_record_lines, sections)) == text else None
+
+
+class _Loaded:
+    """Each record's fields at load, with the line of the file that encodes them."""
+
+    def __init__(self, repo: Repository, sections: list[list[str]]) -> None:
+        artifact_lines, self.assignment_lines, self.edit_lines, self.node_lines = sections
+        self.artifact_fields = {a.id: _artifact_fields(a) for a in repo.artifacts.values()}
+        self.artifact_lines = dict(zip(repo.artifacts, artifact_lines))
+        self.assignment_fields = list(map(_assignment_fields, repo.assignments))
+        self.edit_fields = list(map(_edit_fields, repo.edit_log))
+        self.nodes = list(repo.taxonomy.nodes.values())
+
+    def serialize(self, repo: Repository) -> str:
+        """``serialize_repository(repo)``, encoding only the records changed since load."""
+        ids = sorted(repo.artifacts)
+        artifacts = _kept(list(map(repo.artifacts.__getitem__, ids)), _artifact_fields,
+                          _artifact_to_dict, list(map(self.artifact_fields.get, ids)),
+                          list(map(self.artifact_lines.get, ids)))
+        nodes = repo.taxonomy.nodes
+        # Nodes are frozen: the same node objects in the same order encode alike.
+        same_nodes = len(nodes) == len(self.nodes) and all(
+            map(operator.is_, nodes.values(), self.nodes))
+        return _document(
+            _record_lines(artifacts),
+            _record_lines(_kept(repo.assignments, _assignment_fields, Assignment.to_dict,
+                                self.assignment_fields, self.assignment_lines)),
+            _record_lines(_kept(repo.edit_log, _edit_fields, EditRecord.to_dict,
+                                self.edit_fields, self.edit_lines)),
+            _record_lines(self.node_lines if same_nodes
+                          else _encoded(_structured_doc(repo.taxonomy)["nodes"])),
+        )
+
+
+def _kept(records: list, fields_of, to_dict, fields: list, lines: list) -> list[str]:
+    """Each record's loaded line while its fields equal those at its position, else its encoding.
+
+    Records past the end of ``fields`` are new, and are encoded.
+    """
+    out = lines[:len(records)]
+    for i in itertools.compress(range(len(out)), map(operator.ne, map(fields_of, records), fields)):
+        out[i] = encode_record(to_dict(records[i]))
+    out += [encode_record(to_dict(r)) for r in records[len(out):]]
+    return out
+
+
+def _stamp(data: bytes) -> bytes:
+    """The sidecar's record of bytes this module wrote: schema, length and CRC-32."""
+    return b"%d %d %d\n" % (SCHEMA_VERSION, len(data), zlib.crc32(data))
+
+
+@contextlib.contextmanager
+def editing(path: str | os.PathLike):
+    """Load the repository at ``path`` for one edit, and save it if the block succeeds.
+
+    An exclusive ``flock`` on the sidecar ``<path>.lock`` (next to a
+    symlink's target) is held from before the read until after the save,
+    so a second writer fails at once with ``RepositoryLocked``.  Closing
+    the descriptor releases it however the block ends; a block that raises
+    leaves the file and the sidecar as they were.
+
+    The load makes every check ``load_repository`` makes.  After a save,
+    the sidecar holds the ``_stamp`` of the bytes written, rewritten in
+    place because renaming over a locked file would void the lock.  When
+    the file still holds exactly those bytes, the save reuses the line of
+    every record whose fields are unchanged since load and encodes only
+    the others; otherwise (no sidecar, a schema-1 file, a hand edit) it
+    encodes every record.  Either way the file gets
+    ``serialize_repository``'s bytes.
+    """
+    target = os.path.realpath(path)
+    try:
+        os.stat(path)  # a missing repository gets no sidecar
+    except OSError as exc:
+        raise RepositoryIOError(f"cannot read repository {path!s}: {exc}") from exc
+    try:
+        lock = os.open(f"{target}.lock", os.O_RDWR | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise RepositoryIOError(f"cannot lock repository {path!s}: {exc}") from exc
+    try:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RepositoryLocked(f"repository {path!s} is locked by another writer") from None
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError as exc:
+            raise RepositoryIOError(f"cannot read repository {path!s}: {exc}") from exc
+        trusted = os.pread(lock, 64, 0) == _stamp(data)  # a stamp is shorter
+        text = data.decode("utf-8")
+        del data  # the file is held once, as text
+        repo = deserialize_repository(text)
+        sections = _section_lines(text, repo) if trusted else None
+        loaded = _Loaded(repo, sections) if sections is not None else None
+        del text
+        yield repo
+        stamp = _stamp(_write(serialize_repository(repo) if loaded is None
+                              else loaded.serialize(repo), path))
+        os.pwrite(lock, stamp, 0)
+        os.ftruncate(lock, len(stamp))
+    finally:
+        os.close(lock)
 
 
 # --- bulk ingestion ---

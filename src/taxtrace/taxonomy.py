@@ -297,7 +297,8 @@ def _structured_records(doc) -> list[TaxonomyNode]:
             raise MalformedRecord(f"nodes[{i}]: expected an object")
         if not _NODE_FIELDS.issuperset(item):
             raise MalformedRecord(f"nodes[{i}]: unknown fields {sorted(set(item) - _NODE_FIELDS)}")
-        if "code" not in item or "title" not in item:
+        # A null stands for no value; ``str`` would make it the text "None".
+        if item.get("code") is None or item.get("title") is None:
             raise MalformedRecord(f"nodes[{i}]: 'code' and 'title' are required")
         try:
             code = normalize_code(str(item["code"]))
@@ -319,6 +320,8 @@ def _structured_records(doc) -> list[TaxonomyNode]:
         if not isinstance(synonyms, list):
             raise MalformedRecord(f"nodes[{i}]: synonyms must be a list")
         if synonyms:
+            if None in synonyms:
+                raise MalformedRecord(f"nodes[{i}]: synonyms must not be null")
             synonyms = [s for s in map(str.strip, map(str, synonyms)) if s]
         records.append(TaxonomyNode(code, title, description, synonyms, parent))
     return records

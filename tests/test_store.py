@@ -252,6 +252,26 @@ class TestPersistence:
         assert path.read_text(encoding="utf-8") == serialize_repository(sampled_repo)
         assert os.listdir(tmp_path) == ["repo.json"]
 
+    def test_save_fsyncs_the_directory_after_the_rename(self, sampled_repo, tmp_path,
+                                                        monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            directory = stat.S_ISDIR(info.st_mode)
+            events.append(("fsync", directory, directory and info.st_ino == tmp_path.stat().st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace",))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_repository(sampled_repo, tmp_path / "repo.json")
+        assert events == [("fsync", False, False), ("replace",), ("fsync", True, True)]
+
     def test_save_follows_symlink_and_keeps_mode(self, sampled_repo, tmp_path):
         real, link = tmp_path / "real.json", tmp_path / "repo.json"
         save_repository(new_repository(), real)
@@ -359,6 +379,10 @@ ARTIFACT_REJECTS = [
     ({"document": []}, "artifacts[1]: document must be a string or null"),
     ({"version": {"v": 1}}, "artifacts[1]: version must be a string or null"),
     ({"attrs": [1], "archived": "no"}, "artifacts[1]: attrs must be an object"),
+    ({"attrs": {"a": None}}, "artifacts[1]: attr 'a' must be a string, number or boolean"),
+    ({"attrs": {"a": "x", "b": [1]}},
+     "artifacts[1]: attr 'b' must be a string, number or boolean"),
+    ({"attrs": {"a": {"c": "d"}}}, "artifacts[1]: attr 'a' must be a string, number or boolean"),
 ]
 
 ASSIGNMENT_REJECTS = [
@@ -398,6 +422,9 @@ NODE_REJECTS = [
     ({"colour": "red"}, MalformedRecord, "nodes[1]: unknown fields ['colour']"),
     ({"title": DROP, "z": 1, "a": 2}, MalformedRecord, "nodes[1]: unknown fields ['a', 'z']"),
     ({"code": DROP}, MalformedRecord, "nodes[1]: 'code' and 'title' are required"),
+    ({"code": None}, MalformedRecord, "nodes[1]: 'code' and 'title' are required"),
+    ({"title": None}, MalformedRecord, "nodes[1]: 'code' and 'title' are required"),
+    ({"synonyms": ["s", None]}, MalformedRecord, "nodes[1]: synonyms must not be null"),
     ({"title": DROP}, MalformedRecord, "nodes[1]: 'code' and 'title' are required"),
     ({"code": " -- "}, MalformedRecord, "nodes[1]: empty code"),
     ({"code": "--", "title": ""}, MalformedRecord, "nodes[1]: empty code"),
@@ -451,6 +478,29 @@ class TestRecordRejects:
         doc = base_doc()
         doc["taxonomy"] = taxonomy_doc
         assert load_error(doc) == (MalformedRecord, "expected an object with a 'nodes' list")
+
+    @pytest.mark.parametrize("section", ["artifacts", "assignments", "edit_log"])
+    @pytest.mark.parametrize("value", [5, 0, 1.5, True, False, "x", "", {"a": 1}, {}],
+                             ids=repr)
+    def test_record_list_that_is_not_a_list(self, section, value):
+        doc = base_doc()
+        doc[section] = value
+        assert load_error(doc) == (MalformedRecord, f"{section} must be a list")
+
+    @pytest.mark.parametrize("section", ["artifacts", "assignments", "edit_log"])
+    def test_missing_or_null_record_list_is_empty(self, section):
+        doc = base_doc()
+        doc["assignments"], doc["edit_log"] = [], []
+        doc[section] = None
+        assert getattr(deserialize_repository(json.dumps(doc)), section) in ([], {})
+        del doc[section]
+        assert getattr(deserialize_repository(json.dumps(doc)), section) in ([], {})
+
+    def test_non_string_attrs_still_load_as_text(self):
+        doc = base_doc()
+        doc["artifacts"][1]["attrs"] = {"n": 5, "f": 1.5, "s": "x"}
+        attrs = deserialize_repository(json.dumps(doc)).artifacts["R2"].attrs
+        assert attrs == {"n": "5", "f": "1.5", "s": "x"}
 
     def test_taxonomy_is_checked_before_the_records(self):
         doc = _reject("artifacts", 0, "x")

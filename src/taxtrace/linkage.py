@@ -65,6 +65,9 @@ REASON_CATEGORIES = (
 )
 
 
+_STR_OR_NONE = (str, type(None))
+
+
 def utc_now(override: str | None = None) -> str:
     """Clock seam: callers inject a timestamp to keep outputs reproducible."""
     if override is not None:
@@ -117,9 +120,11 @@ class Assignment:
             raise MalformedRecord(f"{where}: code must be a string or null")
         if (code is None) != (status == UNCLASSIFIABLE):
             raise MalformedRecord(f"{where}: code must be null exactly for unclassifiable status")
-        return Assignment(
-            artifact_id, code, provenance, status, get("note"), str(get("created_at") or "")
-        )
+        note, created_at = get("note"), get("created_at")
+        if not (isinstance(note, _STR_OR_NONE) and isinstance(created_at, _STR_OR_NONE)):
+            key = "note" if not isinstance(note, _STR_OR_NONE) else "created_at"
+            raise MalformedRecord(f"{where}: {key} must be a string or null")
+        return Assignment(artifact_id, code, provenance, status, note, created_at or "")
 
 
 @dataclass
@@ -156,7 +161,10 @@ class EditRecord:
             and isinstance(endpoints[1], str)
         ):
             raise MalformedRecord(f"{where}: endpoints must be a pair of strings")
-        return EditRecord(op, link_kind, tuple(endpoints), str(get("cause") or ""))
+        cause = get("cause")
+        if not isinstance(cause, _STR_OR_NONE):
+            raise MalformedRecord(f"{where}: cause must be a string or null")
+        return EditRecord(op, link_kind, tuple(endpoints), cause or "")
 
 
 @dataclass

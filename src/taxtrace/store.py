@@ -41,7 +41,7 @@ from .errors import (
     SchemaVersionMismatch,
     UnknownId,
 )
-from .linkage import Assignment, EditRecord, LinkIndex
+from .linkage import _STR_OR_NONE, Assignment, EditRecord, LinkIndex
 from .taxonomy import Taxonomy, _build, _decode, _structured_doc, _structured_records
 
 REQUIREMENT = "requirement"
@@ -187,7 +187,6 @@ def _artifact_to_dict(artifact: Artifact) -> dict:
     return doc
 
 
-_STR_OR_NONE = (str, type(None))
 _OPTIONAL_TEXT = ("body", "document", "version")
 
 
@@ -208,7 +207,8 @@ def _artifact_from_dict(doc: dict, where: str) -> Artifact:
         for k, v in attrs.items():
             if v is None or isinstance(v, (list, dict)):
                 raise MalformedRecord(f"{where}: attr {k!r} must be a string, number or boolean")
-        attrs = {k: str(v) for k, v in attrs.items()}
+        # As the JSON spelled them: ``true``, not Python's ``True``.
+        attrs = {k: v if isinstance(v, str) else json.dumps(v) for k, v in attrs.items()}
     body, document, version = get("body"), get("document"), get("version")
     if not (
         isinstance(body, _STR_OR_NONE)
@@ -348,13 +348,17 @@ def save_repository(repo: Repository, path: str | os.PathLike) -> None:
     _write(serialize_repository(repo), path)
 
 
-def load_repository(path: str | os.PathLike) -> Repository:
+def _read(path: str | os.PathLike) -> bytes:
+    """The repository file's bytes; an ``OSError`` is raised as ``RepositoryIOError``."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            return f.read()
     except OSError as exc:
         raise RepositoryIOError(f"cannot read repository {path!s}: {exc}") from exc
-    return deserialize_repository(text)
+
+
+def load_repository(path: str | os.PathLike) -> Repository:
+    return deserialize_repository(_read(path).decode("utf-8"))
 
 
 # --- editing: one locked writer, re-encoding only what changed ---
@@ -472,11 +476,7 @@ def editing(path: str | os.PathLike):
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RepositoryLocked(f"repository {path!s} is locked by another writer") from None
-        try:
-            with open(path, "rb") as f:
-                data = f.read()
-        except OSError as exc:
-            raise RepositoryIOError(f"cannot read repository {path!s}: {exc}") from exc
+        data = _read(path)
         trusted = os.pread(lock, 64, 0) == _stamp(data)  # a stamp is shorter
         text = data.decode("utf-8")
         del data  # the file is held once, as text
@@ -507,13 +507,6 @@ def read_artifacts_jsonl(source) -> list[Artifact]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"line {lineno}: invalid JSON: {exc}") from exc
-        if isinstance(doc, dict) and "attrs" in doc and isinstance(doc["attrs"], dict):
-            coerced = {}
-            for k, v in doc["attrs"].items():
-                if isinstance(v, (dict, list)):
-                    raise MalformedRecord(f"line {lineno}: attr {k!r} must be scalar")
-                coerced[str(k)] = v if isinstance(v, str) else json.dumps(v)
-            doc = dict(doc, attrs=coerced)
         artifacts.append(_artifact_from_dict(doc, f"line {lineno}"))
     return artifacts
 

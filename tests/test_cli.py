@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour, run in-process."""
 
+import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -122,6 +124,11 @@ class TestImport:
         code, out, err = run(capsys, "import", "taxonomy", str(workspace / "nope.csv"))
         assert code == 2
         assert "error:" in err
+
+    def test_the_repository_is_opened_before_the_input_file(self, workspace, capsys):
+        code, out, err = run(capsys, "import", "taxonomy", str(workspace / "nope.csv"))
+        assert code == 2
+        assert err.startswith(f"error: cannot read repository {workspace / 'repo.json'}:")
 
 
 class TestWorkflow:
@@ -363,3 +370,548 @@ class TestOutputContract:
         code, out, err = run(capsys, "validate")
         assert code == 2
         assert "error:" in err
+
+
+# A scripted session: every command in text and in JSON, with and without
+# --strict, through its exit-1 and exit-2 paths.  Each step's exit code,
+# stdout and stderr, and the digest of the repository file it leaves, are
+# pinned literals, so a change to how commands load, save and print must
+# keep them byte for byte.
+SESSION_FILES = {
+    "tax.csv": (
+        "code,parent,title,description,synonyms\n"
+        "3,,Superstructures,,\n"
+        "31,3,Bridges,Bridge decks and piers,\n"
+        "32,3,Fences,Wild and game fences,\n"
+        "32Q,32,Gates,Opening devices in fences,gateway\n"
+        "63,,Power,Emergency power supply,backup power\n"
+    ),
+    "art.jsonl": "".join(json.dumps(doc) + "\n" for doc in [
+        {"id": "R1", "kind": "requirement", "title": "Bridge deck",
+         "body": "The bridge deck shall carry two lanes.", "attrs": {"prio": 1}},
+        {"id": "R2", "kind": "requirement", "title": "Gate opening",
+         "body": "Every gateway in the fence shall open outwards."},
+        {"id": "R3", "kind": "requirement", "title": "Vague wish"},
+        {"id": "R4", "kind": "requirement", "title": "Powered bridge gate"},
+        {"id": "R5", "kind": "requirement", "title": "Uncoded"},
+        {"id": "T1", "kind": "test-case", "title": "Gate test", "document": "TP-1"},
+    ]),
+    "v1.csv": (
+        "object_id,sb11_code,version,type,shape\n"
+        "D1,31,v1,bridge,s1\nD2,32Q,v1,gate,s2\nD3,99Z,v1,gate,s3\n"
+    ),
+    "v2.csv": (
+        "object_id,sb11_code,version,type,shape\n"
+        "D4,31,v2,deck,s1\nD5,3,v2,gate,s2\nD6,63,v2,pump,s9\n"
+    ),
+    "s.json": json.dumps({
+        "artifacts": [
+            {"id": "REQ1", "kind": "requirement", "codes": ["31"]},
+            {"id": "SRC1", "kind": "source-unit", "codes": ["31"]},
+            {"id": "TEST1", "kind": "test-case", "codes": ["31"]},
+        ],
+        "mutation": {"type": "split", "id": "REQ1",
+                     "parts": [{"id": "REQ1A", "codes": ["31"]},
+                               {"id": "REQ1B", "codes": ["31"]}]},
+    }),
+}
+
+# (argv, exit code, stdout, stderr), run in order in one directory.
+TRANSCRIPT = [
+    ("trace R1", 2,
+     "",
+     """\
+error: cannot read repository r.json: [Errno 2] No such file or directory: 'r.json'
+"""),
+    ("init", 0,
+     "initialized empty repository at r.json\n",
+     ""),
+    ("--format json init other.json", 0,
+     """\
+{
+  "initialized": "other.json"
+}
+""",
+     ""),
+    ("init", 2,
+     "",
+     "error: refusing to overwrite existing file r.json\n"),
+    ("import taxonomy tax.csv", 0,
+     "imported taxonomy: 5 nodes\n",
+     ""),
+    ("--format json import artifacts art.jsonl", 0,
+     """\
+{
+  "count": 6,
+  "imported": "artifacts"
+}
+""",
+     ""),
+    ("import model v1.csv", 0,
+     "imported 3 design objects, 2 auto-assigned\n",
+     """\
+warning: D3: code '99Z' not assigned (code '99Z' is not in the taxonomy)
+"""),
+    ("--format json import model v2.csv", 0,
+     """\
+{
+  "assigned": 3,
+  "count": 3,
+  "imported": "model",
+  "warnings": []
+}
+""",
+     ""),
+    ("import taxonomy nope.csv", 2,
+     "",
+     """\
+error: cannot read nope.csv: [Errno 2] No such file or directory: 'nope.csv'
+"""),
+    ("validate", 0,
+     "ok\n",
+     ""),
+    ("--strict --format json validate", 0,
+     """\
+{
+  "findings": [],
+  "ok": true
+}
+""",
+     ""),
+    ("suggest R1 -n 2", 0,
+     "31  0.8047  bridge(description)\n",
+     ""),
+    ("--format json suggest R2 -n 2", 0,
+     """\
+{
+  "artifact": "R2",
+  "suggestions": [
+    {
+      "code": "32Q",
+      "matched_terms": [
+        {
+          "source": "synonym",
+          "term": "gateway"
+        },
+        {
+          "source": "description",
+          "term": "in"
+        },
+        {
+          "source": "description",
+          "term": "opening"
+        }
+      ],
+      "score": 3.2188758248682006
+    }
+  ]
+}
+""",
+     ""),
+    ("assign R1 31", 0,
+     "assigned R1 -> 31 (confirmed)\n",
+     ""),
+    ("--format json assign R2 32q", 0,
+     """\
+{
+  "assigned": {
+    "artifact_id": "R2",
+    "code": "32Q",
+    "created_at": "2026-01-15T09:00:00+00:00",
+    "note": null,
+    "provenance": "manual",
+    "status": "confirmed"
+  }
+}
+""",
+     ""),
+    ("assign T1 32Q --provenance suggested", 0,
+     "assigned T1 -> 32Q (proposed)\n",
+     ""),
+    ("assign R4 31", 0,
+     "assigned R4 -> 31 (confirmed)\n",
+     ""),
+    ("assign R4 63", 0,
+     "assigned R4 -> 63 (confirmed)\n",
+     ""),
+    ("assign R3 63", 0,
+     "assigned R3 -> 63 (confirmed)\n",
+     ""),
+    ("unassign R3 63", 0,
+     "unassigned R3 -> 63\n",
+     ""),
+    ("assign R5 63", 0,
+     "assigned R5 -> 63 (confirmed)\n",
+     ""),
+    ("--format json unassign R5 63", 0,
+     """\
+{
+  "unassigned": {
+    "artifact_id": "R5",
+    "code": "63"
+  }
+}
+""",
+     ""),
+    ("assign R5 3", 0,
+     "assigned R5 -> 3 (confirmed)\n",
+     ""),
+    ("mark-unclassifiable R3 vagueness --note 'which one?'", 0,
+     "marked R3 unclassifiable (vagueness: which one?)\n",
+     ""),
+    ("--format json mark-unclassifiable R5 compound", 0,
+     """\
+{
+  "marked": {
+    "artifact_id": "R5",
+    "code": null,
+    "created_at": "2026-01-15T09:00:00+00:00",
+    "note": "compound",
+    "provenance": "manual",
+    "status": "unclassifiable"
+  }
+}
+""",
+     ""),
+    ("split R4 --part R4A:31 --part R4B:31", 0,
+     "split R4 into R4A, R4B: deletes=2 adds=2\n",
+     "warning: codes ['63'] of 'R4' are not allocated to any part\n"),
+    ("--format json split R2 --part R2A:32Q --part R2B:32Q", 0,
+     """\
+{
+  "split": {
+    "adds": 2,
+    "deletes": 1,
+    "original_id": "R2",
+    "part_ids": [
+      "R2A",
+      "R2B"
+    ],
+    "warnings": []
+  }
+}
+""",
+     ""),
+    ("trace R1", 0,
+     """\
+D1  via 31->31 (same, distance=0)
+D4  via 31->31 (same, distance=0)
+R4A  via 31->31 (same, distance=0)
+R4B  via 31->31 (same, distance=0)
+""",
+     ""),
+    ("--format json trace R2A --to test-case --filter equal-or-descendant --include-proposed", 0,
+     """\
+{
+  "filter": "equal-or-descendant",
+  "hits": [
+    {
+      "target": "T1",
+      "via": [
+        {
+          "relation": {
+            "distance": 0,
+            "kind": "same"
+          },
+          "source_code": "32Q",
+          "target_code": "32Q"
+        }
+      ]
+    }
+  ],
+  "source": "R2A"
+}
+""",
+     ""),
+    ("trace NOPE", 2,
+     "",
+     "error: no artifact with id 'NOPE'\n"),
+    ("coverage --from requirement", 0,
+     """\
+covered 6/7 (rate 6/7)
+uncovered: R3
+""",
+     ""),
+    ("--format json coverage --from requirement --to design-object --filter descendant", 0,
+     """\
+{
+  "covered": [
+    "R5"
+  ],
+  "from_kind": "requirement",
+  "policy": "count-unclassifiable",
+  "rate": "1/7",
+  "to_kind": "design-object",
+  "uncovered": [
+    "R1",
+    "R2A",
+    "R2B",
+    "R3",
+    "R4A",
+    "R4B"
+  ]
+}
+""",
+     ""),
+    ("--strict coverage --from requirement", 1,
+     """\
+covered 6/7 (rate 6/7)
+uncovered: R3
+""",
+     ""),
+    ("--strict coverage --from requirement --to test-case", 1,
+     """\
+covered 0/7 (rate 0)
+uncovered: R1
+uncovered: R2A
+uncovered: R2B
+uncovered: R3
+uncovered: R4A
+uncovered: R4B
+uncovered: R5
+""",
+     ""),
+    ("--strict --format json coverage --from requirement --to test-case"
+     " --include-proposed --policy exclude-unclassifiable", 1,
+     """\
+{
+  "covered": [
+    "R2A",
+    "R2B"
+  ],
+  "from_kind": "requirement",
+  "policy": "exclude-unclassifiable",
+  "rate": "1/3",
+  "to_kind": "test-case",
+  "uncovered": [
+    "R1",
+    "R4A",
+    "R4B",
+    "R5"
+  ]
+}
+""",
+     ""),
+    ("impact R1", 0,
+     """\
+design-object:
+  D1  via 31->31 (same, distance=0)
+  D4  via 31->31 (same, distance=0)
+requirement:
+  R4A  via 31->31 (same, distance=0)
+  R4B  via 31->31 (same, distance=0)
+""",
+     ""),
+    ("--format json impact R2A --filter neighborhood:1", 0,
+     """\
+{
+  "changed": "R2A",
+  "filter": "neighborhood:1",
+  "groups": {
+    "design-object": [
+      {
+        "target": "D2",
+        "via": [
+          {
+            "relation": {
+              "distance": 0,
+              "kind": "same"
+            },
+            "source_code": "32Q",
+            "target_code": "32Q"
+          }
+        ]
+      }
+    ],
+    "requirement": [
+      {
+        "target": "R2B",
+        "via": [
+          {
+            "relation": {
+              "distance": 0,
+              "kind": "same"
+            },
+            "source_code": "32Q",
+            "target_code": "32Q"
+          }
+        ]
+      }
+    ]
+  }
+}
+""",
+     ""),
+    ("audit comprehensiveness --model v1", 0,
+     """\
+total 3 classified 3 ratio 1
+error: unknown-code D3: code '99Z' does not name a taxonomy class
+""",
+     ""),
+    ("--strict audit comprehensiveness --model v1", 1,
+     """\
+total 3 classified 3 ratio 1
+error: unknown-code D3: code '99Z' does not name a taxonomy class
+""",
+     ""),
+    ("--strict --format json audit comprehensiveness --model v2", 0,
+     """\
+{
+  "classified": 3,
+  "findings": [],
+  "model": "v2",
+  "ratio": "1",
+  "total": 3
+}
+""",
+     ""),
+    ("audit inter --model v1 --model v2", 0,
+     """\
+error: inconsistent-type D1,D4: code '31' types ['bridge'] in model a but ['deck'] in model b
+""",
+     ""),
+    ("--strict --format json audit inter --model v1 --model v2 --sample 31", 1,
+     """\
+{
+  "findings": [
+    {
+      "category": "inconsistent-type",
+      "detail": "code '31' types ['bridge'] in model a but ['deck'] in model b",
+      "object_ids": [
+        "D1",
+        "D4"
+      ],
+      "severity": "error"
+    }
+  ],
+  "models": [
+    "v1",
+    "v2"
+  ],
+  "per_code": {
+    "31": {
+      "a": [
+        "bridge"
+      ],
+      "b": [
+        "deck"
+      ]
+    }
+  }
+}
+""",
+     ""),
+    ("audit inter --model v1", 2,
+     "",
+     "error: audit inter needs exactly two --model labels\n"),
+    ("diff --from v1 --to v2", 0,
+     """\
+new in v2: 3, 63
+absent in v2: 32Q, 99Z
+""",
+     ""),
+    ("--format json diff --from v1 --to v2 --fingerprint shape", 0,
+     """\
+{
+  "absent_in_v2": [
+    "32Q",
+    "99Z"
+  ],
+  "from_model": "v1",
+  "match": {
+    "ambiguous_fingerprints": [],
+    "code_changes": [
+      {
+        "category": "code-changed",
+        "detail": "classification changed from '32Q' to '3'",
+        "object_ids": [
+          "D2",
+          "D5"
+        ],
+        "severity": "warning"
+      }
+    ],
+    "match_ratio": "2/3",
+    "matched_pairs": [
+      [
+        "D1",
+        "D4"
+      ],
+      [
+        "D2",
+        "D5"
+      ]
+    ],
+    "unmatched_v1": [
+      "D3"
+    ],
+    "unmatched_v2": [
+      "D6"
+    ]
+  },
+  "new_in_v2": [
+    "3",
+    "63"
+  ],
+  "per_code_counts": {
+    "3": {
+      "v1": 0,
+      "v2": 1
+    },
+    "31": {
+      "v1": 1,
+      "v2": 1
+    },
+    "32Q": {
+      "v1": 1,
+      "v2": 0
+    },
+    "63": {
+      "v1": 0,
+      "v2": 1
+    },
+    "99Z": {
+      "v1": 1,
+      "v2": 0
+    }
+  },
+  "to_model": "v2"
+}
+""",
+     ""),
+    ("diff --from v1 --to v2 --fingerprint shape", 0,
+     """\
+new in v2: 3, 63
+absent in v2: 32Q, 99Z
+matched 2/3 (ratio 2/3)
+warning: code-changed D2,D5: classification changed from '32Q' to '3'
+""",
+     ""),
+    ("cost --scenario s.json --strategy taxonomic", 0,
+     "strategy=taxonomic deletes=1 adds=2 touched=3\n",
+     ""),
+    ("--format json cost --scenario s.json --strategy direct", 0,
+     """\
+{
+  "adds": 4,
+  "deletes": 2,
+  "strategy": "direct",
+  "touched": 6
+}
+""",
+     ""),
+]
+TRANSCRIPT_REPO_SHA256 = "fdba96378e55f40eba8244cbf070d7e15d81af30b5d3925d707494b5536b3809"
+
+
+class TestTranscript:
+    def test_every_command_keeps_its_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TTL_REPO", "r.json")
+        monkeypatch.setenv("TTL_NOW", NOW_A)
+        for name, text in SESSION_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        for argv, code, out, err in TRANSCRIPT:
+            assert run(capsys, *shlex.split(argv)) == (code, out, err), argv
+        saved = hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest()
+        assert saved == TRANSCRIPT_REPO_SHA256

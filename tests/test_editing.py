@@ -169,6 +169,35 @@ class TestCanonicalBytes:
                     pass  # no change at all
             assert read(repo_path) == canonical(repo_path), step
 
+    def test_a_change_to_any_field_of_any_record_kind_is_saved(self, repo_path, monkeypatch):
+        # A new field of a record class needs a value here, and each field
+        # must reach the fields the save compares, or the save keeps the
+        # record's stale line.
+        new_values = {
+            Artifact: (lambda repo: repo.artifacts["Z0"], {
+                "id": "Z1", "kind": "test-case", "title": "Other", "body": "Body",
+                "attrs": {"k": "w"}, "document": "Doc", "version": "v2", "archived": True}),
+            linkage.Assignment: (lambda repo: repo.assignments[0], {
+                "artifact_id": "T5", "code": "63N", "provenance": linkage.IMPORTED,
+                "status": linkage.PROPOSED, "note": "n", "created_at": "2027-01-01"}),
+            linkage.EditRecord: (lambda repo: repo.edit_log[0], {
+                "op": linkage.DELETE, "link_kind": linkage.DIRECT, "endpoints": ("R0", "2"),
+                "cause": "changed"}),
+        }
+        with store.editing(repo_path) as repo:
+            add_artifact(repo, Artifact(id="Z0", kind="requirement", title="Unlinked"))
+        start = read(repo_path), read(sidecar(repo_path))
+        monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
+        for cls, (record_of, values) in new_values.items():
+            for f in dataclasses.fields(cls):
+                for path, data in zip((repo_path, sidecar(repo_path)), start):
+                    with open(path, "wb") as out:
+                        out.write(data)
+                with store.editing(repo_path) as repo:
+                    setattr(record_of(repo), f.name, values[f.name])
+                assert read(repo_path) != start[0], f.name
+                assert read(repo_path) == canonical(repo_path), f.name
+
     def test_a_changed_record_is_encoded_and_the_rest_reused(self, repo_path, monkeypatch):
         with store.editing(repo_path):
             pass  # the first save encodes everything and writes the sidecar

@@ -400,6 +400,11 @@ ASSIGNMENT_REJECTS = [
      "assignments[1]: code must be null exactly for unclassifiable status"),
     ({"provenance": []}, "assignments[1]: unknown provenance []"),
     ({"status": {"a": 1}}, "assignments[1]: unknown status {'a': 1}"),
+    ({"note": ["x"]}, "assignments[1]: note must be a string or null"),
+    ({"note": 5}, "assignments[1]: note must be a string or null"),
+    ({"note": False, "created_at": 0}, "assignments[1]: note must be a string or null"),
+    ({"created_at": 0}, "assignments[1]: created_at must be a string or null"),
+    ({"created_at": {"t": 1}}, "assignments[1]: created_at must be a string or null"),
 ]
 
 EDIT_LOG_REJECTS = [
@@ -415,6 +420,9 @@ EDIT_LOG_REJECTS = [
     ({"endpoints": ["R1", "A", "B"]}, "edit_log[1]: endpoints must be a pair of strings"),
     ({"endpoints": ["R1", None]}, "edit_log[1]: endpoints must be a pair of strings"),
     ({"endpoints": DROP}, "edit_log[1]: endpoints must be a pair of strings"),
+    ({"cause": ["x"]}, "edit_log[1]: cause must be a string or null"),
+    ({"cause": 0}, "edit_log[1]: cause must be a string or null"),
+    ({"cause": True}, "edit_log[1]: cause must be a string or null"),
 ]
 
 NODE_REJECTS = [
@@ -498,9 +506,19 @@ class TestRecordRejects:
 
     def test_non_string_attrs_still_load_as_text(self):
         doc = base_doc()
-        doc["artifacts"][1]["attrs"] = {"n": 5, "f": 1.5, "s": "x"}
+        doc["artifacts"][1]["attrs"] = {"n": 5, "f": 1.5, "s": "x", "t": True}
         attrs = deserialize_repository(json.dumps(doc)).artifacts["R2"].attrs
-        assert attrs == {"n": "5", "f": "1.5", "s": "x"}
+        assert attrs == {"n": "5", "f": "1.5", "s": "x", "t": "true"}
+
+    def test_null_or_absent_note_created_at_and_cause_keep_their_defaults(self):
+        doc = base_doc()
+        doc["assignments"][1].update(note=None, created_at=None)
+        del doc["assignments"][0]["note"], doc["assignments"][0]["created_at"]
+        doc["edit_log"][1]["cause"] = None
+        del doc["edit_log"][0]["cause"]
+        repo = deserialize_repository(json.dumps(doc))
+        assert [(a.note, a.created_at) for a in repo.assignments[:2]] == [(None, "")] * 2
+        assert [e.cause for e in repo.edit_log[:2]] == ["", ""]
 
     def test_taxonomy_is_checked_before_the_records(self):
         doc = _reject("artifacts", 0, "x")
@@ -629,10 +647,20 @@ class TestJsonlIngestion:
             read_artifacts_jsonl('{"id": "A", "kind": "poem", "title": "x"}')
 
     def test_nested_attr_rejected(self):
-        with pytest.raises(MalformedRecord, match="scalar"):
+        with pytest.raises(MalformedRecord) as info:
             read_artifacts_jsonl(
                 '{"id": "A", "kind": "requirement", "title": "x", "attrs": {"a": [1]}}'
             )
+        assert str(info.value) == "line 1: attr 'a' must be a string, number or boolean"
+
+    def test_attrs_follow_the_rule_of_a_load(self):
+        [artifact] = read_artifacts_jsonl(
+            '{"id": "A", "kind": "requirement", "title": "x", "attrs": {"t": true, "n": 2}}')
+        assert artifact.attrs == {"t": "true", "n": "2"}
+        with pytest.raises(MalformedRecord) as info:
+            read_artifacts_jsonl(
+                '{"id": "A", "kind": "requirement", "title": "x", "attrs": {"a": null}}')
+        assert str(info.value) == "line 1: attr 'a' must be a string, number or boolean"
 
 
 class TestModelCsvIngestion:

@@ -65,7 +65,8 @@ def _repo_path(args) -> str:
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        # "utf-8-sig" drops the byte-order mark that Excel and Windows write.
+        with open(path, "r", encoding="utf-8-sig") as f:
             return f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
@@ -117,9 +118,8 @@ def cmd_import(args, repo: store.Repository) -> Output:
         t = taxonomy.parse_taxonomy(text, format=args.taxonomy_format)
         if args.infer_hierarchy:
             parents = taxonomy.infer_parents(t.nodes)
-            t = taxonomy._build(
-                [dataclasses.replace(node, parent=parents[node.code]) for node in t.nodes.values()]
-            )
+            t = taxonomy.Taxonomy({code: dataclasses.replace(node, parent=parents[code])
+                                   for code, node in t.nodes.items()})
         repo.taxonomy = t
         store.check_integrity(repo)
         doc = {"imported": "taxonomy", "nodes": len(t.nodes)}
@@ -182,11 +182,10 @@ def cmd_assign(args, repo: store.Repository) -> Output:
 
 
 def cmd_unassign(args, repo: store.Repository) -> Output:
-    linkage.unassign(repo, args.artifact_id, args.code, now=_now())
-    code = taxonomy.normalize_code(args.code)
+    a = linkage.unassign(repo, args.artifact_id, args.code, now=_now())
     return Output(
-        {"unassigned": {"artifact_id": args.artifact_id, "code": code}},
-        [f"unassigned {args.artifact_id} -> {code}"],
+        {"unassigned": {"artifact_id": a.artifact_id, "code": a.code}},
+        [f"unassigned {a.artifact_id} -> {a.code}"],
     )
 
 

@@ -33,7 +33,7 @@ from .errors import (
     UnknownAssignment,
     UnknownId,
 )
-from .taxonomy import _decode, normalize_code
+from .taxonomy import normalize_code
 
 if TYPE_CHECKING:
     from .store import Artifact, Repository
@@ -269,8 +269,8 @@ def assign(
     return assignment
 
 
-def unassign(repo: "Repository", artifact_id: str, code: str, now: str | None = None) -> None:
-    """Retire a half-link: status flips to rejected, history stays."""
+def unassign(repo: "Repository", artifact_id: str, code: str, now: str | None = None) -> Assignment:
+    """Retire a half-link and return it: status flips to rejected, history stays."""
     normalized = normalize_code(code)
     index = links(repo)
     a = index.find(artifact_id, normalized)
@@ -283,6 +283,7 @@ def unassign(repo: "Repository", artifact_id: str, code: str, now: str | None = 
     repo.edit_log.append(
         EditRecord(DELETE, TAXONOMIC, (artifact_id, normalized), cause="unassign")
     )
+    return a
 
 
 def mark_unclassifiable(
@@ -362,7 +363,7 @@ def split_artifact(
     do not jointly cover the original's codes.  Every part is checked
     before any is added, so a rejected split changes nothing.
     """
-    from .store import add_artifact, check_kind, get_artifact
+    from .store import check_kind, get_artifact
 
     original = get_artifact(repo, artifact_id)
     if len(parts) < 2:
@@ -390,7 +391,7 @@ def split_artifact(
             f"codes {sorted(uncovered)} of {artifact_id!r} are not allocated to any part"
         )
     for part in parts:
-        add_artifact(repo, part)
+        repo.artifacts[part.id] = part
     deletes = 0
     for code in sorted(original_codes):
         unassign(repo, artifact_id, code, now=now)
@@ -491,9 +492,8 @@ def _scenario_artifact(doc, where: str, seen_ids: set[str]) -> ScenarioArtifact:
     return ScenarioArtifact(id=artifact_id, kind=kind, codes=codes)
 
 
-def load_scenario(source) -> Scenario:
-    """Parse and validate a scenario document (JSON text, bytes, or file)."""
-    text = _decode(source)
+def load_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document from JSON text."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

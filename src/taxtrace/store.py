@@ -42,7 +42,7 @@ from .errors import (
     UnknownId,
 )
 from .linkage import _STR_OR_NONE, Assignment, EditRecord, LinkIndex
-from .taxonomy import Taxonomy, _build, _decode, _structured_doc, _structured_records
+from .taxonomy import Taxonomy, _build, _structured_doc, _structured_records
 
 REQUIREMENT = "requirement"
 DESIGN_OBJECT = "design-object"
@@ -451,7 +451,8 @@ def editing(path: str | os.PathLike):
     symlink's target) is held from before the read until after the save,
     so a second writer fails at once with ``RepositoryLocked``.  Closing
     the descriptor releases it however the block ends; a block that raises
-    leaves the file and the sidecar as they were.
+    leaves the file and the sidecar as they were.  Once the lock is held, a
+    ``<path>.tmp`` is deleted: only a writer killed mid-save leaves one.
 
     The load makes every check ``load_repository`` makes.  After a save,
     the sidecar holds the ``_stamp`` of the bytes written, rewritten in
@@ -476,6 +477,8 @@ def editing(path: str | os.PathLike):
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RepositoryLocked(f"repository {path!s} is locked by another writer") from None
+        with contextlib.suppress(OSError):
+            os.unlink(f"{target}.tmp")
         data = _read(path)
         trusted = os.pread(lock, 64, 0) == _stamp(data)  # a stamp is shorter
         text = data.decode("utf-8")
@@ -496,9 +499,8 @@ def editing(path: str | os.PathLike):
 # --- bulk ingestion ---
 
 
-def read_artifacts_jsonl(source) -> list[Artifact]:
+def read_artifacts_jsonl(text: str) -> list[Artifact]:
     """Parse artifacts from JSON-Lines text, one object per line."""
-    text = _decode(source)
     artifacts = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -511,7 +513,7 @@ def read_artifacts_jsonl(source) -> list[Artifact]:
     return artifacts
 
 
-def read_design_objects_csv(source) -> list[Artifact]:
+def read_design_objects_csv(text: str) -> list[Artifact]:
     """Parse a design-model export: `object_id,sb11_code,version,<attr...>`.
 
     Every column after the three fixed ones becomes an attribute.  The
@@ -519,7 +521,6 @@ def read_design_objects_csv(source) -> list[Artifact]:
     (audits need the faulty spelling, so no normalization here); an empty
     code cell leaves the attribute unset.
     """
-    text = _decode(source)
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise MalformedRecord("empty design-object file")

@@ -3,7 +3,8 @@
 A taxonomy is the shared classification system (SB11-style hierarchical
 codes) that artifacts are traced through.  Codes are normalized strings;
 the parent relation forms a forest (several top-level roots are allowed).
-Taxonomies are immutable after construction and safe for concurrent reads.
+A ``Taxonomy`` checks that it is a forest when built, so the walks trust
+it; it is immutable after construction and safe for concurrent reads.
 
 Two sibling readings coexist here: nodes sharing a parent are siblings in
 the usual structural sense, and top-level roots are treated as siblings of
@@ -73,9 +74,27 @@ class TaxonomyNode:
 
 @dataclass
 class Taxonomy:
-    """A forest of taxonomy nodes keyed by normalized code."""
+    """A forest of taxonomy nodes keyed by normalized code, checked when built."""
 
     nodes: dict[str, TaxonomyNode] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        nodes = self.nodes
+        for node in nodes.values():
+            if node.parent is not None and node.parent not in nodes:
+                raise UnknownParent(f"node {node.code!r} names unknown parent {node.parent!r}")
+        # One walk up from each code, in node order.  ``reached`` maps each
+        # code walked so far to the code whose walk reached it first; a walk
+        # that meets a code of an earlier walk stops there, because that one
+        # ended at a root.  Meeting its own start's mark again is a cycle.
+        reached: dict[str, str] = {}
+        for start in nodes:
+            current: str | None = start
+            while current is not None and current not in reached:
+                reached[current] = start
+                current = nodes[current].parent
+            if current is not None and reached[current] == start:
+                raise CycleDetected(f"cycle through node {start!r}")
 
     @cached_property
     def roots(self) -> list[str]:
@@ -93,7 +112,7 @@ class Taxonomy:
         """Sorted child codes of every code, computed once."""
         children: dict[str, list[str]] = {code: [] for code in self.nodes}
         for code, node in self.nodes.items():
-            if node.parent is not None and node.parent in self.nodes:
+            if node.parent is not None:
                 children[node.parent].append(code)
         for kids in children.values():
             kids.sort()
@@ -121,17 +140,11 @@ class Relation:
 
 
 def _parent_chain(t: Taxonomy, code: str) -> list[str]:
-    """Ancestor codes ordered child-to-root.  Guards against cycles."""
+    """Ancestor codes ordered child-to-root."""
     chain: list[str] = []
-    seen = {code}
     current = t.nodes[code].parent
     while current is not None:
-        if current in seen:
-            raise CycleDetected(f"parent chain of {code!r} revisits {current!r}")
-        if current not in t.nodes:
-            break
         chain.append(current)
-        seen.add(current)
         current = t.nodes[current].parent
     return chain
 
@@ -143,16 +156,10 @@ def ancestors(t: Taxonomy, code: str) -> list[str]:
 
 def descendants(t: Taxonomy, code: str) -> list[str]:
     """All codes below ``code``, excluding it, in lexicographic order."""
-    start = t.resolve(code)
     children = t.children
-    found: set[str] = set()
-    stack = list(children[start])
-    while stack:
-        current = stack.pop()
-        if current in found:
-            continue
-        found.add(current)
-        stack.extend(children[current])
+    found = list(children[t.resolve(code)])
+    for current in found:  # the loop also visits the codes it appends
+        found.extend(children[current])
     return sorted(found)
 
 
@@ -194,7 +201,7 @@ def neighborhood(t: Taxonomy, code: str, k: int) -> list[str]:
                 continue
             neighbors = list(children[current])
             parent = t.nodes[current].parent
-            if parent is not None and parent in t.nodes:
+            if parent is not None:
                 neighbors.append(parent)
             for n in neighbors:
                 if n not in distances:
@@ -205,39 +212,13 @@ def neighborhood(t: Taxonomy, code: str, k: int) -> list[str]:
 
 
 def _build(records: list[TaxonomyNode]) -> Taxonomy:
-    """Index records by code, rejecting duplicate codes, unknown parents and cycles."""
+    """Index records by code, rejecting duplicate codes; ``Taxonomy`` checks the rest."""
     nodes: dict[str, TaxonomyNode] = {}
     for node in records:
         if node.code in nodes:
             raise DuplicateCode(f"code {node.code!r} appears more than once")
         nodes[node.code] = node
-    for node in records:
-        if node.parent is not None and node.parent not in nodes:
-            raise UnknownParent(f"node {node.code!r} names unknown parent {node.parent!r}")
-    # One walk up from each code, in record order.  ``reached`` maps each
-    # code walked so far to the code whose walk reached it first; a walk
-    # that meets a code of an earlier walk stops there, because that one
-    # ended at a root.  Meeting its own start's mark again is a cycle.
-    reached: dict[str, str] = {}
-    for start in nodes:
-        current: str | None = start
-        while current is not None and current not in reached:
-            reached[current] = start
-            current = nodes[current].parent
-        if current is not None and reached[current] == start:
-            raise CycleDetected(f"cycle through node {start!r}")
     return Taxonomy(nodes)
-
-
-def _decode(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
 
 
 def _parse_tabular(text: str) -> list[TaxonomyNode]:
@@ -327,13 +308,12 @@ def _structured_records(doc) -> list[TaxonomyNode]:
     return records
 
 
-def parse_taxonomy(source, format: str = TABULAR) -> Taxonomy:
-    """Parse a taxonomy from CSV (``tabular``) or JSON (``structured``).
+def parse_taxonomy(text: str, format: str = TABULAR) -> Taxonomy:
+    """Parse a taxonomy from CSV (``tabular``) or JSON (``structured``) text.
 
-    ``source`` may be text, bytes, or a file-like object.  All codes come
-    back normalized and the forest invariants are enforced.
+    All codes come back normalized, and codes are unique; building the
+    ``Taxonomy`` enforces the forest invariants.
     """
-    text = _decode(source)
     if format == TABULAR:
         records = _parse_tabular(text)
     elif format == STRUCTURED:

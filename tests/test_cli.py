@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
 from conftest import CANONICAL_TAXONOMY_CSV, OBJECT_CODES, SAMPLED_BODIES
-from taxtrace import cli
+from taxtrace import cli, taxonomy
 from taxtrace.store import load_repository
 
 NOW_A = "2026-01-15T09:00:00+00:00"
@@ -85,6 +88,12 @@ class TestInit:
         target = workspace / "other.json"
         assert run(capsys, "init", str(target))[0] == 0
         assert target.exists()
+
+    def test_needs_a_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("TTL_REPO", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "init") == (2, "", "error: init needs a repository path\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestImport:
@@ -220,6 +229,13 @@ class TestAudit:
                              "--model", "v1")
         assert code == 1
         assert "unknown-code" in out
+
+    def test_comprehensiveness_needs_exactly_one_model(self, workspace, capsys):
+        seed_repo(capsys, workspace)
+        code, out, err = run(capsys, "audit", "comprehensiveness",
+                             "--model", "v1", "--model", "v2")
+        assert (code, out) == (2, "")
+        assert err == "error: audit comprehensiveness needs exactly one --model\n"
 
     def test_inter_needs_exactly_two_models(self, workspace, capsys):
         seed_repo(capsys, workspace)
@@ -370,6 +386,79 @@ class TestOutputContract:
         code, out, err = run(capsys, "validate")
         assert code == 2
         assert "error:" in err
+
+
+# Each input file kind as a command reads it: the command's leading
+# arguments, then the file's text.
+INPUT_FILES = {
+    "tabular taxonomy": (["import", "taxonomy"], CANONICAL_TAXONOMY_CSV),
+    "structured taxonomy": (
+        ["import", "taxonomy", "--taxonomy-format", "structured"],
+        taxonomy.write_taxonomy(taxonomy.parse_taxonomy(CANONICAL_TAXONOMY_CSV), "structured"),
+    ),
+    "artifacts": (["import", "artifacts"],
+                  '{"id": "R1", "kind": "requirement", "title": "Gate \u2013 Br\u00fccke"}\n'),
+    "model": (["import", "model"], "object_id,sb11_code,version,type\nG1,32QG--,v1,gate\n"),
+    "scenario": (["cost", "--strategy", "taxonomic", "--scenario"], SPLIT_SCENARIO),
+}
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_a_leading_byte_order_mark_is_ignored(self, kind, tmp_path, monkeypatch, capsys):
+        argv, text = INPUT_FILES[kind]
+        monkeypatch.setenv("TTL_NOW", NOW_A)
+        results = []
+        for name, bom in (("plain", ""), ("bom", "\ufeff")):
+            here = tmp_path / name
+            here.mkdir()
+            monkeypatch.setenv("TTL_REPO", str(here / "repo.json"))
+            assert run(capsys, "init")[0] == 0
+            if argv[:2] != ["import", "taxonomy"]:
+                (here / "taxonomy.csv").write_text(CANONICAL_TAXONOMY_CSV, encoding="utf-8")
+                assert run(capsys, "import", "taxonomy", str(here / "taxonomy.csv"))[0] == 0
+            (here / "input").write_text(bom + text, encoding="utf-8")
+            results.append((run(capsys, *argv, str(here / "input")),
+                            (here / "repo.json").read_bytes()))
+        assert results[0][0][0] == 0
+        assert results[1] == results[0]
+
+    def test_a_repository_file_with_a_byte_order_mark_is_rejected(self, workspace, capsys):
+        run(capsys, "init")
+        path = workspace / "repo.json"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for argv in (["validate"], ["import", "taxonomy", str(workspace / "taxonomy.csv")]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: repository file is not valid JSON: Unexpected UTF-8 BOM")
+
+
+# A writer that dies at ``os.replace``, after it wrote ``<repo>.tmp``.
+DIE_AT_REPLACE = """
+import os, sys
+from taxtrace import cli
+os.replace = lambda *args: os._exit(9)
+cli.main(sys.argv[1:])
+"""
+
+
+class TestStrayTemporaryFile:
+    def test_the_next_edit_command_deletes_it(self, workspace, capsys):
+        seed_repo(capsys, workspace)
+        path = workspace / "repo.json"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        died = subprocess.run([sys.executable, "-c", DIE_AT_REPLACE, "assign", "R3", "32QG"],
+                              env=env, timeout=60)
+        assert died.returncode == 9
+        stray = workspace / "repo.json.tmp"
+        assert stray.exists()
+        before, stamp = path.read_bytes(), (workspace / "repo.json.lock").read_bytes()
+        # Even an edit that fails deletes it, and leaves the file and the sidecar.
+        code, out, err = run(capsys, "assign", "NOPE", "32QG")
+        assert (code, out, err) == (2, "", "error: no artifact with id 'NOPE'\n")
+        assert not stray.exists()
+        assert path.read_bytes() == before
+        assert (workspace / "repo.json.lock").read_bytes() == stamp
 
 
 # A scripted session: every command in text and in JSON, with and without

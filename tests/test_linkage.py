@@ -399,6 +399,56 @@ class TestReplay:
             replay_edit_log([record])
 
 
+SCENARIO_ARTIFACTS = [{"id": "R1", "kind": "requirement", "codes": ["A"]},
+                      {"id": "T1", "kind": "test-case", "codes": ["A"]}]
+
+
+def scenario(mutation=None, artifacts=None, **more):
+    """Scenario text: two artifacts, ``R1`` deleted, unless replaced."""
+    return json.dumps({
+        "artifacts": SCENARIO_ARTIFACTS if artifacts is None else artifacts,
+        "mutation": {"type": "delete-artifact", "id": "R1"} if mutation is None else mutation,
+        **more,
+    })
+
+
+SCENARIO_REJECTS = [
+    ("nope", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[]", "expected an object with an 'artifacts' list"),
+    ('{"artifacts": {}}', "expected an object with an 'artifacts' list"),
+    (scenario(links={"R1": "T1"}), "links must be a list of pairs"),
+    (scenario(links=[["R1", "T1"], ["R1"]]), "links[1]: expected a pair"),
+    (scenario(links=[["R1", "R1"]]), "links[0]: invalid endpoints ['R1', 'R1']"),
+    (scenario(links=[["R1", "GHOST"]]), "links[0]: invalid endpoints ['R1', 'GHOST']"),
+    (scenario(mutation=["delete-artifact"]), "expected a 'mutation' object"),
+    (scenario(mutation={"type": "explode"}), "unknown mutation type 'explode'"),
+    (scenario(mutation={"type": "delete-artifact", "id": "GHOST"}),
+     "mutation deletes unknown artifact 'GHOST'"),
+    (scenario(mutation={"type": "split", "id": "GHOST"}),
+     "mutation splits unknown artifact 'GHOST'"),
+    (scenario(mutation={"type": "split", "id": "R1", "parts": [{"id": "P1"}]}),
+     "split mutation needs at least 2 parts"),
+    (scenario(mutation={"type": "change-codes", "id": "GHOST", "codes": []}),
+     "mutation recodes unknown artifact 'GHOST'"),
+    (scenario(mutation={"type": "change-codes", "id": "R1", "codes": "A"}),
+     "change-codes mutation needs a 'codes' list"),
+    (scenario(mutation={"type": "change-codes", "id": "R1", "codes": ["--"]}),
+     "mutation codes: code '--' is empty after normalization"),
+    (scenario(artifacts=["R1"]), "artifacts[0]: expected an object"),
+    (scenario(artifacts=[{"id": "", "kind": "requirement"}]), "artifacts[0]: missing id"),
+    (scenario(artifacts=SCENARIO_ARTIFACTS + [{"id": "R1", "kind": "test-case"}]),
+     "artifacts[2]: duplicate id 'R1'"),
+    (scenario(artifacts=[{"id": "R1", "kind": ""}]), "artifacts[0]: missing kind for 'R1'"),
+    (scenario(artifacts=[{"id": "R1", "kind": "requirement", "codes": "A"}]),
+     "artifacts[0]: codes must be a list"),
+    (scenario(artifacts=[{"id": "R1", "kind": "requirement", "codes": ["-"]}]),
+     "artifacts[0]: bad code (code '-' is empty after normalization)"),
+    (scenario(mutation={"type": "add-artifact"}), "mutation.artifact: expected an object"),
+    (scenario(mutation={"type": "split", "id": "R1", "parts": [{"id": "P1"}, {"id": "T1"}]}),
+     "mutation.parts[1]: duplicate id 'T1'"),
+]
+
+
 class TestScenarioParsing:
     def test_canonical_scenario_parses(self):
         scenario = load_scenario(CANONICAL_SPLIT_SCENARIO)
@@ -430,6 +480,13 @@ class TestScenarioParsing:
         doc["links"] = [["REQ1", "GHOST"]]
         with pytest.raises(MalformedScenario):
             load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, message", SCENARIO_REJECTS,
+                             ids=[message for _, message in SCENARIO_REJECTS])
+    def test_reject(self, text, message):
+        with pytest.raises(MalformedScenario) as info:
+            load_scenario(text)
+        assert str(info.value) == message
 
 
 class TestMaintenanceCost:

@@ -35,6 +35,7 @@ from taxtrace.store import (
     save_repository,
     serialize_repository,
 )
+from taxtrace.taxonomy import Taxonomy, TaxonomyNode
 
 
 def mixed_fixture(canon_tax):
@@ -445,6 +446,17 @@ NODE_REJECTS = [
 ]
 
 
+# The same nodes built directly as a ``Taxonomy`` must fail as the load does.
+FOREST_REJECTS = [case for case in NODE_REJECTS if case[1] in (UnknownParent, CycleDetected)]
+
+
+def build_error(nodes):
+    """``load_error`` for the node records built directly as a ``Taxonomy``."""
+    with pytest.raises(Exception) as info:
+        Taxonomy({n["code"]: TaxonomyNode(**n) for n in nodes})
+    return type(info.value), str(info.value)
+
+
 def case_ids(cases):
     """Test ids from each case's message, without the record's position."""
     return [case[-1].split("]: ", 1)[-1] for case in cases]
@@ -480,6 +492,15 @@ class TestRecordRejects:
     @pytest.mark.parametrize("change, error, message", NODE_REJECTS, ids=case_ids(NODE_REJECTS))
     def test_taxonomy_node(self, change, error, message):
         assert load_error(_reject("nodes", 1, change)) == (error, message)
+
+    @pytest.mark.parametrize("change, error, message", FOREST_REJECTS,
+                             ids=case_ids(FOREST_REJECTS))
+    def test_taxonomy_node_built_directly(self, change, error, message):
+        assert build_error(_reject("nodes", 1, change)["taxonomy"]["nodes"]) == (error, message)
+
+    @pytest.mark.parametrize("doc", [[], [1], "x", 5, None], ids=repr)
+    def test_repository_that_is_not_an_object(self, doc):
+        assert load_error(doc) == (RepositoryIOError, "repository file must hold a JSON object")
 
     @pytest.mark.parametrize("taxonomy_doc", ["A", {"nodes": {}}, {"nodes": None}, {"node": []}])
     def test_taxonomy_document(self, taxonomy_doc):
@@ -537,10 +558,13 @@ class TestRecordRejects:
 
 
 def cycle_error(nodes):
+    """The load's error, which building the same nodes directly must match."""
     doc = base_doc()
     doc["taxonomy"] = {"nodes": nodes}
     doc["assignments"], doc["edit_log"] = [], []
-    return load_error(doc)
+    error = load_error(doc)
+    assert build_error(nodes) == error
+    return error
 
 
 def node(code, parent=None):
@@ -578,6 +602,8 @@ class TestCycles:
         doc["assignments"], doc["edit_log"] = [], []
         repo = deserialize_repository(json.dumps(doc))
         assert taxonomy.ancestors(repo.taxonomy, "N0")[-1] == f"N{depth}"
+        built = Taxonomy({n["code"]: TaxonomyNode(**n) for n in nodes})
+        assert taxonomy.ancestors(built, "N0") == taxonomy.ancestors(repo.taxonomy, "N0")
 
 
 # Text that needs escaping or is not ASCII.
@@ -689,3 +715,8 @@ class TestModelCsvIngestion:
     def test_empty_object_id(self):
         with pytest.raises(MalformedRecord):
             read_design_objects_csv("object_id,sb11_code,version\n ,32QG,v1\n")
+
+    def test_empty_file(self):
+        with pytest.raises(MalformedRecord) as info:
+            read_design_objects_csv("")
+        assert str(info.value) == "empty design-object file"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import CANONICAL_TAXONOMY_CSV, tax_from_parents
+from conftest import tax_from_parents
 from taxtrace.errors import (
     CycleDetected,
     DuplicateCode,
@@ -71,6 +71,19 @@ class TestNode:
         assert a.parent is None and a.synonyms == []
 
 
+HEADER = "code,parent,title,description,synonyms\n"
+
+PARSE_REJECTS = [
+    ("tabular", "wrong,header\n", "expected header 'code,parent,title,description,synonyms'"),
+    ("tabular", HEADER + "A,,Alpha\n", "row 2: expected 5 fields, got 3"),
+    ("tabular", HEADER + "A,,Alpha,,\n--,,Dash,,\n", "row 3: empty code"),
+    ("tabular", HEADER + "A,--,Alpha,,\n", "row 2: unusable parent '--'"),
+    ("tabular", HEADER + "A,, ,,\n", "row 2: empty title for code 'A'"),
+    ("structured", "", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("structured", "[]", "expected an object with a 'nodes' list"),
+]
+
+
 class TestParse:
     def test_canonical_fixture_has_eleven_nodes(self, canon_tax):
         assert len(canon_tax) == 11
@@ -120,6 +133,13 @@ class TestParse:
         with pytest.raises(MalformedRecord):
             parse_taxonomy(text)
 
+    @pytest.mark.parametrize("fmt, text, message", PARSE_REJECTS,
+                             ids=[message for _, _, message in PARSE_REJECTS])
+    def test_reject_message(self, fmt, text, message):
+        with pytest.raises(MalformedRecord) as info:
+            parse_taxonomy(text, format=fmt)
+        assert str(info.value) == message
+
     def test_structured_round_trips_canonical(self, canon_tax):
         text = write_taxonomy(canon_tax, format="structured")
         again = parse_taxonomy(text, format="structured")
@@ -141,12 +161,6 @@ class TestParse:
             for fmt in ("tabular", "structured"):
                 text = write_taxonomy(t, format=fmt)
                 assert write_taxonomy(parse_taxonomy(text, format=fmt), format=fmt) == text
-
-    def test_bytes_and_streams_accepted(self):
-        import io
-        data = CANONICAL_TAXONOMY_CSV.encode("utf-8")
-        assert len(parse_taxonomy(data)) == 11
-        assert len(parse_taxonomy(io.StringIO(CANONICAL_TAXONOMY_CSV))) == 11
 
 
 class TestInfer:

@@ -989,8 +989,118 @@ warning: code-changed D2,D5: classification changed from '32Q' to '3'
 }
 """,
      ""),
+    ("trace R1 --to test-case", 0,
+     "no hits\n",
+     ""),
+    ("--format json trace R1 --to test-case", 0,
+     """\
+{
+  "filter": "equal",
+  "hits": [],
+  "source": "R1"
+}
+""",
+     ""),
+    ("impact D6", 0,
+     "no impact\n",
+     ""),
+    ("--format json impact D6", 0,
+     """\
+{
+  "changed": "D6",
+  "filter": "equal",
+  "groups": {}
+}
+""",
+     ""),
+    ("suggest R3", 0,
+     "no suggestions\n",
+     ""),
+    ("--format json suggest R3", 0,
+     """\
+{
+  "artifact": "R3",
+  "suggestions": []
+}
+""",
+     ""),
+    ("--format json coverage --from requirement --policy exclude-unclassifiable", 0,
+     """\
+{
+  "covered": [
+    "R1",
+    "R2A",
+    "R2B",
+    "R4A",
+    "R4B",
+    "R5"
+  ],
+  "from_kind": "requirement",
+  "policy": "exclude-unclassifiable",
+  "rate": "1",
+  "to_kind": null,
+  "uncovered": []
+}
+""",
+     ""),
+    ("--format json diff --from v1 --to v2", 0,
+     """\
+{
+  "absent_in_v2": [
+    "32Q",
+    "99Z"
+  ],
+  "from_model": "v1",
+  "new_in_v2": [
+    "3",
+    "63"
+  ],
+  "per_code_counts": {
+    "3": {
+      "v1": 0,
+      "v2": 1
+    },
+    "31": {
+      "v1": 1,
+      "v2": 1
+    },
+    "32Q": {
+      "v1": 1,
+      "v2": 0
+    },
+    "63": {
+      "v1": 0,
+      "v2": 1
+    },
+    "99Z": {
+      "v1": 1,
+      "v2": 0
+    }
+  },
+  "to_model": "v2"
+}
+""",
+     ""),
+    ("--format json split R4A --part R4C: --part R4D:", 0,
+     """\
+{
+  "split": {
+    "adds": 0,
+    "deletes": 1,
+    "original_id": "R4A",
+    "part_ids": [
+      "R4C",
+      "R4D"
+    ],
+    "warnings": [
+      "codes ['31'] of 'R4A' are not allocated to any part"
+    ]
+  }
+}
+""",
+     "warning: codes ['31'] of 'R4A' are not allocated to any part\n"),
 ]
-TRANSCRIPT_REPO_SHA256 = "fdba96378e55f40eba8244cbf070d7e15d81af30b5d3925d707494b5536b3809"
+TRANSCRIPT_REPO_SHA256 = "d414e67bed6806da74c4e8ecbfdcb338a548c7f100e70bd9713c2f554b8457ea"
 
 
 class TestTranscript:

@@ -50,14 +50,6 @@ class AuditFinding:
     detail: str
     severity: str
 
-    def to_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "object_ids": list(self.object_ids),
-            "detail": self.detail,
-            "severity": self.severity,
-        }
-
 
 def _require_design_objects(objects: list[Artifact], what: str) -> None:
     for obj in objects:
@@ -89,14 +81,6 @@ class ComprehensivenessReport:
     classified: int
     ratio: Fraction
     findings: list[AuditFinding] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "classified": self.classified,
-            "ratio": str(self.ratio),
-            "findings": [f.to_dict() for f in self.findings],
-        }
 
 
 def check_comprehensiveness(objects: list[Artifact], t: Taxonomy) -> ComprehensivenessReport:
@@ -168,16 +152,6 @@ class VersionMatchReport:
     unmatched_v2: list[str]
     ambiguous_fingerprints: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "matched_pairs": [list(p) for p in self.matched_pairs],
-            "match_ratio": str(self.match_ratio),
-            "code_changes": [f.to_dict() for f in self.code_changes],
-            "unmatched_v1": list(self.unmatched_v1),
-            "unmatched_v2": list(self.unmatched_v2),
-            "ambiguous_fingerprints": list(self.ambiguous_fingerprints),
-        }
-
 
 def match_versions(
     v1: list[Artifact],
@@ -241,16 +215,6 @@ class CodeDiff:
     absent_in_v2: list[str]
     per_code_counts: dict[str, tuple[int, int]]
 
-    def to_dict(self) -> dict:
-        return {
-            "new_in_v2": list(self.new_in_v2),
-            "absent_in_v2": list(self.absent_in_v2),
-            "per_code_counts": {
-                code: {"v1": c1, "v2": c2}
-                for code, (c1, c2) in sorted(self.per_code_counts.items())
-            },
-        }
-
 
 def diff_codes(v1: list[Artifact], v2: list[Artifact]) -> CodeDiff:
     """Which classification codes appeared or vanished between versions."""
@@ -272,15 +236,6 @@ def diff_codes(v1: list[Artifact], v2: list[Artifact]) -> CodeDiff:
 class InterReliabilityReport:
     findings: list[AuditFinding]
     per_code: dict[str, dict[str, list[str]]]
-
-    def to_dict(self) -> dict:
-        return {
-            "findings": [f.to_dict() for f in self.findings],
-            "per_code": {
-                code: {"a": list(sides["a"]), "b": list(sides["b"])}
-                for code, sides in sorted(self.per_code.items())
-            },
-        }
 
 
 def inter_reliability(

@@ -7,9 +7,11 @@ code.  Under ``READ`` the handler gets the loaded repository; under
 ``EDIT`` it runs inside ``store.editing``, which holds the writer lock
 and saves the repository when the handler returns, before anything is
 printed; ``init`` and ``cost`` (access None) open no repository.
-Handlers only act.  The repository path comes from --repo or the
-TTL_REPO environment variable.  Timestamps come from TTL_NOW when set,
-so scripted runs are byte-reproducible.
+Handlers only act.  Result objects are plain data, and this module alone
+decides what a command prints: its JSON is its result's fields, with
+exact rates as "p/q" strings (``_render``).  The repository path comes
+from --repo or the TTL_REPO environment variable.  Timestamps come from
+TTL_NOW when set, so scripted runs are byte-reproducible.
 
 Exit codes: 0 success; 1 error findings of audit --strict or uncovered
 items of coverage --strict; 2 usage or data errors, including a
@@ -29,6 +31,7 @@ import dataclasses
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import audit, linkage, query, store, suggest, taxonomy
 from .errors import TaxTraceError
@@ -44,6 +47,8 @@ EDIT = "edit"
 @dataclasses.dataclass
 class Output:
     """What a command prints: ``doc`` under --format json, else ``lines``.
+
+    ``doc`` may hold result objects and exact rates; ``_render`` encodes them.
 
     ``failed`` turns into exit code 1 under --strict.
     """
@@ -72,23 +77,31 @@ def _read_file(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _finding_lines(findings: list[dict]) -> list[str]:
+def _render(o):
+    """The JSON of what ``json`` cannot encode: an exact rate, or a result object."""
+    return str(o) if isinstance(o, Fraction) else vars(o)
+
+
+def _finding_lines(findings: list[audit.AuditFinding]) -> list[str]:
+    return [f"{f.severity}: {f.category} {','.join(f.object_ids)}: {f.detail}" for f in findings]
+
+
+def _hits(hits: list[query.TraceHit]) -> list[dict]:
     return [
-        f"{f['severity']}: {f['category']} {','.join(f['object_ids'])}: {f['detail']}"
-        for f in findings
+        {
+            "target": hit.target,
+            "via": [{"source_code": s, "target_code": c, "relation": r} for s, c, r in hit.via],
+        }
+        for hit in hits
     ]
 
 
-def _hit_lines(hits: list[dict]) -> list[str]:
-    lines = []
-    for hit in hits:
-        via = ", ".join(
-            f"{v['source_code']}->{v['target_code']}"
-            f" ({v['relation']['kind']}, distance={v['relation']['distance']})"
-            for v in hit["via"]
-        )
-        lines.append(f"{hit['target']}  via {via}")
-    return lines
+def _hit_lines(hits: list[query.TraceHit]) -> list[str]:
+    return [
+        f"{hit.target}  via "
+        + ", ".join(f"{s}->{c} ({r.kind}, distance={r.distance})" for s, c, r in hit.via)
+        for hit in hits
+    ]
 
 
 def _model_objects(repo: store.Repository, label: str) -> list[store.Artifact]:
@@ -166,7 +179,13 @@ def cmd_suggest(args, repo: store.Repository) -> Output:
     artifact = store.get_artifact(repo, args.artifact_id)
     text = artifact.title if artifact.body is None else f"{artifact.title} {artifact.body}"
     results = suggest.suggest(text, repo.taxonomy, args.n)
-    doc = {"artifact": artifact.id, "suggestions": [s.to_dict() for s in results]}
+    doc = {
+        "artifact": artifact.id,
+        "suggestions": [
+            dict(vars(s), matched_terms=[{"term": t, "source": src} for t, src in s.matched_terms])
+            for s in results
+        ],
+    }
     lines = [
         f"{s.code}  {s.score:.4f}  "
         + ", ".join(f"{term}({source})" for term, source in s.matched_terms)
@@ -178,7 +197,7 @@ def cmd_suggest(args, repo: store.Repository) -> Output:
 def cmd_assign(args, repo: store.Repository) -> Output:
     a = linkage.assign(repo, args.artifact_id, args.code, provenance=args.provenance,
                        now=_now())
-    return Output({"assigned": a.to_dict()}, [f"assigned {a.artifact_id} -> {a.code} ({a.status})"])
+    return Output({"assigned": a}, [f"assigned {a.artifact_id} -> {a.code} ({a.status})"])
 
 
 def cmd_unassign(args, repo: store.Repository) -> Output:
@@ -193,7 +212,7 @@ def cmd_mark_unclassifiable(args, repo: store.Repository) -> Output:
     a = linkage.mark_unclassifiable(repo, args.artifact_id, args.category, args.note,
                                     now=_now())
     return Output(
-        {"marked": a.to_dict()},
+        {"marked": a},
         [f"marked {a.artifact_id} unclassifiable ({a.note})"],
     )
 
@@ -212,7 +231,7 @@ def cmd_split(args, repo: store.Repository) -> Output:
     for w in outcome.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return Output(
-        {"split": outcome.to_dict()},
+        {"split": outcome},
         [
             f"split {outcome.original_id} into {', '.join(outcome.part_ids)}:"
             f" deletes={outcome.deletes} adds={outcome.adds}"
@@ -223,12 +242,8 @@ def cmd_split(args, repo: store.Repository) -> Output:
 def cmd_trace(args, repo: store.Repository) -> Output:
     f = query.parse_filter_spec(args.filter)
     hits = query.trace(repo, args.artifact_id, args.to_kind, f, args.include_proposed)
-    doc = {
-        "source": args.artifact_id,
-        "filter": f.spec(),
-        "hits": [h.to_dict() for h in hits],
-    }
-    return Output(doc, _hit_lines(doc["hits"]) or ["no hits"])
+    doc = {"source": args.artifact_id, "filter": f.spec(), "hits": _hits(hits)}
+    return Output(doc, _hit_lines(hits) or ["no hits"])
 
 
 def cmd_coverage(args, repo: store.Repository) -> Output:
@@ -241,7 +256,7 @@ def cmd_coverage(args, repo: store.Repository) -> Output:
         policy=args.policy,
         include_proposed=args.include_proposed,
     )
-    doc = dict(report.to_dict(), from_kind=args.from_kind, to_kind=args.to_kind)
+    doc = dict(vars(report), from_kind=args.from_kind, to_kind=args.to_kind)
     covered, uncovered = len(report.covered), len(report.uncovered)
     lines = [f"covered {covered}/{covered + uncovered} (rate {report.rate})"]
     lines.extend(f"uncovered: {item}" for item in report.uncovered)
@@ -251,9 +266,10 @@ def cmd_coverage(args, repo: store.Repository) -> Output:
 def cmd_impact(args, repo: store.Repository) -> Output:
     f = query.parse_filter_spec(args.filter)
     report = query.impact(repo, args.artifact_id, f, args.include_proposed)
-    doc = dict(report.to_dict(), filter=f.spec())
+    groups = {kind: _hits(hits) for kind, hits in report.groups.items()}
+    doc = {"changed": report.changed, "filter": f.spec(), "groups": groups}
     lines = []
-    for kind, hits in sorted(doc["groups"].items()):
+    for kind, hits in sorted(report.groups.items()):
         lines.append(f"{kind}:")
         lines.extend(f"  {line}" for line in _hit_lines(hits))
     return Output(doc, lines or ["no impact"])
@@ -265,10 +281,10 @@ def cmd_audit(args, repo: store.Repository) -> Output:
             raise ValueError("audit comprehensiveness needs exactly one --model")
         objects = _model_objects(repo, args.model[0])
         report = audit.check_comprehensiveness(objects, repo.taxonomy)
-        doc = dict(report.to_dict(), model=args.model[0])
+        doc = dict(vars(report), model=args.model[0])
         lines = [
             f"total {report.total} classified {report.classified} ratio {report.ratio}"
-        ] + _finding_lines(doc["findings"])
+        ] + _finding_lines(report.findings)
     else:
         if len(args.model) != 2:
             raise ValueError("audit inter needs exactly two --model labels")
@@ -284,16 +300,18 @@ def cmd_audit(args, repo: store.Repository) -> Output:
                 if code is not None and code in repo.taxonomy.nodes
             }
         report = audit.inter_reliability(a, b, sample, args.type_attr, repo.taxonomy)
-        doc = dict(report.to_dict(), models=list(args.model))
-        lines = _finding_lines(doc["findings"]) or ["consistent"]
-    return Output(doc, lines, failed=any(f["severity"] == audit.ERROR for f in doc["findings"]))
+        doc = dict(vars(report), models=list(args.model))
+        lines = _finding_lines(report.findings) or ["consistent"]
+    return Output(doc, lines, failed=any(f.severity == audit.ERROR for f in report.findings))
 
 
 def cmd_diff(args, repo: store.Repository) -> Output:
     v1 = _model_objects(repo, args.from_version)
     v2 = _model_objects(repo, args.to_version)
     code_diff = audit.diff_codes(v1, v2)
-    doc = dict(code_diff.to_dict(), from_model=args.from_version, to_model=args.to_version)
+    counts = {code: {"v1": c1, "v2": c2} for code, (c1, c2) in code_diff.per_code_counts.items()}
+    doc = dict(vars(code_diff), per_code_counts=counts,
+               from_model=args.from_version, to_model=args.to_version)
     lines = [
         "new in v2: " + (", ".join(code_diff.new_in_v2) or "none"),
         "absent in v2: " + (", ".join(code_diff.absent_in_v2) or "none"),
@@ -305,16 +323,16 @@ def cmd_diff(args, repo: store.Repository) -> Output:
             else tuple(a.strip() for a in args.fingerprint.split(",") if a.strip())
         )
         match = audit.match_versions(v1, v2, attrs)
-        doc["match"] = match.to_dict()
+        doc["match"] = match
         lines.append(f"matched {len(match.matched_pairs)}/{len(v1)} (ratio {match.match_ratio})")
-        lines.extend(_finding_lines(doc["match"]["code_changes"]))
+        lines.extend(_finding_lines(match.code_changes))
     return Output(doc, lines)
 
 
 def cmd_cost(args) -> Output:
     scenario = linkage.load_scenario(_read_file(args.scenario))
     count = linkage.maintenance_cost(scenario, args.strategy)
-    doc = dict(count.to_dict(), strategy=args.strategy)
+    doc = dict(vars(count), touched=count.touched, strategy=args.strategy)
     return Output(
         doc,
         [f"strategy={args.strategy} deletes={count.deletes} adds={count.adds} touched={count.touched}"],
@@ -455,7 +473,8 @@ def main(argv=None) -> int:
             with store.editing(_repo_path(args)) as repo:
                 out = args.func(args, repo)
         if args.format == JSON:
-            print(json.dumps(out.doc, sort_keys=True, indent=2, ensure_ascii=False))
+            print(json.dumps(out.doc, sort_keys=True, indent=2, ensure_ascii=False,
+                             default=_render))
         else:
             for line in out.lines:
                 print(line)

@@ -338,15 +338,6 @@ class SplitOutcome:
     adds: int
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "original_id": self.original_id,
-            "part_ids": list(self.part_ids),
-            "deletes": self.deletes,
-            "adds": self.adds,
-            "warnings": list(self.warnings),
-        }
-
 
 def split_artifact(
     repo: "Repository",
@@ -465,9 +456,6 @@ class EditCount:
     @property
     def touched(self) -> int:
         return self.adds + self.deletes
-
-    def to_dict(self) -> dict:
-        return {"adds": self.adds, "deletes": self.deletes, "touched": self.touched}
 
 
 def _scenario_artifact(doc, where: str, seen_ids: set[str]) -> ScenarioArtifact:

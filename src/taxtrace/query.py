@@ -114,19 +114,6 @@ class TraceHit:
     target: str
     via: list[tuple[str, str, Relation]]
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "via": [
-                {
-                    "source_code": s,
-                    "target_code": c,
-                    "relation": {"kind": r.kind, "distance": r.distance},
-                }
-                for s, c, r in self.via
-            ],
-        }
-
 
 def _is_target(repo: Repository, target_id: str, source_id: str, target_kind: str | None) -> bool:
     target = repo.artifacts[target_id]
@@ -180,14 +167,6 @@ class CoverageReport:
     uncovered: list[str]
     rate: Fraction
     policy: str
-
-    def to_dict(self) -> dict:
-        return {
-            "covered": list(self.covered),
-            "uncovered": list(self.uncovered),
-            "rate": str(self.rate),
-            "policy": self.policy,
-        }
 
 
 def coverage(
@@ -250,15 +229,6 @@ def coverage(
 class ImpactReport:
     changed: str
     groups: dict[str, list[TraceHit]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "changed": self.changed,
-            "groups": {
-                kind: [hit.to_dict() for hit in hits]
-                for kind, hits in sorted(self.groups.items())
-            },
-        }
 
 
 def impact(

@@ -36,13 +36,6 @@ class Suggestion:
     score: float
     matched_terms: list[tuple[str, str]]
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "score": self.score,
-            "matched_terms": [{"term": t, "source": s} for t, s in self.matched_terms],
-        }
-
 
 def _index(t: Taxonomy, wanted: set[str]) -> tuple[dict[str, dict[str, str]], dict[str, int]]:
     """Token -> {code -> best source field}, plus document frequencies.

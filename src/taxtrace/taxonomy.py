@@ -42,13 +42,20 @@ UNRELATED = "unrelated"
 _CSV_HEADER = ["code", "parent", "title", "description", "synonyms"]
 
 
+# Trailing padding: "-" and the 29 characters for which ``str.isspace`` holds.
+_PADDING = ("-\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+            "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
 def normalize_code(raw: str) -> str:
     """Normalize a class code: trim, uppercase, strip trailing dash padding.
 
-    Codes are exported padded to fixed width ("32QD--"); the padding is not
-    part of the identity.  Raises EmptyCode when nothing remains.
+    Codes are exported padded to fixed width ("32QD--", "32QD -"); the
+    padding is not part of the identity, so trailing dashes and whitespace
+    go together and normalizing twice changes nothing.  Raises EmptyCode
+    when nothing remains.
     """
-    code = raw.strip().upper().rstrip("-")
+    code = raw.strip().upper().rstrip(_PADDING)
     if not code:
         raise EmptyCode(f"code {raw!r} is empty after normalization")
     return code

@@ -241,7 +241,7 @@ def scoring_oracle(nodes: dict[str, dict], text: str) -> dict[str, float]:
 
 
 def inter_reliability_oracle(a: list, b: list, sample: set[str], type_attr: str) -> dict:
-    """``InterReliabilityReport.to_dict()`` by a nested per-code scan.
+    """``dataclasses.asdict`` of an ``InterReliabilityReport``, by a nested per-code scan.
 
     ``sample`` holds resolved codes.  Object codes are normalized here
     with their own trim, uppercase and dash-strip rule.

@@ -325,7 +325,7 @@ def test_criterion_7_persistence_and_replay_at_scale(tmp_path):
 def test_criterion_8_taxonomic_cost_is_local():
     small = maintenance_cost(load_scenario(split_scenario_text(10)), "taxonomic")
     large = maintenance_cost(load_scenario(split_scenario_text(1000)), "taxonomic")
-    assert small.to_dict() == large.to_dict()
+    assert small == large
     assert (small.deletes, small.adds) == (1, 2)
     print("\nPASS criterion 8: taxonomic edit counts identical with 10 and 1000 "
           "unrelated artifacts (del=1, add=2)")

@@ -143,6 +143,28 @@ class TestCanonicalBytes:
                 if stamp is not None:
                     assert read(sidecar(path)) == stamp, argv
 
+    def test_padded_taxonomy_codes_round_trip(self, tmp_path, capsys, monkeypatch):
+        # A row "AC -" is class "AC", stored as such, so a save writes the
+        # same bytes whether the sidecar vouches for the file or not.
+        monkeypatch.setenv("TTL_NOW", NOW)
+        tax = tmp_path / "tax.csv"
+        tax.write_text("code,parent,title,description,synonyms\n"
+                       "A,,Alpha,,\nAC -,A,Alpha c,,\nAD\t--,A,Alpha d,,\n", encoding="utf-8")
+        path, control = str(tmp_path / "repo.json"), str(tmp_path / "control.json")
+        repo = new_repository()
+        add_artifact(repo, Artifact(id="R1", kind="requirement", title="Req 1"))
+        for p in (path, control):
+            save_repository(repo, p)
+        for argv in (["import", "taxonomy", str(tax)], ["assign", "R1", "AC -"],
+                     ["assign", "R1", "AD"], ["unassign", "R1", "ac"],
+                     ["assign", "R1", "AC"], ["unassign", "R1", "AD \t-"]):
+            assert run_cli(path, argv, capsys) == 0, argv
+            # The control never keeps a sidecar, so it always encodes fully.
+            assert run_cli(control, argv, capsys) == 0, argv
+            os.unlink(sidecar(control))
+            assert read(path) == canonical(path) == read(control), argv
+        assert sorted(load_repository(path).taxonomy.nodes) == ["A", "AC", "AD"]
+
     def test_library_edits_of_every_record_kind(self, repo_path):
         rng = random.Random(5)
         for step in range(40):

@@ -222,8 +222,8 @@ class TestCoverage:
         report = coverage(sampled_repo, "requirement", None)
         assert isinstance(report.rate, Fraction)
 
-    def test_to_dict_rate_is_a_fraction_string(self, sampled_repo):
-        assert coverage(sampled_repo, "requirement", None).to_dict()["rate"] == "26/27"
+    def test_rate_is_the_exact_fraction(self, sampled_repo):
+        assert coverage(sampled_repo, "requirement", None).rate == Fraction(26, 27)
 
     def test_unknown_kinds_are_rejected(self, sampled_repo):
         f = RelationFilter("equal")

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import SAMPLED_BODIES
-from taxtrace.suggest import Suggestion, suggest, tokenize
+from taxtrace.suggest import suggest, tokenize
 from taxtrace.taxonomy import Taxonomy, TaxonomyNode, parse_taxonomy
 
 
@@ -143,14 +143,6 @@ class TestCornerCases:
         after = {c: (n.title, n.description, tuple(n.synonyms), n.parent)
                  for c, n in canon_tax.nodes.items()}
         assert before == after
-
-    def test_to_dict(self):
-        s = Suggestion(code="63N", score=1.5, matched_terms=[("power", "title")])
-        assert s.to_dict() == {
-            "code": "63N",
-            "score": 1.5,
-            "matched_terms": [{"term": "power", "source": "title"}],
-        }
 
 
 # Pieces whose case folding grows or splits them (ß -> ss, ﬁ -> fi,

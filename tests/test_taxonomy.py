@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -35,6 +35,10 @@ class TestNormalize:
     def test_strips_trailing_dash_padding(self):
         assert normalize_code("32QD--") == "32QD"
 
+    @pytest.mark.parametrize("raw", ["32QD -", "32qd\t--", "32QD- \u3000-", "32QD\r-"])
+    def test_strips_dash_and_whitespace_padding_together(self, raw):
+        assert normalize_code(raw) == "32QD"
+
     def test_already_normal_is_unchanged(self):
         assert normalize_code("31B") == "31B"
 
@@ -47,6 +51,8 @@ class TestNormalize:
             normalize_code(raw)
 
     @given(st.text(min_size=1, max_size=20))
+    @example("0\r-")
+    @example("32QD -")
     def test_idempotent_on_accepted_input(self, raw):
         try:
             once = normalize_code(raw)

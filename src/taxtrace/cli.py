@@ -7,6 +7,9 @@ code.  Under ``READ`` the handler gets the loaded repository; under
 ``EDIT`` it runs inside ``store.editing``, which holds the writer lock
 and saves the repository when the handler returns, before anything is
 printed; ``init`` and ``cost`` (access None) open no repository.
+Python's cyclic garbage collector is paused for a ``READ`` command's
+load and handler, and for an ``EDIT`` command's load and save, and is
+left as it was found.
 Handlers only act.  Result objects are plain data, and this module alone
 decides what a command prints: its JSON is its result's fields, with
 exact rates as "p/q" strings (``_render``).  The repository path comes
@@ -468,7 +471,10 @@ def main(argv=None) -> int:
         if args.access is None:
             out = args.func(args)
         elif args.access == READ:
-            out = args.func(args, store.load_repository(_repo_path(args)))
+            # Paused for the handler too: once the collector is back on, its
+            # first collections would scan the whole repository anyway.
+            with store._gc_paused():
+                out = args.func(args, store.load_repository(_repo_path(args)))
         else:
             with store.editing(_repo_path(args)) as repo:
                 out = args.func(args, repo)

@@ -101,29 +101,30 @@ class Assignment:
         }
 
     @staticmethod
-    def from_dict(doc: dict, where: str) -> "Assignment":
+    def from_dict(doc: dict) -> "Assignment":
+        """Decode one stored record; a ``MalformedRecord`` leaves its location to the caller."""
         if not isinstance(doc, dict):
-            raise MalformedRecord(f"{where}: expected an object")
+            raise MalformedRecord("expected an object")
         get = doc.get
         artifact_id = get("artifact_id")
         if not isinstance(artifact_id, str):
-            raise MalformedRecord(f"{where}: missing artifact_id")
+            raise MalformedRecord("missing artifact_id")
         # The str check first: a list or an object is not hashable.
         provenance = get("provenance")
         if not isinstance(provenance, str) or provenance not in PROVENANCES:
-            raise MalformedRecord(f"{where}: unknown provenance {provenance!r}")
+            raise MalformedRecord(f"unknown provenance {provenance!r}")
         status = get("status")
         if not isinstance(status, str) or status not in STATUSES:
-            raise MalformedRecord(f"{where}: unknown status {status!r}")
+            raise MalformedRecord(f"unknown status {status!r}")
         code = get("code")
         if code is not None and not isinstance(code, str):
-            raise MalformedRecord(f"{where}: code must be a string or null")
+            raise MalformedRecord("code must be a string or null")
         if (code is None) != (status == UNCLASSIFIABLE):
-            raise MalformedRecord(f"{where}: code must be null exactly for unclassifiable status")
+            raise MalformedRecord("code must be null exactly for unclassifiable status")
         note, created_at = get("note"), get("created_at")
         if not (isinstance(note, _STR_OR_NONE) and isinstance(created_at, _STR_OR_NONE)):
             key = "note" if not isinstance(note, _STR_OR_NONE) else "created_at"
-            raise MalformedRecord(f"{where}: {key} must be a string or null")
+            raise MalformedRecord(f"{key} must be a string or null")
         return Assignment(artifact_id, code, provenance, status, note, created_at or "")
 
 
@@ -145,25 +146,26 @@ class EditRecord:
         }
 
     @staticmethod
-    def from_dict(doc: dict, where: str) -> "EditRecord":
+    def from_dict(doc: dict) -> "EditRecord":
+        """Decode one stored record; a ``MalformedRecord`` leaves its location to the caller."""
         if not isinstance(doc, dict):
-            raise MalformedRecord(f"{where}: expected an object")
+            raise MalformedRecord("expected an object")
         get = doc.get
         op, link_kind, endpoints = get("op"), get("link_kind"), get("endpoints")
         if op not in (ADD, DELETE):
-            raise MalformedRecord(f"{where}: unknown op {op!r}")
+            raise MalformedRecord(f"unknown op {op!r}")
         if link_kind not in (TAXONOMIC, DIRECT):
-            raise MalformedRecord(f"{where}: unknown link_kind {link_kind!r}")
+            raise MalformedRecord(f"unknown link_kind {link_kind!r}")
         if not (
             isinstance(endpoints, list)
             and len(endpoints) == 2
             and isinstance(endpoints[0], str)
             and isinstance(endpoints[1], str)
         ):
-            raise MalformedRecord(f"{where}: endpoints must be a pair of strings")
+            raise MalformedRecord("endpoints must be a pair of strings")
         cause = get("cause")
         if not isinstance(cause, _STR_OR_NONE):
-            raise MalformedRecord(f"{where}: cause must be a string or null")
+            raise MalformedRecord("cause must be a string or null")
         return EditRecord(op, link_kind, tuple(endpoints), cause or "")
 
 

@@ -469,6 +469,36 @@ def _reject(section, index, change):
     return doc
 
 
+def _reject_at(section, change, position):
+    """``_reject`` at index 1, with that record moved to ``position``; and its index there.
+
+    The other records are valid: the document's own, and copies of the
+    first record of the list, under new ids and codes where those must be
+    unique.
+    """
+    doc = _reject(section, 1, change)
+    records = doc["taxonomy"]["nodes"] if section == "nodes" else doc[section]
+    key = {"artifacts": "id", "nodes": "code"}.get(section)
+    fillers = [patched(records[0], **({key: f"F{j}"} if key else {})) for j in range(6)]
+    changed = records.pop(1)
+    if position == "last":
+        records += fillers + [changed]
+        return doc, len(records) - 1
+    records[1:1] = fillers[:5] + [changed]  # after several valid records, and before one
+    records.append(fillers[5])
+    return doc, 6
+
+
+# Every located reject, as (section, change, error, message at index 1).
+LOCATED_REJECTS = (
+    [("artifacts", change, MalformedRecord, message) for change, message in ARTIFACT_REJECTS]
+    + [("assignments", change, MalformedRecord, message)
+       for change, message in ASSIGNMENT_REJECTS]
+    + [("edit_log", change, MalformedRecord, message) for change, message in EDIT_LOG_REJECTS]
+    + [("nodes", *case) for case in NODE_REJECTS]
+)
+
+
 class TestRecordRejects:
     """Every reject path of the record decoders, with its class and message."""
 
@@ -479,6 +509,24 @@ class TestRecordRejects:
     def test_duplicate_artifact_id(self):
         doc = _reject("artifacts", 1, {"id": "R1"})
         assert load_error(doc) == (ReferentialIntegrityError, "artifact id 'R1' appears twice")
+
+    @pytest.mark.parametrize("position", ["after several", "last"])
+    @pytest.mark.parametrize("section, change, error, message", LOCATED_REJECTS,
+                             ids=[f"{case[0]} {case_id}" for case, case_id in
+                                  zip(LOCATED_REJECTS, case_ids(LOCATED_REJECTS))])
+    def test_location_of_a_later_record(self, section, change, error, message, position):
+        # A record's location is formatted only once it fails, so it is
+        # pinned at more positions than the second.
+        doc, index = _reject_at(section, change, position)
+        located = message.replace(f"{section}[1]", f"{section}[{index}]")
+        assert load_error(doc) == (error, located)
+
+    def test_the_first_faulty_artifact_in_file_order_is_reported(self):
+        doc = base_doc()
+        doc["artifacts"] += [doc["artifacts"][0], "x"]
+        assert load_error(doc) == (ReferentialIntegrityError, "artifact id 'R1' appears twice")
+        doc["artifacts"][3:] = ["x", doc["artifacts"][0]]
+        assert load_error(doc) == (MalformedRecord, "artifacts[3]: expected an object")
 
     @pytest.mark.parametrize("change, message", ASSIGNMENT_REJECTS,
                              ids=case_ids(ASSIGNMENT_REJECTS))
@@ -663,6 +711,20 @@ class TestJsonlIngestion:
         artifacts = read_artifacts_jsonl(lines)
         assert [a.id for a in artifacts] == ["R1", "D1"]
         assert artifacts[1].attrs == {"volume": "4.5"}
+
+    @pytest.mark.parametrize("before, after", [(0, 2), (5, 1), (5, 0)],
+                             ids=["first", "after several", "last"])
+    def test_reject_names_its_line(self, before, after):
+        valid = [f'{{"id": "A{i}", "kind": "requirement", "title": "x"}}'
+                 for i in range(before + after)]
+        bad = '{"id": "B", "kind": "poem", "title": "x"}'
+        lines = valid[:before] + [bad] + valid[before:]
+        if before:
+            lines.insert(1, "")  # a blank line is skipped, and counted
+        with pytest.raises(MalformedRecord) as info:
+            read_artifacts_jsonl("\n".join(lines) + "\n")
+        lineno = lines.index(bad) + 1
+        assert str(info.value) == f"line {lineno}: unknown artifact kind 'poem'"
 
     def test_invalid_json_names_line(self):
         with pytest.raises(MalformedRecord, match="line 2"):

@@ -18,7 +18,7 @@ simulation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -80,7 +80,8 @@ class Assignment:
     """One artifact-to-class half-link, or an unclassifiable marker.
 
     ``code`` is None exactly when status is unclassifiable; the note then
-    starts with the reason category.
+    starts with the reason category.  A value: to change one, put a
+    ``dataclasses.replace`` copy in its place (see ``store.editing``).
     """
 
     artifact_id: str
@@ -169,6 +170,11 @@ class EditRecord:
         return EditRecord(op, link_kind, tuple(endpoints), cause or "")
 
 
+def _position(items: list, record) -> int:
+    """The index of ``record`` in ``items``, found by identity."""
+    return next(i for i, x in enumerate(items) if x is record)
+
+
 @dataclass
 class LinkIndex:
     """Active half-links per artifact and per code, and each artifact's marker.
@@ -194,7 +200,7 @@ class LinkIndex:
         """Drop an active assignment, found by identity."""
         for entries, key in ((self.by_artifact, a.artifact_id), (self.by_code, a.code)):
             items = entries[key]
-            del items[next(i for i, x in enumerate(items) if x is a)]
+            del items[_position(items, a)]
             if not items:
                 del entries[key]
 
@@ -272,7 +278,7 @@ def assign(
 
 
 def unassign(repo: "Repository", artifact_id: str, code: str, now: str | None = None) -> Assignment:
-    """Retire a half-link and return it: status flips to rejected, history stays."""
+    """Retire a half-link: a rejected copy takes its place, and is returned; history stays."""
     normalized = normalize_code(code)
     index = links(repo)
     a = index.find(artifact_id, normalized)
@@ -281,11 +287,12 @@ def unassign(repo: "Repository", artifact_id: str, code: str, now: str | None = 
             f"artifact {artifact_id!r} has no active assignment to code {normalized!r}"
         )
     index.remove(a)
-    a.status = REJECTED
+    rejected = replace(a, status=REJECTED)
+    repo.assignments[_position(repo.assignments, a)] = rejected
     repo.edit_log.append(
         EditRecord(DELETE, TAXONOMIC, (artifact_id, normalized), cause="unassign")
     )
-    return a
+    return rejected
 
 
 def mark_unclassifiable(
@@ -297,8 +304,9 @@ def mark_unclassifiable(
 ) -> Assignment:
     """Record that no class fits an artifact, with the reason why.
 
-    Idempotent per artifact: marking again updates the existing record.
-    No edit-log entry is written because no link changes.
+    Idempotent per artifact: marking again replaces the existing marker
+    with one of the new note, in its place, and returns it.  No edit-log
+    entry is written because no link changes.
     """
     if artifact_id not in repo.artifacts:
         raise UnknownId(f"no artifact with id {artifact_id!r}")
@@ -310,8 +318,10 @@ def mark_unclassifiable(
     index = links(repo)
     marker = index.markers.get(artifact_id)
     if marker is not None:
-        marker.note = text
-        return marker
+        remarked = replace(marker, note=text)
+        repo.assignments[_position(repo.assignments, marker)] = remarked
+        index.markers[artifact_id] = remarked
+        return remarked
     assignment = Assignment(
         artifact_id=artifact_id,
         code=None,
@@ -350,11 +360,12 @@ def split_artifact(
 ) -> SplitOutcome:
     """Replace an artifact by two or more parts, reallocating its codes.
 
-    The original stays on record as archived.  Its half-links are retired
-    and each part receives the codes allocated to it; every change lands
-    in the edit log.  A warning (not an error) is returned when the parts
-    do not jointly cover the original's codes.  Every part is checked
-    before any is added, so a rejected split changes nothing.
+    The original stays on record: an archived copy takes its place.  Its
+    half-links are retired and each part receives the codes allocated to
+    it; every change lands in the edit log.  A warning (not an error) is
+    returned when the parts do not jointly cover the original's codes.
+    Every part is checked before any is added, so a rejected split
+    changes nothing.
     """
     from .store import check_kind, get_artifact
 
@@ -394,7 +405,7 @@ def split_artifact(
         for code in sorted(allocation.get(part_id, set())):
             assign(repo, part_id, code, provenance=MANUAL, now=now)
             adds += 1
-    original.archived = True
+    repo.artifacts[artifact_id] = replace(original, archived=True)
     return SplitOutcome(artifact_id, part_ids, deletes, adds, warnings)
 
 

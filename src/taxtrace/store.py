@@ -17,6 +17,12 @@ holds data; deleting it costs the next save one full encode.  Library
 callers that mutate a repository and ``save_repository`` it take no lock,
 so they must not run alongside a command that edits the same file.
 
+Records are values.  An edit replaces a record with a changed copy
+(``dataclasses.replace``) at its key or position, and never sets a field
+of one or changes its ``attrs`` in place: ``editing``'s save reuses the
+loaded line of every record that is still a loaded object, so a change in
+place would keep the record's old line.
+
 A load pauses Python's cyclic garbage collector while it builds the
 repository, and so does ``editing``'s encode; each turns it back on only
 if it was on.  The collector's state is process-wide, so a library
@@ -32,7 +38,6 @@ import gc
 import io
 import itertools
 import json
-import operator
 import os
 import shutil
 import zlib
@@ -48,7 +53,7 @@ from .errors import (
     UnknownId,
 )
 from .linkage import _STR_OR_NONE, Assignment, EditRecord, LinkIndex
-from .taxonomy import Taxonomy, _build, _structured_doc, _structured_records
+from .taxonomy import Taxonomy, _build, _node_doc, _structured_records
 
 REQUIREMENT = "requirement"
 DESIGN_OBJECT = "design-object"
@@ -90,7 +95,8 @@ class Artifact:
 
     ``attrs`` values are opaque strings; numeric interpretation is the
     audit module's business.  ``archived`` marks artifacts retired by a
-    split: they stay on record but drop out of queries.
+    split: they stay on record but drop out of queries.  A value: to
+    change one, put a ``dataclasses.replace`` copy under its id.
     """
 
     id: str
@@ -110,7 +116,9 @@ class Repository:
     ``links`` is the link index that ``linkage.links`` builds from the
     assignments on first use.  Once it exists, assignments change only
     through ``linkage`` (``assign``, ``unassign``, ``mark_unclassifiable``
-    and ``split_artifact``), which keep it up to date.
+    and ``split_artifact``), which keep it up to date.  Every record is a
+    value: an edit replaces it at its key or position, never changes it in
+    place (see the module docstring).
     """
 
     taxonomy: Taxonomy
@@ -249,16 +257,24 @@ def _document(artifacts: str, assignments: str, edit_log: str, nodes: str) -> st
     )
 
 
+def _sections(repo: Repository):
+    """Each section's records in file order, with the function that makes a record's dict.
+
+    The one statement of the file's section order: artifacts by id, the
+    assignments and the edit log as listed, and taxonomy nodes by code.
+    """
+    artifacts, nodes = repo.artifacts, repo.taxonomy.nodes
+    yield map(artifacts.__getitem__, sorted(artifacts)), _artifact_to_dict
+    yield repo.assignments, Assignment.to_dict
+    yield repo.edit_log, EditRecord.to_dict
+    yield map(nodes.__getitem__, sorted(nodes)), _node_doc
+
+
 def serialize_repository(repo: Repository) -> str:
     """Render the repository as canonical JSON text, one record per line."""
     # One section at a time, so that only one section's records are held.
-    return _document(
-        _record_lines(_encoded(
-            [_artifact_to_dict(repo.artifacts[k]) for k in sorted(repo.artifacts)])),
-        _record_lines(_encoded([a.to_dict() for a in repo.assignments])),
-        _record_lines(_encoded([e.to_dict() for e in repo.edit_log])),
-        _record_lines(_encoded(_structured_doc(repo.taxonomy)["nodes"])),
-    )
+    return _document(*(_record_lines(_encoded(map(to_dict, records)))
+                       for records, to_dict in _sections(repo)))
 
 
 def _records(doc: dict, key: str) -> list:
@@ -413,16 +429,6 @@ def load_repository(path: str | os.PathLike) -> Repository:
 # --- editing: one locked writer, re-encoding only what changed ---
 
 
-def _artifact_fields(a: Artifact) -> tuple:
-    return (a.id, a.kind, a.title, a.body, tuple(a.attrs.items()), a.document, a.version,
-            a.archived)
-
-
-_assignment_fields = operator.attrgetter(
-    "artifact_id", "code", "provenance", "status", "note", "created_at")
-_edit_fields = operator.attrgetter("op", "link_kind", "endpoints", "cause")
-
-
 def _section_lines(text: str, repo: Repository) -> list[list[str]] | None:
     """The record lines of each section of ``text``, which loaded as ``repo``.
 
@@ -444,47 +450,21 @@ def _section_lines(text: str, repo: Repository) -> list[list[str]] | None:
 
 
 class _Loaded:
-    """Each record's fields at load, with the line of the file that encodes them."""
+    """The loaded record objects, each with the line of the file that encodes it."""
 
     def __init__(self, repo: Repository, sections: list[list[str]]) -> None:
-        artifact_lines, self.assignment_lines, self.edit_lines, self.node_lines = sections
-        self.artifact_fields = {a.id: _artifact_fields(a) for a in repo.artifacts.values()}
-        self.artifact_lines = dict(zip(repo.artifacts, artifact_lines))
-        self.assignment_fields = list(map(_assignment_fields, repo.assignments))
-        self.edit_fields = list(map(_edit_fields, repo.edit_log))
-        self.nodes = list(repo.taxonomy.nodes.values())
+        # In load order, which is the order of the lines.  Holding the
+        # records keeps their ids from passing to new objects.
+        self.records = [*repo.artifacts.values(), *repo.assignments, *repo.edit_log,
+                        *repo.taxonomy.nodes.values()]
+        self.lines = dict(zip(map(id, self.records), itertools.chain.from_iterable(sections)))
 
     def serialize(self, repo: Repository) -> str:
-        """``serialize_repository(repo)``, encoding only the records changed since load."""
-        ids = sorted(repo.artifacts)
-        artifacts = _kept(list(map(repo.artifacts.__getitem__, ids)), _artifact_fields,
-                          _artifact_to_dict, list(map(self.artifact_fields.get, ids)),
-                          list(map(self.artifact_lines.get, ids)))
-        nodes = repo.taxonomy.nodes
-        # Nodes are frozen: the same node objects in the same order encode alike.
-        same_nodes = len(nodes) == len(self.nodes) and all(
-            map(operator.is_, nodes.values(), self.nodes))
-        return _document(
-            _record_lines(artifacts),
-            _record_lines(_kept(repo.assignments, _assignment_fields, Assignment.to_dict,
-                                self.assignment_fields, self.assignment_lines)),
-            _record_lines(_kept(repo.edit_log, _edit_fields, EditRecord.to_dict,
-                                self.edit_fields, self.edit_lines)),
-            _record_lines(self.node_lines if same_nodes
-                          else _encoded(_structured_doc(repo.taxonomy)["nodes"])),
-        )
-
-
-def _kept(records: list, fields_of, to_dict, fields: list, lines: list) -> list[str]:
-    """Each record's loaded line while its fields equal those at its position, else its encoding.
-
-    Records past the end of ``fields`` are new, and are encoded.
-    """
-    out = lines[:len(records)]
-    for i in itertools.compress(range(len(out)), map(operator.ne, map(fields_of, records), fields)):
-        out[i] = encode_record(to_dict(records[i]))
-    out += [encode_record(to_dict(r)) for r in records[len(out):]]
-    return out
+        """``serialize_repository(repo)``, encoding only the records that are not loaded ones."""
+        line_of = self.lines.get
+        return _document(*(
+            _record_lines([line_of(id(r)) or encode_record(to_dict(r)) for r in records])
+            for records, to_dict in _sections(repo)))
 
 
 # The revision of the bytes this module writes, in every stamp.  Stamps of
@@ -514,10 +494,12 @@ def editing(path: str | os.PathLike):
     the sidecar holds the ``_stamp`` of the bytes written, rewritten in
     place because renaming over a locked file would void the lock.  When
     the file still holds exactly those bytes, the save reuses the line of
-    every record whose fields are unchanged since load and encodes only
-    the others; otherwise (no sidecar, a stamp of an older codec revision,
+    every record that is still a loaded object and encodes only the
+    others; otherwise (no sidecar, a stamp of an older codec revision,
     a schema-1 file, a hand edit) it encodes every record.  Either way the
-    file gets ``serialize_repository``'s bytes.
+    file gets ``serialize_repository``'s bytes, because the block replaces
+    each record it changes: a record changed in place would keep its old
+    line.
 
     The load and the encode run with the cyclic garbage collector paused
     (``_gc_paused``); the block runs with it as the caller left it.

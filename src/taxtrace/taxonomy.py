@@ -330,20 +330,21 @@ def parse_taxonomy(text: str, format: str = TABULAR) -> Taxonomy:
     return _build(records)
 
 
+def _node_doc(node: TaxonomyNode) -> dict:
+    """One node's record in the structured format."""
+    item: dict = {"code": node.code, "title": node.title}
+    if node.parent is not None:
+        item["parent"] = node.parent
+    if node.description is not None:
+        item["description"] = node.description
+    if node.synonyms:
+        item["synonyms"] = list(node.synonyms)
+    return item
+
+
 def _structured_doc(t: Taxonomy) -> dict:
     """The ``{"nodes": [...]}`` document of the structured format, by code."""
-    items = []
-    for code in sorted(t.nodes):
-        node = t.nodes[code]
-        item: dict = {"code": node.code, "title": node.title}
-        if node.parent is not None:
-            item["parent"] = node.parent
-        if node.description is not None:
-            item["description"] = node.description
-        if node.synonyms:
-            item["synonyms"] = list(node.synonyms)
-        items.append(item)
-    return {"nodes": items}
+    return {"nodes": [_node_doc(t.nodes[code]) for code in sorted(t.nodes)]}
 
 
 def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:

@@ -1,6 +1,7 @@
 """Edits through ``store.editing``: the writer lock, the sidecar, and saves
 that re-encode only the records an edit changed yet write canonical bytes."""
 
+import copy
 import dataclasses
 import fcntl
 import gc
@@ -58,6 +59,53 @@ def repo_path(tmp_path):
     path = tmp_path / "repo.json"
     save_repository(starting_repo(), path)
     return str(path)
+
+
+@pytest.fixture
+def marked_path(repo_path):
+    """``repo_path`` with an unclassifiable marker on T5, saved with its sidecar."""
+    with store.editing(repo_path) as repo:
+        linkage.mark_unclassifiable(repo, "T5", "vagueness", now=NOW)
+    return repo_path
+
+
+def split_r0(repo):
+    parts = [Artifact(id=f"R0{s}", kind="requirement", title=f"Part {s}") for s in "ab"]
+    linkage.split_artifact(repo, "R0", parts, {"R0a": {"1"}, "R0b": {"2"}}, now=NOW)
+
+
+def retitle_63fh(repo):
+    nodes = repo.taxonomy.nodes
+    nodes["63FH"] = dataclasses.replace(nodes["63FH"], title="Escape lighting")
+
+
+# Edits of ``marked_path``'s repository, with a name for each record the
+# save must encode, in file order (see ``label``).
+EDITS = {
+    "assign": (lambda repo: linkage.assign(repo, "R0", "63FH", now=NOW),
+               ["confirmed R0 63FH", "add R0 63FH"]),
+    "unassign": (lambda repo: linkage.unassign(repo, "R0", "1"),
+                 ["rejected R0 1", "delete R0 1"]),
+    "first mark": (lambda repo: linkage.mark_unclassifiable(repo, "R0", "vagueness", now=NOW),
+                   ["unclassifiable R0 None"]),
+    "re-mark": (lambda repo: linkage.mark_unclassifiable(repo, "T5", "compound", "two needs"),
+                ["unclassifiable T5 None"]),
+    "split": (split_r0, ["artifact R0", "artifact R0a", "artifact R0b", "rejected R0 1",
+                         "confirmed R0a 1", "confirmed R0b 2", "delete R0 1", "add R0a 1",
+                         "add R0b 2"]),
+    "retitle a class": (retitle_63fh, ["node 63FH"]),
+}
+
+
+def label(doc):
+    """A short name for an encoded record, from the fields that tell its kind."""
+    if "kind" in doc:
+        return f"artifact {doc['id']}"
+    if "status" in doc:
+        return f"{doc['status']} {doc['artifact_id']} {doc['code']}"
+    if "op" in doc:
+        return f"{doc['op']} {' '.join(doc['endpoints'])}"
+    return f"node {doc['code']}"
 
 
 class Commands:
@@ -184,21 +232,28 @@ class TestCanonicalBytes:
         assert read(sidecar(repo_path)) == store._stamp(read(repo_path))
 
     def test_library_edits_of_every_record_kind(self, repo_path):
+        # Records are values: each edit replaces one at its key or position.
         rng = random.Random(5)
         for step in range(40):
             with store.editing(repo_path) as repo:
                 artifacts = sorted(repo.artifacts)
                 roll = step % 8
                 if roll == 0:
-                    repo.artifacts[rng.choice(artifacts)].attrs["k"] = f"v{step}"
+                    a = repo.artifacts[rng.choice(artifacts)]
+                    repo.artifacts[a.id] = dataclasses.replace(
+                        a, attrs={**a.attrs, "k": f"v{step}"})
                 elif roll == 1:
-                    repo.artifacts[rng.choice(artifacts)].title = f"Retitled {step}"
+                    a = repo.artifacts[rng.choice(artifacts)]
+                    repo.artifacts[a.id] = dataclasses.replace(a, title=f"Retitled {step}")
                 elif roll == 2:
                     add_artifact(repo, Artifact(id=f"A{step}", kind="requirement", title="x"))
                 elif roll == 3:
-                    repo.assignments[rng.randrange(len(repo.assignments))].note = f"n{step}"
+                    i = rng.randrange(len(repo.assignments))
+                    repo.assignments[i] = dataclasses.replace(repo.assignments[i],
+                                                              note=f"n{step}")
                 elif roll == 4:
-                    repo.edit_log[rng.randrange(len(repo.edit_log))].cause = f"c{step}"
+                    i = rng.randrange(len(repo.edit_log))
+                    repo.edit_log[i] = dataclasses.replace(repo.edit_log[i], cause=f"c{step}")
                 elif roll == 5:
                     code = rng.choice(sorted(repo.taxonomy.nodes))
                     repo.taxonomy.nodes[code] = dataclasses.replace(
@@ -207,20 +262,20 @@ class TestCanonicalBytes:
                     repo.taxonomy = taxonomy.parse_taxonomy(FENCES_TAXONOMY_CSV)
                 else:
                     pass  # no change at all
+            assert read(repo_path) == serialize_repository(repo).encode("utf-8"), step
             assert read(repo_path) == canonical(repo_path), step
 
     def test_a_change_to_any_field_of_any_record_kind_is_saved(self, repo_path, monkeypatch):
-        # A new field of a record class needs a value here, and each field
-        # must reach the fields the save compares, or the save keeps the
-        # record's stale line.
+        # A new field of a record class needs a value here: a record
+        # replaced by a copy with any one field changed must reach the file.
         new_values = {
-            Artifact: (lambda repo: repo.artifacts["Z0"], {
+            Artifact: (lambda repo: repo.artifacts, "Z0", {
                 "id": "Z1", "kind": "test-case", "title": "Other", "body": "Body",
                 "attrs": {"k": "w"}, "document": "Doc", "version": "v2", "archived": True}),
-            linkage.Assignment: (lambda repo: repo.assignments[0], {
+            linkage.Assignment: (lambda repo: repo.assignments, 0, {
                 "artifact_id": "T5", "code": "63N", "provenance": linkage.IMPORTED,
                 "status": linkage.PROPOSED, "note": "n", "created_at": "2027-01-01"}),
-            linkage.EditRecord: (lambda repo: repo.edit_log[0], {
+            linkage.EditRecord: (lambda repo: repo.edit_log, 0, {
                 "op": linkage.DELETE, "link_kind": linkage.DIRECT, "endpoints": ("R0", "2"),
                 "cause": "changed"}),
         }
@@ -228,31 +283,77 @@ class TestCanonicalBytes:
             add_artifact(repo, Artifact(id="Z0", kind="requirement", title="Unlinked"))
         start = read(repo_path), read(sidecar(repo_path))
         monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
-        for cls, (record_of, values) in new_values.items():
+        for cls, (records_of, key, values) in new_values.items():
             for f in dataclasses.fields(cls):
                 for path, data in zip((repo_path, sidecar(repo_path)), start):
                     with open(path, "wb") as out:
                         out.write(data)
                 with store.editing(repo_path) as repo:
-                    setattr(record_of(repo), f.name, values[f.name])
+                    records = records_of(repo)
+                    records[key] = dataclasses.replace(records[key], **{f.name: values[f.name]})
                 assert read(repo_path) != start[0], f.name
                 assert read(repo_path) == canonical(repo_path), f.name
 
-    def test_a_changed_record_is_encoded_and_the_rest_reused(self, repo_path, monkeypatch):
-        with store.editing(repo_path):
-            pass  # the first save encodes everything and writes the sidecar
+    @pytest.mark.parametrize("edit, expected", EDITS.values(), ids=EDITS)
+    def test_a_changed_record_is_encoded_and_the_rest_reused(self, marked_path, monkeypatch,
+                                                             edit, expected):
         encoded = []
         real = store.encode_record
         monkeypatch.setattr(store, "encode_record", lambda r: encoded.append(r) or real(r))
         monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
-        with store.editing(repo_path) as repo:
-            linkage.assign(repo, "R0", "63FH", now=NOW)
-        assert [sorted(r) for r in encoded] == [
-            ["artifact_id", "code", "created_at", "note", "provenance", "status"],
-            ["cause", "endpoints", "link_kind", "op"],
-        ]
+        with store.editing(marked_path) as repo:
+            edit(repo)
+        assert list(map(label, encoded)) == expected
         monkeypatch.undo()
-        assert read(repo_path) == canonical(repo_path)
+        assert read(marked_path) == canonical(marked_path)
+
+
+def field_values(record):
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+def fields_of(repo):
+    """Each record object of ``repo``, with a deep copy of every one of its fields."""
+    records = [*repo.artifacts.values(), *repo.assignments, *repo.edit_log,
+               *repo.taxonomy.nodes.values()]
+    return [(r, copy.deepcopy(field_values(r))) for r in records]
+
+
+def assert_unchanged(before):
+    for record, values in before:
+        assert field_values(record) == values, record
+
+
+class TestRecordsAreValues:
+    """An edit replaces a record and never changes one in place, because the
+    save under a trusted sidecar reuses the loaded line of every loaded object."""
+
+    @pytest.mark.parametrize("edit", [edit for edit, _ in EDITS.values()], ids=EDITS)
+    def test_library_edit(self, marked_path, edit):
+        repo = load_repository(marked_path)
+        before = fields_of(repo)
+        edit(repo)
+        assert_unchanged(before)
+
+    @pytest.mark.parametrize("what, text", [
+        ("model", "object_id,sb11_code,version,type\nX1,63fh--,v1,t\nX2,99ZZ,v1,t\nX3,,v1,t\n"),
+        ("artifacts", '{"id": "N1", "kind": "source-unit", "title": "New", "attrs": {"x": 1}}\n'),
+        ("taxonomy", FENCES_TAXONOMY_CSV),
+    ])
+    def test_import_command(self, marked_path, tmp_path, capsys, monkeypatch, what, text):
+        snapshots = []
+        real = cli.cmd_import
+
+        def spy(args, repo):
+            snapshots.append(fields_of(repo))
+            return real(args, repo)
+
+        monkeypatch.setattr(cli, "cmd_import", spy)
+        source = tmp_path / "input"
+        source.write_text(text, encoding="utf-8")
+        assert run_cli(marked_path, ["import", what, str(source)], capsys) == 0
+        [before] = snapshots
+        assert_unchanged(before)
 
 
 def spaced(text):

@@ -5,8 +5,9 @@ subcommand declares its ``access`` to that file, and ``main`` opens it,
 calls the handler, prints the handler's ``Output`` and picks the exit
 code.  Under ``READ`` the handler gets the loaded repository; under
 ``EDIT`` it runs inside ``store.editing``, which holds the writer lock
-and saves the repository when the handler returns, before anything is
-printed; ``init`` and ``cost`` (access None) open no repository.
+and saves the repository when the handler returns, before anything,
+warnings included, is printed; ``init`` and ``cost`` (access None) open
+no repository.
 Python's cyclic garbage collector is paused for a ``READ`` command's
 load and handler, and for an ``EDIT`` command's load and save, and is
 left as it was found.
@@ -53,12 +54,14 @@ class Output:
 
     ``doc`` may hold result objects and exact rates; ``_render`` encodes them.
 
-    ``failed`` turns into exit code 1 under --strict.
+    ``failed`` turns into exit code 1 under --strict.  ``warnings`` go to
+    stderr in either format.
     """
 
     doc: dict
     lines: list[str]
     failed: bool = False
+    warnings: list[str] = dataclasses.field(default_factory=list)
 
 
 def _now() -> str | None:
@@ -130,6 +133,7 @@ def cmd_init(args) -> Output:
 
 def cmd_import(args, repo: store.Repository) -> Output:
     text = _read_file(args.file)
+    warnings: list[str] = []
     if args.what == "taxonomy":
         t = taxonomy.parse_taxonomy(text, format=args.taxonomy_format)
         if args.infer_hierarchy:
@@ -149,7 +153,6 @@ def cmd_import(args, repo: store.Repository) -> Output:
     else:
         objects = store.read_design_objects_csv(text)
         assigned = 0
-        warnings = []
         for obj in objects:
             store.add_artifact(repo, obj)
             raw = obj.attrs.get(store.CODE_ATTR)
@@ -160,8 +163,6 @@ def cmd_import(args, repo: store.Repository) -> Output:
                 assigned += 1
             except TaxTraceError as exc:
                 warnings.append(f"{obj.id}: code {raw!r} not assigned ({exc})")
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
         doc = {
             "imported": "model",
             "count": len(objects),
@@ -169,7 +170,7 @@ def cmd_import(args, repo: store.Repository) -> Output:
             "warnings": warnings,
         }
         lines = [f"imported {len(objects)} design objects, {assigned} auto-assigned"]
-    return Output(doc, lines)
+    return Output(doc, lines, warnings=warnings)
 
 
 def cmd_validate(args, repo: store.Repository) -> Output:
@@ -231,14 +232,13 @@ def cmd_split(args, repo: store.Repository) -> Output:
         parts.append(store.Artifact(id=part_id, kind=original.kind, title=part_id))
         allocation[part_id] = {c for c in codes.split(",") if c.strip()}
     outcome = linkage.split_artifact(repo, args.artifact_id, parts, allocation, now=_now())
-    for w in outcome.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     return Output(
         {"split": outcome},
         [
             f"split {outcome.original_id} into {', '.join(outcome.part_ids)}:"
             f" deletes={outcome.deletes} adds={outcome.adds}"
         ],
+        warnings=outcome.warnings,
     )
 
 
@@ -478,6 +478,8 @@ def main(argv=None) -> int:
         else:
             with store.editing(_repo_path(args)) as repo:
                 out = args.func(args, repo)
+        for w in out.warnings:
+            print(f"warning: {w}", file=sys.stderr)
         if args.format == JSON:
             print(json.dumps(out.doc, sort_keys=True, indent=2, ensure_ascii=False,
                              default=_render))

@@ -17,6 +17,11 @@ holds data; deleting it costs the next save one full encode.  Library
 callers that mutate a repository and ``save_repository`` it take no lock,
 so they must not run alongside a command that edits the same file.
 
+The edit log is append-only.  Inside ``editing``, ``repo.edit_log`` starts
+empty and holds only the entries the block appends; the save writes the
+file's log and then them.  While the sidecar vouches for the file, the
+log's lines are kept as text, neither decoded nor checked.
+
 Records are values.  An edit replaces a record with a changed copy
 (``dataclasses.replace``) at its key or position, and never sets a field
 of one or changes its ``attrs`` in place: ``editing``'s save reuses the
@@ -41,7 +46,7 @@ import json
 import os
 import shutil
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     DuplicateId,
@@ -50,6 +55,7 @@ from .errors import (
     RepositoryIOError,
     RepositoryLocked,
     SchemaVersionMismatch,
+    TaxTraceError,
     UnknownId,
 )
 from .linkage import _STR_OR_NONE, Assignment, EditRecord, LinkIndex
@@ -112,6 +118,8 @@ class Artifact:
 @dataclass
 class Repository:
     """Taxonomy, artifacts, assignments, and the append-only edit log.
+
+    Inside ``editing``, ``edit_log`` holds only the entries the edit appends.
 
     ``links`` is the link index that ``linkage.links`` builds from the
     assignments on first use.  Once it exists, assignments change only
@@ -429,15 +437,18 @@ def load_repository(path: str | os.PathLike) -> Repository:
 # --- editing: one locked writer, re-encoding only what changed ---
 
 
-def _section_lines(text: str, repo: Repository) -> list[list[str]] | None:
-    """The record lines of each section of ``text``, which loaded as ``repo``.
+def _block(n: int) -> int:
+    """The lines a section of ``n`` records takes: ``[``, the records and ``],``, or ``[],``."""
+    return n + 2 if n else 1
+
+
+def _section_lines(text: str, counts: tuple[int, int, int, int]) -> list[list[str]] | None:
+    """The record lines of each section of ``text``, given each section's record count.
 
     None unless ``text`` is exactly ``_document``'s output for those lines.
     """
-    counts = (len(repo.artifacts), len(repo.assignments), len(repo.edit_log),
-              len(repo.taxonomy.nodes))
     lines = text.split("\n")
-    if len(lines) != 4 + sum(n + 2 if n else 1 for n in counts):
+    if len(lines) != 4 + sum(map(_block, counts)):
         return None
     sections = []
     start = 1  # the opening brace
@@ -445,26 +456,68 @@ def _section_lines(text: str, repo: Repository) -> list[list[str]] | None:
         body = lines[start + 1:start + 1 + n]
         # Each record line but a section's last ends with the separating comma.
         sections.append([line[:-1] for line in body[:-1]] + body[-1:])
-        start += (n + 2 if n else 1) + after
+        start += _block(n) + after
     return sections if _document(*map(_record_lines, sections)) == text else None
 
 
 class _Loaded:
-    """The loaded record objects, each with the line of the file that encodes it."""
+    """The loaded record objects, each with the line of the file that encodes it,
+    and the edit log's lines."""
 
     def __init__(self, repo: Repository, sections: list[list[str]]) -> None:
+        artifacts, assignments, self.log, nodes = sections
         # In load order, which is the order of the lines.  Holding the
         # records keeps their ids from passing to new objects.
-        self.records = [*repo.artifacts.values(), *repo.assignments, *repo.edit_log,
+        self.records = [*repo.artifacts.values(), *repo.assignments,
                         *repo.taxonomy.nodes.values()]
-        self.lines = dict(zip(map(id, self.records), itertools.chain.from_iterable(sections)))
+        self.lines = dict(zip(map(id, self.records),
+                              itertools.chain(artifacts, assignments, nodes)))
 
     def serialize(self, repo: Repository) -> str:
-        """``serialize_repository(repo)``, encoding only the records that are not loaded ones."""
+        """The file of ``repo``, the loaded log first, encoding only records not loaded."""
         line_of = self.lines.get
-        return _document(*(
-            _record_lines([line_of(id(r)) or encode_record(to_dict(r)) for r in records])
-            for records, to_dict in _sections(repo)))
+        artifacts, assignments, edit_log, nodes = (
+            [line_of(id(r)) or encode_record(to_dict(r)) for r in records]
+            for records, to_dict in _sections(repo))
+        return _document(*map(_record_lines, (artifacts, assignments, self.log + edit_log,
+                                              nodes)))
+
+
+_LOG_HEADER = '\n"edit_log": ['
+
+
+def _load_keeping_log(text: str) -> tuple[Repository, _Loaded] | None:
+    """The repository of ``text`` with an empty edit log, and its lines, leaving the log undecoded.
+
+    The log's lines are spliced out unread; the rest of the document is
+    parsed and checked as ``deserialize_repository`` does.  None unless
+    ``text`` has the layout ``_document`` writes and the rest passes every
+    check; the caller then loads the file in full.
+    """
+    start = text.find(_LOG_HEADER)  # record lines hold no raw newline
+    if start < 0:
+        return None
+    body = start + len(_LOG_HEADER)
+    if text.startswith("\n", body):  # one record per line, up to the line "],"
+        end = text.find("\n]", body)
+        if end < 0:
+            return None
+        n_log = text.count("\n", body, end)
+        rest = text[:body] + text[end + 1:]
+    else:  # "[],"
+        n_log, rest = 0, text
+    try:
+        repo = deserialize_repository(rest)
+    except TaxTraceError:
+        return None
+    del rest  # freed before the layout check, which builds the file again
+    counts = (len(repo.artifacts), len(repo.assignments), n_log, len(repo.taxonomy.nodes))
+    # The header must be the line the layout puts it on, so that the lines
+    # spliced out are the ones the layout check finds in the log.
+    if text.count("\n", 0, start) != _block(counts[0]) + _block(counts[1]):
+        return None
+    sections = _section_lines(text, counts)
+    return None if sections is None else (repo, _Loaded(repo, sections))
 
 
 # The revision of the bytes this module writes, in every stamp.  Stamps of
@@ -490,16 +543,20 @@ def editing(path: str | os.PathLike):
     leaves the file and the sidecar as they were.  Once the lock is held, a
     ``<path>.tmp`` is deleted: only a writer killed mid-save leaves one.
 
-    The load makes every check ``load_repository`` makes.  After a save,
-    the sidecar holds the ``_stamp`` of the bytes written, rewritten in
-    place because renaming over a locked file would void the lock.  When
-    the file still holds exactly those bytes, the save reuses the line of
-    every record that is still a loaded object and encodes only the
-    others; otherwise (no sidecar, a stamp of an older codec revision,
-    a schema-1 file, a hand edit) it encodes every record.  Either way the
-    file gets ``serialize_repository``'s bytes, because the block replaces
-    each record it changes: a record changed in place would keep its old
-    line.
+    The block's ``repo.edit_log`` starts empty and is only appended to;
+    the save writes the file's log entries and then the block's.
+
+    After a save, the sidecar holds the ``_stamp`` of the bytes written,
+    rewritten in place because renaming over a locked file would void the
+    lock.  When the file still holds exactly those bytes, in the layout
+    ``_document`` writes, the log's lines are kept as text, neither decoded
+    nor checked, the rest loads with every check ``load_repository`` makes,
+    and the save reuses the line of every record that is still a loaded
+    object.  Otherwise (no sidecar, a stamp of an older codec revision, a
+    schema-1 file, a hand edit) the whole file loads with those checks and
+    the save encodes every record.  Either way the file gets the bytes of
+    ``serialize_repository``, because the block replaces each record it
+    changes: a record changed in place would keep its old line.
 
     The load and the encode run with the cyclic garbage collector paused
     (``_gc_paused``); the block runs with it as the caller left it.
@@ -525,13 +582,19 @@ def editing(path: str | os.PathLike):
         with _gc_paused():
             text = data.decode("utf-8")
             del data  # the file is held once, as text
-            repo = deserialize_repository(text)
-            sections = _section_lines(text, repo) if trusted else None
-            loaded = _Loaded(repo, sections) if sections is not None else None
-            del text
+            kept = _load_keeping_log(text) if trusted else None
+            if kept is None:
+                repo, loaded = deserialize_repository(text), None
+                log, repo.edit_log = repo.edit_log, []
+            else:
+                repo, loaded = kept
+            del text, kept
         yield repo
         with _gc_paused():
-            text = serialize_repository(repo) if loaded is None else loaded.serialize(repo)
+            if loaded is None:
+                text = serialize_repository(replace(repo, edit_log=log + repo.edit_log))
+            else:
+                text = loaded.serialize(repo)
         stamp = _stamp(_write(text, path))
         os.pwrite(lock, stamp, 0)
         os.ftruncate(lock, len(stamp))

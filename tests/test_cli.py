@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from conftest import CANONICAL_TAXONOMY_CSV, OBJECT_CODES, SAMPLED_BODIES
-from taxtrace import cli, taxonomy
+from taxtrace import cli, store, taxonomy
+from taxtrace.errors import RepositoryIOError
 from taxtrace.store import load_repository
 
 NOW_A = "2026-01-15T09:00:00+00:00"
@@ -110,6 +111,25 @@ class TestImport:
         active = {(a.artifact_id, a.code) for a in repo.assignments
                   if a.status == "confirmed"}
         assert active == {("B2", "18B")}
+
+    def test_no_warning_is_printed_when_the_save_fails(self, workspace, capsys, monkeypatch):
+        seed_repo(capsys, workspace)
+        run(capsys, "assign", "R3", "32QG")
+        before = (workspace / "repo.json").read_bytes()
+        model = workspace / "model2.csv"
+        model.write_text("object_id,sb11_code,version\nX1,ZZ,v2\n", encoding="utf-8")
+
+        def disk_full(text, path):
+            raise RepositoryIOError("disk full")
+
+        monkeypatch.setattr(store, "_write", disk_full)
+        # Both commands would warn: an unknown code, a code left to no part.
+        for argv in (["import", "model", str(model)],
+                     ["split", "R3", "--part", "R3A:", "--part", "R3B:"]):
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, "--format", fmt, *argv)
+                assert (code, out, err) == (2, "", "error: disk full\n"), argv
+        assert (workspace / "repo.json").read_bytes() == before
 
     def test_taxonomy_with_inferred_hierarchy(self, workspace, capsys):
         run(capsys, "init")

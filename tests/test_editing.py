@@ -159,6 +159,18 @@ class Commands:
         return ["import", "taxonomy", self._file("t.csv", csv)]
 
 
+def log_lines(data):
+    """The record lines of the file's edit-log section, without separating commas."""
+    section = data.partition(b'\n"edit_log": [')[2].partition(b'\n"schema_version"')[0]
+    return [line.rstrip(b",") for line in section.split(b"\n")[1:-1]]
+
+
+def live_pairs(repo):
+    """The (artifact, code) pairs of confirmed and proposed assignments."""
+    return {(a.artifact_id, a.code) for a in repo.assignments
+            if a.status in (linkage.CONFIRMED, linkage.PROPOSED)}
+
+
 def run_cli(path, argv, capsys):
     code = cli.main(["--repo", path, *argv])
     capsys.readouterr()
@@ -188,6 +200,11 @@ class TestCanonicalBytes:
             if os.path.exists(sidecar(control)):
                 os.unlink(sidecar(control))
             assert read(path) == canonical(path) == read(control), argv
+            # The log keeps its lines, appends, and replays to the live links.
+            prior = log_lines(before)
+            assert log_lines(read(path))[:len(prior)] == prior, argv
+            repo = load_repository(path)
+            assert linkage.replay_edit_log(repo.edit_log) == live_pairs(repo), argv
             if code != 0:
                 assert read(path) == before, argv
                 if stamp is not None:
@@ -235,6 +252,7 @@ class TestCanonicalBytes:
         # Records are values: each edit replaces one at its key or position.
         rng = random.Random(5)
         for step in range(40):
+            log = load_repository(repo_path).edit_log
             with store.editing(repo_path) as repo:
                 artifacts = sorted(repo.artifacts)
                 roll = step % 8
@@ -251,9 +269,9 @@ class TestCanonicalBytes:
                     i = rng.randrange(len(repo.assignments))
                     repo.assignments[i] = dataclasses.replace(repo.assignments[i],
                                                               note=f"n{step}")
-                elif roll == 4:
-                    i = rng.randrange(len(repo.edit_log))
-                    repo.edit_log[i] = dataclasses.replace(repo.edit_log[i], cause=f"c{step}")
+                elif roll == 4:  # the edit log is append-only
+                    repo.edit_log.append(linkage.EditRecord(
+                        linkage.ADD, linkage.TAXONOMIC, (rng.choice(artifacts), "1"), f"c{step}"))
                 elif roll == 5:
                     code = rng.choice(sorted(repo.taxonomy.nodes))
                     repo.taxonomy.nodes[code] = dataclasses.replace(
@@ -262,7 +280,9 @@ class TestCanonicalBytes:
                     repo.taxonomy = taxonomy.parse_taxonomy(FENCES_TAXONOMY_CSV)
                 else:
                     pass  # no change at all
-            assert read(repo_path) == serialize_repository(repo).encode("utf-8"), step
+            # The block's log holds only what it appended, after the file's log.
+            edited = dataclasses.replace(repo, edit_log=log + repo.edit_log)
+            assert read(repo_path) == serialize_repository(edited).encode("utf-8"), step
             assert read(repo_path) == canonical(repo_path), step
 
     def test_a_change_to_any_field_of_any_record_kind_is_saved(self, repo_path, monkeypatch):
@@ -275,24 +295,37 @@ class TestCanonicalBytes:
             linkage.Assignment: (lambda repo: repo.assignments, 0, {
                 "artifact_id": "T5", "code": "63N", "provenance": linkage.IMPORTED,
                 "status": linkage.PROPOSED, "note": "n", "created_at": "2027-01-01"}),
-            linkage.EditRecord: (lambda repo: repo.edit_log, 0, {
-                "op": linkage.DELETE, "link_kind": linkage.DIRECT, "endpoints": ("R0", "2"),
-                "cause": "changed"}),
         }
+        # The edit log is append-only inside ``store.editing``: an entry
+        # differing from ``entry`` in one field is appended instead.
+        entry = linkage.EditRecord(linkage.ADD, linkage.TAXONOMIC, ("R0", "1"), "assign")
+        log_values = {"op": linkage.DELETE, "link_kind": linkage.DIRECT,
+                      "endpoints": ("R0", "2"), "cause": "changed"}
         with store.editing(repo_path) as repo:
             add_artifact(repo, Artifact(id="Z0", kind="requirement", title="Unlinked"))
         start = read(repo_path), read(sidecar(repo_path))
+
+        def restore():
+            for path, data in zip((repo_path, sidecar(repo_path)), start):
+                with open(path, "wb") as out:
+                    out.write(data)
+
         monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
         for cls, (records_of, key, values) in new_values.items():
             for f in dataclasses.fields(cls):
-                for path, data in zip((repo_path, sidecar(repo_path)), start):
-                    with open(path, "wb") as out:
-                        out.write(data)
+                restore()
                 with store.editing(repo_path) as repo:
                     records = records_of(repo)
                     records[key] = dataclasses.replace(records[key], **{f.name: values[f.name]})
                 assert read(repo_path) != start[0], f.name
                 assert read(repo_path) == canonical(repo_path), f.name
+        for f in dataclasses.fields(linkage.EditRecord):
+            restore()
+            changed = dataclasses.replace(entry, **{f.name: log_values[f.name]})
+            with store.editing(repo_path) as repo:
+                repo.edit_log.append(changed)
+            assert load_repository(repo_path).edit_log[-1] == changed, f.name
+            assert read(repo_path) == canonical(repo_path), f.name
 
     @pytest.mark.parametrize("edit, expected", EDITS.values(), ids=EDITS)
     def test_a_changed_record_is_encoded_and_the_rest_reused(self, marked_path, monkeypatch,
@@ -354,6 +387,74 @@ class TestRecordsAreValues:
         assert run_cli(marked_path, ["import", what, str(source)], capsys) == 0
         [before] = snapshots
         assert_unchanged(before)
+
+
+class TestAppendOnlyLog:
+    """Inside ``store.editing`` the edit log holds only the entries the block
+    appends; the save writes the file's log lines and then theirs."""
+
+    @pytest.mark.parametrize("trusted", [True, False], ids=["trusted", "untrusted"])
+    def test_the_block_starts_with_an_empty_log(self, marked_path, trusted):
+        if not trusted:
+            os.unlink(sidecar(marked_path))
+        before = read(marked_path)
+        with store.editing(marked_path) as repo:
+            assert repo.edit_log == []
+            linkage.assign(repo, "R0", "63FH", now=NOW)
+            assert repo.edit_log == [linkage.EditRecord(
+                linkage.ADD, linkage.TAXONOMIC, ("R0", "63FH"), "assign")]
+        after = read(marked_path)
+        assert log_lines(after) == log_lines(before) + [
+            b'{"cause": "assign", "endpoints": ["R0", "63FH"], "link_kind": "taxonomic", '
+            b'"op": "add"}']
+        assert after == canonical(marked_path)
+
+    def test_a_trusted_edit_decodes_no_log_entry_and_encodes_no_full_file(
+            self, marked_path, capsys, monkeypatch):
+        decoded = []
+        real = linkage.EditRecord.from_dict
+        monkeypatch.setattr(linkage.EditRecord, "from_dict",
+                            staticmethod(lambda doc: decoded.append(doc) or real(doc)))
+        monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
+        assert run_cli(marked_path, ["assign", "R0", "63FH"], capsys) == 0
+        assert decoded == []
+        # Without the sidecar every entry is decoded, and checked, as a load does.
+        monkeypatch.setattr(store, "serialize_repository", serialize_repository)
+        os.unlink(sidecar(marked_path))
+        assert run_cli(marked_path, ["unassign", "R0", "63FH"], capsys) == 0
+        assert len(decoded) == len(log_lines(read(marked_path))) - 1
+
+    def forge(self, path, old, new, stamp):
+        """Replace one log line of the file; stamp the new bytes or keep the old stamp."""
+        data = read(path)
+        assert data.count(old) == 1
+        forged = data.replace(old, new)
+        with open(path, "wb") as f:
+            f.write(forged)
+        if stamp:
+            with open(sidecar(path), "wb") as f:
+                f.write(store._stamp(forged))
+        return forged
+
+    def test_a_trusted_stamp_vouches_for_the_log_unchecked(self, marked_path, capsys):
+        # The stamp is a CRC-32 of bytes this module wrote: a forged one is
+        # believed, and the edit neither reads nor checks the log.
+        first = log_lines(read(marked_path))[0]
+        before = log_lines(self.forge(marked_path, first, b'{"op": "move"}', stamp=True))
+        assert before[0] == b'{"op": "move"}'
+        assert run_cli(marked_path, ["assign", "R1", "63FH"], capsys) == 0
+        assert log_lines(read(marked_path))[:len(before)] == before
+        # A full load still rejects it.
+        assert cli.main(["--repo", marked_path, "validate"]) == 2
+        assert capsys.readouterr().err == "error: edit_log[0]: unknown op 'move'\n"
+
+    def test_a_stamp_over_other_bytes_is_not_trusted(self, marked_path, capsys):
+        first = log_lines(read(marked_path))[0]
+        assert b'"op": "add"' in first
+        forged = self.forge(marked_path, first, first.replace(b'"add"', b'"adc"'), stamp=False)
+        assert cli.main(["--repo", marked_path, "assign", "R1", "63FH"]) == 2
+        assert capsys.readouterr().err == "error: edit_log[0]: unknown op 'adc'\n"
+        assert read(marked_path) == forged
 
 
 def spaced(text):

@@ -91,16 +91,6 @@ class Assignment:
     note: str | None = None
     created_at: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "artifact_id": self.artifact_id,
-            "code": self.code,
-            "provenance": self.provenance,
-            "status": self.status,
-            "note": self.note,
-            "created_at": self.created_at,
-        }
-
     @staticmethod
     def from_dict(doc: dict) -> "Assignment":
         """Decode one stored record; a ``MalformedRecord`` leaves its location to the caller."""
@@ -137,14 +127,6 @@ class EditRecord:
     link_kind: str
     endpoints: tuple[str, str]
     cause: str
-
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "link_kind": self.link_kind,
-            "endpoints": list(self.endpoints),
-            "cause": self.cause,
-        }
 
     @staticmethod
     def from_dict(doc: dict) -> "EditRecord":

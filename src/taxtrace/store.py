@@ -7,8 +7,11 @@ canonical JSON document: sorted keys, stable ordering, trailing newline,
 so that saving the same repository twice yields byte-identical files.
 Schema 2 writes each artifact, assignment, edit-log entry and taxonomy
 node as one compact line, so a change to one record is one line in a
-diff.  Schema 1 files, the same document indented, still load and are
-rewritten as schema 2 by their next save.
+diff.  Each record kind has its own line encoder, bound to write exactly
+what ``json.dumps(doc, sort_keys=True, ensure_ascii=False)`` writes for
+the record's stored document; a field of the wrong type raises TypeError
+and nothing is written.  Schema 1 files, the same document indented,
+still load and are rewritten as schema 2 by their next save.
 
 Commands that change the repository go through ``editing``: one writer
 at a time holds an exclusive lock on the sidecar file ``<path>.lock``, and
@@ -59,7 +62,7 @@ from .errors import (
     UnknownId,
 )
 from .linkage import _STR_OR_NONE, Assignment, EditRecord, LinkIndex
-from .taxonomy import Taxonomy, _build, _node_doc, _structured_records
+from .taxonomy import Taxonomy, TaxonomyNode, _build, _structured_records
 
 REQUIREMENT = "requirement"
 DESIGN_OBJECT = "design-object"
@@ -192,23 +195,6 @@ def check_integrity(repo: Repository) -> None:
 # --- canonical serialization ---
 
 
-def _artifact_to_dict(artifact: Artifact) -> dict:
-    doc: dict = {
-        "id": artifact.id,
-        "kind": artifact.kind,
-        "title": artifact.title,
-        "attrs": artifact.attrs,
-        "archived": artifact.archived,
-    }
-    if artifact.body is not None:
-        doc["body"] = artifact.body
-    if artifact.document is not None:
-        doc["document"] = artifact.document
-    if artifact.version is not None:
-        doc["version"] = artifact.version
-    return doc
-
-
 _OPTIONAL_TEXT = ("body", "document", "version")
 
 
@@ -246,9 +232,68 @@ def _artifact_from_dict(doc: dict) -> Artifact:
     return Artifact(artifact_id, kind, title, body, attrs, document, version, archived)
 
 
-def _encoded(records) -> list[str]:
-    # ``encode_record`` inlined: a call per record costs more than its join.
-    return ["".join(_encoder(r, 0)) for r in records]
+# Each record kind has its own line encoder.  Each writes what
+# ``json.dumps(doc, sort_keys=True, ensure_ascii=False)`` writes for the
+# record's stored document: its keys in sorted order, with the optional keys
+# of an artifact and a node left out when empty.  Every string goes through
+# ``json``'s own ``encode_basestring``, which raises TypeError for anything
+# but a str; so a field of the wrong type fails the save before anything is
+# written, instead of writing a file the loader rejects or reads back as
+# another value.
+_text = json.encoder.encode_basestring
+
+
+def _artifact_line(a: Artifact) -> str:
+    archived, attrs = a.archived, a.attrs
+    if archived is not True and archived is not False:
+        raise TypeError(f"archived must be True or False, not {archived!r}")
+    if not isinstance(attrs, dict):
+        raise TypeError(f"attrs must be a dict of strings, not {attrs!r}")
+    # In key order, as ``sort_keys`` writes them; ``_text`` checks each key and value.
+    pairs = (", ".join([f"{_text(k)}: {_text(v)}" for k, v in sorted(attrs.items())])
+             if attrs else "")
+    line = f'{{"archived": {"true" if archived else "false"}, "attrs": {{{pairs}}}'
+    if a.body is not None:
+        line += f', "body": {_text(a.body)}'
+    if a.document is not None:
+        line += f', "document": {_text(a.document)}'
+    line += f', "id": {_text(a.id)}, "kind": {_text(a.kind)}, "title": {_text(a.title)}'
+    if a.version is not None:
+        line += f', "version": {_text(a.version)}'
+    return line + "}"
+
+
+def _assignment_line(a: Assignment) -> str:
+    code, note = a.code, a.note
+    return (f'{{"artifact_id": {_text(a.artifact_id)}, '
+            f'"code": {"null" if code is None else _text(code)}, '
+            f'"created_at": {_text(a.created_at)}, '
+            f'"note": {"null" if note is None else _text(note)}, '
+            f'"provenance": {_text(a.provenance)}, "status": {_text(a.status)}}}')
+
+
+def _edit_line(e: EditRecord) -> str:
+    endpoints = e.endpoints
+    if not isinstance(endpoints, (tuple, list)) or len(endpoints) != 2:
+        raise TypeError(f"endpoints must be a pair of strings, not {endpoints!r}")
+    source, target = endpoints
+    return (f'{{"cause": {_text(e.cause)}, "endpoints": [{_text(source)}, {_text(target)}], '
+            f'"link_kind": {_text(e.link_kind)}, "op": {_text(e.op)}}}')
+
+
+def _node_line(node: TaxonomyNode) -> str:
+    """The line of ``taxonomy._node_doc``'s record, which the structured format writes."""
+    synonyms = node.synonyms
+    if not isinstance(synonyms, (list, tuple)):
+        raise TypeError(f"synonyms must be a list of strings, not {synonyms!r}")
+    line = f'{{"code": {_text(node.code)}'
+    if node.description is not None:
+        line += f', "description": {_text(node.description)}'
+    if node.parent is not None:
+        line += f', "parent": {_text(node.parent)}'
+    if synonyms:
+        line += f', "synonyms": [{", ".join(map(_text, synonyms))}]'
+    return f'{line}, "title": {_text(node.title)}}}'
 
 
 def _record_lines(lines: list[str]) -> str:
@@ -266,23 +311,23 @@ def _document(artifacts: str, assignments: str, edit_log: str, nodes: str) -> st
 
 
 def _sections(repo: Repository):
-    """Each section's records in file order, with the function that makes a record's dict.
+    """Each section's records in file order, with the function that makes a record's line.
 
     The one statement of the file's section order: artifacts by id, the
     assignments and the edit log as listed, and taxonomy nodes by code.
     """
     artifacts, nodes = repo.artifacts, repo.taxonomy.nodes
-    yield map(artifacts.__getitem__, sorted(artifacts)), _artifact_to_dict
-    yield repo.assignments, Assignment.to_dict
-    yield repo.edit_log, EditRecord.to_dict
-    yield map(nodes.__getitem__, sorted(nodes)), _node_doc
+    yield map(artifacts.__getitem__, sorted(artifacts)), _artifact_line
+    yield repo.assignments, _assignment_line
+    yield repo.edit_log, _edit_line
+    yield map(nodes.__getitem__, sorted(nodes)), _node_line
 
 
 def serialize_repository(repo: Repository) -> str:
     """Render the repository as canonical JSON text, one record per line."""
     # One section at a time, so that only one section's records are held.
-    return _document(*(_record_lines(_encoded(map(to_dict, records)))
-                       for records, to_dict in _sections(repo)))
+    return _document(*(_record_lines(list(map(line, records)))
+                       for records, line in _sections(repo)))
 
 
 def _records(doc: dict, key: str) -> list:
@@ -477,8 +522,8 @@ class _Loaded:
         """The file of ``repo``, the loaded log first, encoding only records not loaded."""
         line_of = self.lines.get
         artifacts, assignments, edit_log, nodes = (
-            [line_of(id(r)) or encode_record(to_dict(r)) for r in records]
-            for records, to_dict in _sections(repo))
+            [line_of(id(r)) or line(r) for r in records]
+            for records, line in _sections(repo))
         return _document(*map(_record_lines, (artifacts, assignments, self.log + edit_log,
                                               nodes)))
 

@@ -97,15 +97,15 @@ EDITS = {
 }
 
 
-def label(doc):
+def label(record):
     """A short name for an encoded record, from the fields that tell its kind."""
-    if "kind" in doc:
-        return f"artifact {doc['id']}"
-    if "status" in doc:
-        return f"{doc['status']} {doc['artifact_id']} {doc['code']}"
-    if "op" in doc:
-        return f"{doc['op']} {' '.join(doc['endpoints'])}"
-    return f"node {doc['code']}"
+    if isinstance(record, Artifact):
+        return f"artifact {record.id}"
+    if isinstance(record, linkage.Assignment):
+        return f"{record.status} {record.artifact_id} {record.code}"
+    if isinstance(record, linkage.EditRecord):
+        return f"{record.op} {' '.join(record.endpoints)}"
+    return f"node {record.code}"
 
 
 class Commands:
@@ -331,8 +331,9 @@ class TestCanonicalBytes:
     def test_a_changed_record_is_encoded_and_the_rest_reused(self, marked_path, monkeypatch,
                                                              edit, expected):
         encoded = []
-        real = store.encode_record
-        monkeypatch.setattr(store, "encode_record", lambda r: encoded.append(r) or real(r))
+        for name in ("_artifact_line", "_assignment_line", "_edit_line", "_node_line"):
+            real = getattr(store, name)
+            monkeypatch.setattr(store, name, lambda r, real=real: encoded.append(r) or real(r))
         monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
         with store.editing(marked_path) as repo:
             edit(repo)
@@ -387,6 +388,76 @@ class TestRecordsAreValues:
         assert run_cli(marked_path, ["import", what, str(source)], capsys) == 0
         [before] = snapshots
         assert_unchanged(before)
+
+
+# Values of the wrong type for every field of every record kind.  The loader
+# rejects a file that holds one, or reads it back as another value.
+WRONG_TYPES = {
+    Artifact: {
+        "id": [5], "kind": [None], "title": [5], "body": [5], "document": [b"doc"],
+        "version": [1.5], "attrs": [{"k": 5}, {"k": None}, {5: "v"}, [("k", "v")]],
+        "archived": [1, 0, "yes", None],
+    },
+    linkage.Assignment: {
+        "artifact_id": [5], "code": [5], "provenance": [None], "status": [True],
+        "note": [5], "created_at": [None],
+    },
+    linkage.EditRecord: {
+        "op": [None], "link_kind": [5], "cause": [None],
+        "endpoints": [("R0",), ("R0", 1), ("R0", "1", "2"), "R0", None],
+    },
+    taxonomy.TaxonomyNode: {
+        "code": [5], "title": [None], "description": [5], "parent": [5],
+        "synonyms": ["ab", ["a", 5]],
+    },
+}
+WRONG_CASES = [(cls, name, value) for cls, fields in WRONG_TYPES.items()
+               for name, values in fields.items() for value in values]
+WRONG_IDS = [f"{cls.__name__}.{name}={value!r}" for cls, name, value in WRONG_CASES]
+
+
+def put_wrong(repo, cls, name, value):
+    """Put in ``repo`` a record of kind ``cls`` whose field ``name`` holds ``value``."""
+    wrong = {name: value}
+    if cls is Artifact:
+        repo.artifacts["R1"] = dataclasses.replace(repo.artifacts["R1"], **wrong)
+    elif cls is linkage.Assignment:
+        repo.assignments[0] = dataclasses.replace(repo.assignments[0], **wrong)
+    elif cls is linkage.EditRecord:
+        repo.edit_log.append(dataclasses.replace(
+            linkage.EditRecord(linkage.ADD, linkage.TAXONOMIC, ("R0", "1"), "assign"), **wrong))
+    else:
+        nodes = repo.taxonomy.nodes
+        nodes["1"] = dataclasses.replace(nodes["1"], **wrong)
+
+
+class TestWrongFieldTypes:
+    """A field of the wrong type fails the save with TypeError, and nothing is written."""
+
+    def test_every_field_of_every_record_kind_has_cases(self):
+        for cls, fields in WRONG_TYPES.items():
+            assert set(fields) == {f.name for f in dataclasses.fields(cls)}, cls
+
+    @pytest.mark.parametrize("cls, name, value", WRONG_CASES, ids=WRONG_IDS)
+    def test_save_repository(self, marked_path, cls, name, value):
+        start = read(marked_path), read(sidecar(marked_path))
+        repo = load_repository(marked_path)
+        put_wrong(repo, cls, name, value)
+        with pytest.raises(TypeError):
+            save_repository(repo, marked_path)
+        assert (read(marked_path), read(sidecar(marked_path))) == start
+
+    @pytest.mark.parametrize("trusted", [True, False], ids=["trusted", "stale stamp"])
+    @pytest.mark.parametrize("cls, name, value", WRONG_CASES, ids=WRONG_IDS)
+    def test_editing(self, marked_path, cls, name, value, trusted):
+        if not trusted:
+            with open(sidecar(marked_path), "wb") as f:
+                f.write(b"0\n")
+        start = read(marked_path), read(sidecar(marked_path))
+        with pytest.raises(TypeError):
+            with store.editing(marked_path) as repo:
+                put_wrong(repo, cls, name, value)
+        assert (read(marked_path), read(sidecar(marked_path))) == start
 
 
 class TestAppendOnlyLog:

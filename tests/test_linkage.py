@@ -1,5 +1,6 @@
 """Assignments, splits, edit-log replay, and maintenance-cost accounting."""
 
+import dataclasses
 import json
 import random
 
@@ -303,7 +304,7 @@ class TestLinkIndex:
         repo = fresh_repo(canon_tax, ("R1", "requirement"))
         first = assign(repo, "R1", "32QG", now=NOW)
         repo.links = None
-        repo.assignments.append(linkage.Assignment(**first.to_dict()))
+        repo.assignments.append(dataclasses.replace(first))
         with pytest.raises(DuplicateAssignment):
             assign(repo, "R1", "32QG", now=NOW)
         unassign(repo, "R1", "32QG", now=NOW)
@@ -320,7 +321,7 @@ class TestLinkIndex:
             actives = [a for a in repo.assignments if a.status == linkage.CONFIRMED]
             if round_no % 4 == 0 and actives:
                 # A hand-edited file may hold two active records for one pair.
-                repo.assignments.append(linkage.Assignment(**actives[0].to_dict()))
+                repo.assignments.append(dataclasses.replace(actives[0]))
             codes = sorted(repo.taxonomy.nodes)
             parents, _, _ = repo_model(repo)
             dist = oracles.all_pairs_distances(parents)

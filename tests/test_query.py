@@ -1,5 +1,6 @@
 """Trace, coverage, and impact queries over classified artifacts."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -296,7 +297,7 @@ class TestAgainstOracle:
             actives = [a for a in repo.assignments if a.status == linkage.CONFIRMED]
             if round_no % 3 == 0 and actives:
                 # A hand-edited file may hold two active records for one pair.
-                repo.assignments.append(linkage.Assignment(**rng.choice(actives).to_dict()))
+                repo.assignments.append(dataclasses.replace(rng.choice(actives)))
             parents, _, _ = repo_model(repo)
             dist = oracles.all_pairs_distances(parents)
             for proposed in (False, True):

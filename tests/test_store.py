@@ -121,13 +121,7 @@ def tricky_repo(rng):
 
 def schema_1_text(repo):
     """The file the schema-1 writer made: the same document, indented."""
-    doc = {
-        "schema_version": 1,
-        "taxonomy": taxonomy._structured_doc(repo.taxonomy),
-        "artifacts": [store._artifact_to_dict(repo.artifacts[i]) for i in sorted(repo.artifacts)],
-        "assignments": [a.to_dict() for a in repo.assignments],
-        "edit_log": [e.to_dict() for e in repo.edit_log],
-    }
+    doc = dict(json.loads(serialize_repository(repo)), schema_version=1)
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -699,6 +693,65 @@ class TestEncodeRecord:
                     record["attrs"] = dict(reversed(record["attrs"].items()))
                 expected = json.dumps(record, sort_keys=True, ensure_ascii=False)
                 assert store.encode_record(record) == expected
+
+
+# Text the tricky repositories lack: control characters, line and paragraph
+# separators, a no-break space, astral characters, quotes and backslashes.
+MORE_TEXT = ("\x00\x01\x1f\x7f\x85", "\u2028 \u2029 \u00a0 \ufeff", "\U0001f600 \uffff",
+             '"\\"\\\\', "\t\b\f")
+
+
+def edge_records(repo):
+    """``repo`` with records whose optional fields are empty and with ``MORE_TEXT``."""
+    nodes = repo.taxonomy.nodes
+    code = min(nodes)
+    nodes[code] = dataclasses.replace(nodes[code], description=None, synonyms=[])
+    for i, text in enumerate(MORE_TEXT):
+        add_artifact(repo, Artifact(id=f"{text}{i}", kind="test-case", title=text,
+                                    archived=i % 2 == 0))
+        add_artifact(repo, Artifact(id=f"E{i}", kind="design-object", title="t",
+                                    body=text, attrs={text: text}, version=text))
+        note = None if i % 2 else text
+        repo.assignments.append(linkage.Assignment(f"E{i}", code, linkage.SUGGESTED,
+                                                   linkage.PROPOSED, note, text))
+        repo.edit_log.append(linkage.EditRecord(linkage.DELETE, linkage.DIRECT, (text, code),
+                                                text))
+        nodes[f"X{i}"] = TaxonomyNode(f"X{i}", f"<{text}>", f"<{text}>", [f"<{text}>"],
+                                      parent=code)
+    return repo
+
+
+class TestLineEncoders:
+    """Each record kind's line is ``json.dumps`` of its stored document."""
+
+    def test_lines_are_json_dumps_and_decode_to_equal_records(self):
+        for seed in range(12):
+            repo = tricky_repo(random.Random(seed))
+            if seed % 2:
+                repo = edge_records(repo)
+            kinds = [
+                (repo.artifacts.values(), store._artifact_line, store._artifact_from_dict),
+                (repo.assignments, store._assignment_line, linkage.Assignment.from_dict),
+                (repo.edit_log, store._edit_line, linkage.EditRecord.from_dict),
+                (repo.taxonomy.nodes.values(), store._node_line,
+                 lambda doc: taxonomy._structured_records({"nodes": [doc]})[0]),
+            ]
+            for records, line_of, decode in kinds:
+                for record in records:
+                    line = line_of(record)
+                    doc = json.loads(line)
+                    assert line == json.dumps(doc, sort_keys=True, ensure_ascii=False)
+                    assert decode(doc) == record
+
+    def test_empty_optional_fields_are_null_or_left_out(self):
+        artifact = Artifact(id="R1", kind="requirement", title="One")
+        assert store._artifact_line(artifact) == (
+            '{"archived": false, "attrs": {}, "id": "R1", "kind": "requirement", "title": "One"}')
+        mark = linkage.Assignment("R1", None, linkage.MANUAL, linkage.UNCLASSIFIABLE)
+        assert store._assignment_line(mark) == (
+            '{"artifact_id": "R1", "code": null, "created_at": "", "note": null, '
+            '"provenance": "manual", "status": "unclassifiable"}')
+        assert store._node_line(TaxonomyNode("A", "Alpha")) == '{"code": "A", "title": "Alpha"}'
 
 
 class TestJsonlIngestion:

@@ -81,7 +81,8 @@ class Assignment:
 
     ``code`` is None exactly when status is unclassifiable; the note then
     starts with the reason category.  A value: to change one, put a
-    ``dataclasses.replace`` copy in its place (see ``store.editing``).
+    ``dataclasses.replace`` copy in its place, because ``LinkIndex`` holds
+    the repository's own records and finds them by identity.
     """
 
     artifact_id: str

@@ -14,22 +14,23 @@ and nothing is written.  Schema 1 files, the same document indented,
 still load and are rewritten as schema 2 by their next save.
 
 Commands that change the repository go through ``editing``: one writer
-at a time holds an exclusive lock on the sidecar file ``<path>.lock``, and
-the save re-encodes only the records the edit changed.  The sidecar never
-holds data; deleting it costs the next save one full encode.  Library
-callers that mutate a repository and ``save_repository`` it take no lock,
-so they must not run alongside a command that edits the same file.
+at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
+The save keeps the edit log's lines and encodes every other record.  The
+sidecar never holds data; deleting it costs the next edit one decode of
+the log.  Library callers that mutate a repository and
+``save_repository`` it take no lock, so they must not run alongside a
+command that edits the same file.
 
 The edit log is append-only.  Inside ``editing``, ``repo.edit_log`` starts
 empty and holds only the entries the block appends; the save writes the
-file's log and then them.  While the sidecar vouches for the file, the
-log's lines are kept as text, neither decoded nor checked.
+file's log lines and then theirs.  While the sidecar vouches for the file,
+the log's lines are kept as text, neither decoded nor checked.
 
 Records are values.  An edit replaces a record with a changed copy
 (``dataclasses.replace``) at its key or position, and never sets a field
-of one or changes its ``attrs`` in place: ``editing``'s save reuses the
-loaded line of every record that is still a loaded object, so a change in
-place would keep the record's old line.
+of one or changes its ``attrs`` in place: the link index holds the
+assignments themselves and finds them by identity (``linkage._position``),
+so an assignment changed in place would leave it stale.
 
 A load pauses Python's cyclic garbage collector while it builds the
 repository, and so does ``editing``'s encode; each turns it back on only
@@ -49,7 +50,7 @@ import json
 import os
 import shutil
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     DuplicateId,
@@ -76,25 +77,6 @@ ARTIFACT_KINDS = frozenset(
 
 SCHEMA_VERSION = 2
 
-# One C encoder for ``json.dumps(record, sort_keys=True, ensure_ascii=False)``,
-# built once here because ``JSONEncoder.encode`` builds a new one per call.
-_encoder = json.encoder.c_make_encoder(
-    None,  # markers: records hold no cycles to check
-    json.JSONEncoder().default,
-    json.encoder.encode_basestring,  # ensure_ascii=False
-    None,  # indent
-    ": ",
-    ", ",
-    True,  # sort_keys
-    False,  # skipkeys
-    True,  # allow_nan
-)
-
-
-def encode_record(record: dict) -> str:
-    """One record as compact canonical JSON with sorted keys, on one line."""
-    return "".join(_encoder(record, 0))
-
 CODE_ATTR = "sb11_code"
 
 
@@ -105,7 +87,8 @@ class Artifact:
     ``attrs`` values are opaque strings; numeric interpretation is the
     audit module's business.  ``archived`` marks artifacts retired by a
     split: they stay on record but drop out of queries.  A value: to
-    change one, put a ``dataclasses.replace`` copy under its id.
+    change one, put a ``dataclasses.replace`` copy under its id (see the
+    module docstring).
     """
 
     id: str
@@ -122,7 +105,8 @@ class Artifact:
 class Repository:
     """Taxonomy, artifacts, assignments, and the append-only edit log.
 
-    Inside ``editing``, ``edit_log`` holds only the entries the edit appends.
+    Inside ``editing``, ``edit_log`` holds only the entries the edit appends;
+    the save writes them after the file's log lines.
 
     ``links`` is the link index that ``linkage.links`` builds from the
     assignments on first use.  Once it exists, assignments change only
@@ -323,11 +307,16 @@ def _sections(repo: Repository):
     yield map(nodes.__getitem__, sorted(nodes)), _node_line
 
 
+def _serialize(repo: Repository, log: list[str]) -> str:
+    """The file of ``repo``, with the edit-log lines ``log`` before those of its own log."""
+    # One section at a time, so that only one section's lines are held.
+    return _document(*(_record_lines([*kept, *map(line, records)])
+                       for kept, (records, line) in zip(([], [], log, []), _sections(repo))))
+
+
 def serialize_repository(repo: Repository) -> str:
     """Render the repository as canonical JSON text, one record per line."""
-    # One section at a time, so that only one section's records are held.
-    return _document(*(_record_lines(list(map(line, records)))
-                       for records, line in _sections(repo)))
+    return _serialize(repo, [])
 
 
 def _records(doc: dict, key: str) -> list:
@@ -479,65 +468,20 @@ def load_repository(path: str | os.PathLike) -> Repository:
     return deserialize_repository(_read(path).decode("utf-8"))
 
 
-# --- editing: one locked writer, re-encoding only what changed ---
-
-
-def _block(n: int) -> int:
-    """The lines a section of ``n`` records takes: ``[``, the records and ``],``, or ``[],``."""
-    return n + 2 if n else 1
-
-
-def _section_lines(text: str, counts: tuple[int, int, int, int]) -> list[list[str]] | None:
-    """The record lines of each section of ``text``, given each section's record count.
-
-    None unless ``text`` is exactly ``_document``'s output for those lines.
-    """
-    lines = text.split("\n")
-    if len(lines) != 4 + sum(map(_block, counts)):
-        return None
-    sections = []
-    start = 1  # the opening brace
-    for n, after in zip(counts, (0, 0, 1, 0)):  # the schema line follows the edit log
-        body = lines[start + 1:start + 1 + n]
-        # Each record line but a section's last ends with the separating comma.
-        sections.append([line[:-1] for line in body[:-1]] + body[-1:])
-        start += _block(n) + after
-    return sections if _document(*map(_record_lines, sections)) == text else None
-
-
-class _Loaded:
-    """The loaded record objects, each with the line of the file that encodes it,
-    and the edit log's lines."""
-
-    def __init__(self, repo: Repository, sections: list[list[str]]) -> None:
-        artifacts, assignments, self.log, nodes = sections
-        # In load order, which is the order of the lines.  Holding the
-        # records keeps their ids from passing to new objects.
-        self.records = [*repo.artifacts.values(), *repo.assignments,
-                        *repo.taxonomy.nodes.values()]
-        self.lines = dict(zip(map(id, self.records),
-                              itertools.chain(artifacts, assignments, nodes)))
-
-    def serialize(self, repo: Repository) -> str:
-        """The file of ``repo``, the loaded log first, encoding only records not loaded."""
-        line_of = self.lines.get
-        artifacts, assignments, edit_log, nodes = (
-            [line_of(id(r)) or line(r) for r in records]
-            for records, line in _sections(repo))
-        return _document(*map(_record_lines, (artifacts, assignments, self.log + edit_log,
-                                              nodes)))
+# --- editing: one locked writer, keeping the edit log's lines ---
 
 
 _LOG_HEADER = '\n"edit_log": ['
 
 
-def _load_keeping_log(text: str) -> tuple[Repository, _Loaded] | None:
-    """The repository of ``text`` with an empty edit log, and its lines, leaving the log undecoded.
+def _load_keeping_log(text: str) -> tuple[Repository, list[str]] | None:
+    """The repository of ``text`` with an empty edit log, and the log's record lines.
 
-    The log's lines are spliced out unread; the rest of the document is
-    parsed and checked as ``deserialize_repository`` does.  None unless
-    ``text`` has the layout ``_document`` writes and the rest passes every
-    check; the caller then loads the file in full.
+    The log block after ``_LOG_HEADER`` is spliced out unread.  It is kept
+    only as one record per line, each line but the last ending in the
+    separating comma.  The rest is parsed and checked as
+    ``deserialize_repository`` does.  None if either fails, or if the rest
+    holds another ``"edit_log"`` key; the caller then loads the file in full.
     """
     start = text.find(_LOG_HEADER)  # record lines hold no raw newline
     if start < 0:
@@ -547,28 +491,25 @@ def _load_keeping_log(text: str) -> tuple[Repository, _Loaded] | None:
         end = text.find("\n]", body)
         if end < 0:
             return None
-        n_log = text.count("\n", body, end)
+        log = text[body + 1:end].split(",\n")
+        if len(log) != text.count("\n", body, end) or log[-1].endswith(","):
+            return None
         rest = text[:body] + text[end + 1:]
     else:  # "[],"
-        n_log, rest = 0, text
+        log, rest = [], text
+    if rest.find('"edit_log"', body) >= 0:
+        return None
     try:
         repo = deserialize_repository(rest)
     except TaxTraceError:
         return None
-    del rest  # freed before the layout check, which builds the file again
-    counts = (len(repo.artifacts), len(repo.assignments), n_log, len(repo.taxonomy.nodes))
-    # The header must be the line the layout puts it on, so that the lines
-    # spliced out are the ones the layout check finds in the log.
-    if text.count("\n", 0, start) != _block(counts[0]) + _block(counts[1]):
-        return None
-    sections = _section_lines(text, counts)
-    return None if sections is None else (repo, _Loaded(repo, sections))
+    return None if repo.edit_log else (repo, log)
 
 
 # The revision of the bytes this module writes, in every stamp.  Stamps of
-# an older revision do not vouch for their file.  Revision 2 writes every
-# stored taxonomy code in normal form; before it, a code padded as "AC "
-# could be stored, and reusing its line would keep it.
+# an older revision do not vouch for their file, whose edit-log lines an
+# edit would keep.  Revision 2 writes every stored taxonomy code in normal
+# form; before it, a code padded as "AC " could be stored.
 _CODEC_REVISION = 2
 
 
@@ -588,20 +529,19 @@ def editing(path: str | os.PathLike):
     leaves the file and the sidecar as they were.  Once the lock is held, a
     ``<path>.tmp`` is deleted: only a writer killed mid-save leaves one.
 
-    The block's ``repo.edit_log`` starts empty and is only appended to;
-    the save writes the file's log entries and then the block's.
+    The block's ``repo.edit_log`` starts empty and is only appended to.
+    The save writes the file's log lines, then the block's entries, and
+    encodes every other record, so the file gets the bytes of
+    ``serialize_repository``.
 
     After a save, the sidecar holds the ``_stamp`` of the bytes written,
     rewritten in place because renaming over a locked file would void the
-    lock.  When the file still holds exactly those bytes, in the layout
-    ``_document`` writes, the log's lines are kept as text, neither decoded
-    nor checked, the rest loads with every check ``load_repository`` makes,
-    and the save reuses the line of every record that is still a loaded
-    object.  Otherwise (no sidecar, a stamp of an older codec revision, a
-    schema-1 file, a hand edit) the whole file loads with those checks and
-    the save encodes every record.  Either way the file gets the bytes of
-    ``serialize_repository``, because the block replaces each record it
-    changes: a record changed in place would keep its old line.
+    lock.  When the file still holds exactly those bytes, the log's lines
+    are kept as text, neither decoded nor checked (``_load_keeping_log``),
+    and the rest loads with every check ``load_repository`` makes.
+    Otherwise (no sidecar, a stamp of an older codec revision, a log not
+    one record per line, a hand edit) the whole file loads with those
+    checks, and its log is encoded to lines at once.
 
     The load and the encode run with the cyclic garbage collector paused
     (``_gc_paused``); the block runs with it as the caller left it.
@@ -629,17 +569,14 @@ def editing(path: str | os.PathLike):
             del data  # the file is held once, as text
             kept = _load_keeping_log(text) if trusted else None
             if kept is None:
-                repo, loaded = deserialize_repository(text), None
-                log, repo.edit_log = repo.edit_log, []
+                repo = deserialize_repository(text)
+                log, repo.edit_log = list(map(_edit_line, repo.edit_log)), []
             else:
-                repo, loaded = kept
+                repo, log = kept
             del text, kept
         yield repo
         with _gc_paused():
-            if loaded is None:
-                text = serialize_repository(replace(repo, edit_log=log + repo.edit_log))
-            else:
-                text = loaded.serialize(repo)
+            text = _serialize(repo, log)
         stamp = _stamp(_write(text, path))
         os.pwrite(lock, stamp, 0)
         os.ftruncate(lock, len(stamp))

@@ -1,5 +1,6 @@
 """Edits through ``store.editing``: the writer lock, the sidecar, and saves
-that re-encode only the records an edit changed yet write canonical bytes."""
+that keep the edit log's lines, encode every other record and write
+canonical bytes."""
 
 import copy
 import dataclasses
@@ -79,33 +80,31 @@ def retitle_63fh(repo):
     nodes["63FH"] = dataclasses.replace(nodes["63FH"], title="Escape lighting")
 
 
-# Edits of ``marked_path``'s repository, with a name for each record the
-# save must encode, in file order (see ``label``).
+# Edits of ``marked_path``'s repository, with a name for each edit-log
+# entry the edit appends, in order (see ``label``).
 EDITS = {
-    "assign": (lambda repo: linkage.assign(repo, "R0", "63FH", now=NOW),
-               ["confirmed R0 63FH", "add R0 63FH"]),
-    "unassign": (lambda repo: linkage.unassign(repo, "R0", "1"),
-                 ["rejected R0 1", "delete R0 1"]),
+    "assign": (lambda repo: linkage.assign(repo, "R0", "63FH", now=NOW), ["add R0 63FH"]),
+    "unassign": (lambda repo: linkage.unassign(repo, "R0", "1"), ["delete R0 1"]),
     "first mark": (lambda repo: linkage.mark_unclassifiable(repo, "R0", "vagueness", now=NOW),
-                   ["unclassifiable R0 None"]),
+                   []),
     "re-mark": (lambda repo: linkage.mark_unclassifiable(repo, "T5", "compound", "two needs"),
-                ["unclassifiable T5 None"]),
-    "split": (split_r0, ["artifact R0", "artifact R0a", "artifact R0b", "rejected R0 1",
-                         "confirmed R0a 1", "confirmed R0b 2", "delete R0 1", "add R0a 1",
-                         "add R0b 2"]),
-    "retitle a class": (retitle_63fh, ["node 63FH"]),
+                []),
+    "split": (split_r0, ["delete R0 1", "add R0a 1", "add R0b 2"]),
+    "retitle a class": (retitle_63fh, []),
 }
 
 
-def label(record):
-    """A short name for an encoded record, from the fields that tell its kind."""
-    if isinstance(record, Artifact):
-        return f"artifact {record.id}"
-    if isinstance(record, linkage.Assignment):
-        return f"{record.status} {record.artifact_id} {record.code}"
-    if isinstance(record, linkage.EditRecord):
-        return f"{record.op} {' '.join(record.endpoints)}"
-    return f"node {record.code}"
+def label(entry):
+    """A short name for an edit-log entry."""
+    return f"{entry.op} {' '.join(entry.endpoints)}"
+
+
+def encoded_log_entries(monkeypatch):
+    """The edit-log entries encoded from now on, in order, as ``store._edit_line`` sees them."""
+    encoded = []
+    real = store._edit_line
+    monkeypatch.setattr(store, "_edit_line", lambda e: encoded.append(e) or real(e))
+    return encoded
 
 
 class Commands:
@@ -195,7 +194,7 @@ class TestCanonicalBytes:
             before = read(path)
             stamp = read(sidecar(path)) if os.path.exists(sidecar(path)) else None
             code = run_cli(path, argv, capsys)
-            # The control never keeps a sidecar, so it always encodes fully.
+            # The control never keeps a sidecar, so it always loads in full.
             assert run_cli(control, argv, capsys) == code, argv
             if os.path.exists(sidecar(control)):
                 os.unlink(sidecar(control))
@@ -226,7 +225,7 @@ class TestCanonicalBytes:
                      ["assign", "R1", "AD"], ["unassign", "R1", "ac"],
                      ["assign", "R1", "AC"], ["unassign", "R1", "AD \t-"]):
             assert run_cli(path, argv, capsys) == 0, argv
-            # The control never keeps a sidecar, so it always encodes fully.
+            # The control never keeps a sidecar, so it always loads in full.
             assert run_cli(control, argv, capsys) == 0, argv
             os.unlink(sidecar(control))
             assert read(path) == canonical(path) == read(control), argv
@@ -235,8 +234,8 @@ class TestCanonicalBytes:
     def test_stamp_without_a_codec_revision_is_not_trusted(self, repo_path, capsys,
                                                            monkeypatch):
         # Stamps written before the codec revision vouch for files that may
-        # store a taxonomy code padded, as "63FH " from a row "63FH -";
-        # reusing that line would keep the padding.
+        # store a taxonomy code padded, as "63FH " from a row "63FH -"; an
+        # edit ignores them and loads the file in full.
         monkeypatch.setenv("TTL_NOW", NOW)
         data = read(repo_path).replace(b'{"code": "63FH", ', b'{"code": "63FH ", ')
         with open(repo_path, "wb") as f:
@@ -285,7 +284,7 @@ class TestCanonicalBytes:
             assert read(repo_path) == serialize_repository(edited).encode("utf-8"), step
             assert read(repo_path) == canonical(repo_path), step
 
-    def test_a_change_to_any_field_of_any_record_kind_is_saved(self, repo_path, monkeypatch):
+    def test_a_change_to_any_field_of_any_record_kind_is_saved(self, repo_path):
         # A new field of a record class needs a value here: a record
         # replaced by a copy with any one field changed must reach the file.
         new_values = {
@@ -310,7 +309,6 @@ class TestCanonicalBytes:
                 with open(path, "wb") as out:
                     out.write(data)
 
-        monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
         for cls, (records_of, key, values) in new_values.items():
             for f in dataclasses.fields(cls):
                 restore()
@@ -328,17 +326,27 @@ class TestCanonicalBytes:
             assert read(repo_path) == canonical(repo_path), f.name
 
     @pytest.mark.parametrize("edit, expected", EDITS.values(), ids=EDITS)
-    def test_a_changed_record_is_encoded_and_the_rest_reused(self, marked_path, monkeypatch,
-                                                             edit, expected):
-        encoded = []
-        for name in ("_artifact_line", "_assignment_line", "_edit_line", "_node_line"):
-            real = getattr(store, name)
-            monkeypatch.setattr(store, name, lambda r, real=real: encoded.append(r) or real(r))
-        monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
+    def test_a_trusted_edit_encodes_only_its_new_log_entries(self, marked_path, monkeypatch,
+                                                              edit, expected):
+        encoded = encoded_log_entries(monkeypatch)
         with store.editing(marked_path) as repo:
             edit(repo)
         assert list(map(label, encoded)) == expected
         monkeypatch.undo()
+        assert read(marked_path) == canonical(marked_path)
+
+    @pytest.mark.parametrize("change", ["title", "attrs"])
+    def test_a_field_set_in_place_is_saved(self, marked_path, change):
+        # Records are values by contract, but the save encodes every record
+        # but the log's, so a field changed in place still reaches the file.
+        with store.editing(marked_path) as repo:
+            if change == "title":
+                repo.artifacts["R1"].title = "Set in place"
+            else:
+                repo.artifacts["R1"].attrs["k"] = "set in place"
+        saved = load_repository(marked_path).artifacts["R1"]
+        assert (saved.title, saved.attrs["k"]) == (
+            ("Set in place", "v") if change == "title" else ("Req 1", "set in place"))
         assert read(marked_path) == canonical(marked_path)
 
 
@@ -359,8 +367,8 @@ def assert_unchanged(before):
 
 
 class TestRecordsAreValues:
-    """An edit replaces a record and never changes one in place, because the
-    save under a trusted sidecar reuses the loaded line of every loaded object."""
+    """An edit replaces a record and never changes one in place: the link
+    index holds the assignments themselves and finds them by identity."""
 
     @pytest.mark.parametrize("edit", [edit for edit, _ in EDITS.values()], ids=EDITS)
     def test_library_edit(self, marked_path, edit):
@@ -480,20 +488,24 @@ class TestAppendOnlyLog:
             b'"op": "add"}']
         assert after == canonical(marked_path)
 
-    def test_a_trusted_edit_decodes_no_log_entry_and_encodes_no_full_file(
+    def test_a_trusted_edit_neither_decodes_nor_encodes_the_files_log(
             self, marked_path, capsys, monkeypatch):
         decoded = []
         real = linkage.EditRecord.from_dict
         monkeypatch.setattr(linkage.EditRecord, "from_dict",
                             staticmethod(lambda doc: decoded.append(doc) or real(doc)))
-        monkeypatch.setattr(store, "serialize_repository", None)  # a full encode would fail
+        encoded = encoded_log_entries(monkeypatch)
         assert run_cli(marked_path, ["assign", "R0", "63FH"], capsys) == 0
         assert decoded == []
-        # Without the sidecar every entry is decoded, and checked, as a load does.
-        monkeypatch.setattr(store, "serialize_repository", serialize_repository)
+        assert list(map(label, encoded)) == ["add R0 63FH"]
+        # Without the sidecar every entry is decoded, and checked, as a load
+        # does, then encoded again.
         os.unlink(sidecar(marked_path))
+        encoded.clear()
         assert run_cli(marked_path, ["unassign", "R0", "63FH"], capsys) == 0
-        assert len(decoded) == len(log_lines(read(marked_path))) - 1
+        entries = len(log_lines(read(marked_path)))
+        assert len(decoded) == entries - 1
+        assert len(encoded) == entries
 
     def forge(self, path, old, new, stamp):
         """Replace one log line of the file; stamp the new bytes or keep the old stamp."""
@@ -518,6 +530,58 @@ class TestAppendOnlyLog:
         # A full load still rejects it.
         assert cli.main(["--repo", marked_path, "validate"]) == 2
         assert capsys.readouterr().err == "error: edit_log[0]: unknown op 'move'\n"
+
+    def test_a_trusted_stamp_over_a_one_line_log_loads_it_in_full(self, marked_path, monkeypatch):
+        data = read(marked_path)
+        head, _, rest = data.partition(b'\n"edit_log": [\n')
+        log, _, tail = rest.partition(b"\n],\n")
+        forged = head + b'\n"edit_log": [' + log.replace(b",\n", b", ") + b"],\n" + tail
+        with open(marked_path, "wb") as f:
+            f.write(forged)
+        with open(sidecar(marked_path), "wb") as f:
+            f.write(store._stamp(forged))
+        encoded = encoded_log_entries(monkeypatch)
+        with store.editing(marked_path) as repo:
+            assert repo.edit_log == []
+        assert len(encoded) == len(log_lines(data))
+        assert read(marked_path) == data
+
+    @pytest.mark.parametrize("line, old, new", [
+        (0, b",\n", b"\n"), (-1, b"\n],\n", b",\n],\n"),
+    ], ids=["a line without its comma", "the last line with a comma"])
+    def test_a_trusted_stamp_over_misplaced_log_commas_is_not_believed(
+            self, marked_path, capsys, line, old, new):
+        # Kept as they are, the lines would stay a file that is not JSON.
+        record = log_lines(read(marked_path))[line]
+        forged = self.forge(marked_path, record + old, record + new, stamp=True)
+        stamp = read(sidecar(marked_path))
+        assert cli.main(["--repo", marked_path, "assign", "R1", "63FH"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: repository file is not valid JSON: ")
+        assert (read(marked_path), read(sidecar(marked_path))) == (forged, stamp)
+
+    @pytest.mark.parametrize("where, second", [
+        ("after", '"edit_log": [{"cause": "c", "endpoints": ["R2", "1"], '
+                  '"link_kind": "taxonomic", "op": "add"}],'),
+        ("after", '"edit_log": [],'),
+        ("before", '"edit_log": [{"cause": "c", "endpoints": ["R2", "1"], '
+                   '"link_kind": "taxonomic", "op": "add"}],'),
+    ], ids=["later, with an entry", "later, empty", "earlier, with an entry"])
+    def test_a_trusted_stamp_over_a_second_log_key_is_not_believed(
+            self, marked_path, tmp_path, capsys, where, second):
+        # JSON keeps the last of two equal keys, and so does the full load.
+        text = read(marked_path).decode("utf-8")
+        anchor = '\n"schema_version": ' if where == "after" else '\n"artifacts": '
+        forged = text.replace(anchor, f"\n{second}{anchor}", 1).encode("utf-8")
+        control = str(tmp_path / "control.json")
+        for path in (marked_path, control):
+            with open(path, "wb") as f:
+                f.write(forged)
+        with open(sidecar(marked_path), "wb") as f:
+            f.write(store._stamp(forged))
+        for path in (marked_path, control):
+            assert run_cli(path, ["assign", "R1", "63FH"], capsys) == 0
+        assert read(marked_path) == read(control) == canonical(control)
 
     def test_a_stamp_over_other_bytes_is_not_trusted(self, marked_path, capsys):
         first = log_lines(read(marked_path))[0]
@@ -590,7 +654,7 @@ class TestNonCanonicalInput:
         self.edit_rewritten(repo_path, rewrite, lock, capsys)
 
     @pytest.mark.parametrize("rewrite", [inner_spacing, ascii_escapes])
-    @pytest.mark.parametrize("lock", [MISSING, GARBAGE, STALE])
+    @pytest.mark.parametrize("lock", [MISSING, GARBAGE, STALE, VALID])
     def test_hand_edited_lines_are_not_reused(self, repo_path, capsys, monkeypatch,
                                               rewrite, lock):
         monkeypatch.setenv("TTL_NOW", NOW)
@@ -686,7 +750,7 @@ class TestWriterLock:
         assert (("R2", "63FH") in active(repo_path)) == (step == "pwrite")
         if step == "replace":
             assert read(repo_path) == before
-        # The lock died with the writer, and a stale sidecar costs one full encode.
+        # The lock died with the writer, and a stale sidecar costs one full load.
         assert run_cli(repo_path, ["assign", "R3", "63FH"], capsys) == 0
         assert read(repo_path) == canonical(repo_path)
 

@@ -648,53 +648,6 @@ class TestCycles:
         assert taxonomy.ancestors(built, "N0") == taxonomy.ancestors(repo.taxonomy, "N0")
 
 
-# Text that needs escaping or is not ASCII.
-ENCODE_TEXT = ["", "plain", "Brücke – 橋 ✓", "tab\tnew\nline", "\x00\x01\x1f\x7f",
-               'quote " and \\ slash', "  ", "😀 emoji", "𝄞"]
-
-
-def random_value(rng, depth=0):
-    roll = rng.randrange(8 if depth < 2 else 5)
-    if roll == 0:
-        return None
-    if roll == 1:
-        return rng.choice([True, False])
-    if roll == 2:
-        return rng.randint(-10**6, 10**6)
-    if roll in (3, 4):
-        return rng.choice(ENCODE_TEXT) + rng.choice(ENCODE_TEXT)
-    if roll == 5:
-        return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
-    return random_record(rng, depth + 1)
-
-
-def random_record(rng, depth=0):
-    keys = sorted({rng.choice(ENCODE_TEXT) + str(rng.randrange(5))
-                   for _ in range(rng.randint(0, 6))}, reverse=True)
-    return {key: random_value(rng, depth) for key in keys}
-
-
-class TestEncodeRecord:
-    def test_matches_json_dumps(self):
-        rng = random.Random(31)
-        for _ in range(300):
-            record = random_record(rng)
-            record["attrs"] = {k: str(v) for k, v in random_record(rng, 2).items()}
-            expected = json.dumps(record, sort_keys=True, ensure_ascii=False)
-            assert store.encode_record(record) == expected
-
-    def test_matches_json_dumps_on_saved_records(self):
-        rng = random.Random(32)
-        for _ in range(10):
-            doc = json.loads(serialize_repository(tricky_repo(rng)))
-            records = doc["artifacts"] + doc["assignments"] + doc["edit_log"]
-            for record in records + doc["taxonomy"]["nodes"]:
-                if "attrs" in record:
-                    record["attrs"] = dict(reversed(record["attrs"].items()))
-                expected = json.dumps(record, sort_keys=True, ensure_ascii=False)
-                assert store.encode_record(record) == expected
-
-
 # Text the tricky repositories lack: control characters, line and paragraph
 # separators, a no-break space, astral characters, quotes and backslashes.
 MORE_TEXT = ("\x00\x01\x1f\x7f\x85", "\u2028 \u2029 \u00a0 \ufeff", "\U0001f600 \uffff",

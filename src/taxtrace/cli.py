@@ -140,8 +140,7 @@ def cmd_import(args, repo: store.Repository) -> Output:
             parents = taxonomy.infer_parents(t.nodes)
             t = taxonomy.Taxonomy({code: dataclasses.replace(node, parent=parents[code])
                                    for code, node in t.nodes.items()})
-        repo.taxonomy = t
-        store.check_integrity(repo)
+        repo.taxonomy = t  # the save rejects links to codes ``t`` lacks
         doc = {"imported": "taxonomy", "nodes": len(t.nodes)}
         lines = [f"imported taxonomy: {len(t.nodes)} nodes"]
     elif args.what == "artifacts":

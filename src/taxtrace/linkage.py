@@ -1,6 +1,8 @@
-"""Artifact-to-class assignments, splits, and maintenance-cost accounting.
+"""Assignment edits, artifact splits, and maintenance-cost accounting.
 
 An assignment is one half-link: it ties an artifact to a taxonomy class.
+``store`` declares the assignment and edit-log records and owns their file
+format; this module edits them, and keeps the link index over them.
 Traces between artifacts arise later by joining two half-links through a
 taxonomy relation; the repository itself never stores artifact-to-artifact
 links.  Every assignment change is logged, and replaying the log must
@@ -20,39 +22,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateAssignment,
     DuplicateId,
     EmptyCode,
     InvalidCategory,
-    MalformedRecord,
     MalformedScenario,
     TooFewParts,
     UnknownAssignment,
     UnknownId,
 )
+# IMPORTED is unused here, but importable from here with the other provenances.
+from .store import (ADD, CONFIRMED, DELETE, DIRECT, IMPORTED, MANUAL, PROPOSED, PROVENANCES,
+                    REJECTED, SUGGESTED, TAXONOMIC, UNCLASSIFIABLE, Artifact, Assignment,
+                    EditRecord, Repository, check_kind, get_artifact)
 from .taxonomy import normalize_code
-
-if TYPE_CHECKING:
-    from .store import Artifact, Repository
-
-MANUAL = "manual"
-SUGGESTED = "suggested"
-IMPORTED = "imported"
-PROVENANCES = frozenset({MANUAL, SUGGESTED, IMPORTED})
-
-CONFIRMED = "confirmed"
-PROPOSED = "proposed"
-REJECTED = "rejected"
-UNCLASSIFIABLE = "unclassifiable"
-STATUSES = frozenset({CONFIRMED, PROPOSED, REJECTED, UNCLASSIFIABLE})
-
-ADD = "add"
-DELETE = "delete"
-TAXONOMIC = "taxonomic"
-DIRECT = "direct"
 
 # Reasons an artifact can resist classification.
 REASON_CATEGORIES = (
@@ -65,92 +50,11 @@ REASON_CATEGORIES = (
 )
 
 
-_STR_OR_NONE = (str, type(None))
-
-
 def utc_now(override: str | None = None) -> str:
     """Clock seam: callers inject a timestamp to keep outputs reproducible."""
     if override is not None:
         return override
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-@dataclass
-class Assignment:
-    """One artifact-to-class half-link, or an unclassifiable marker.
-
-    ``code`` is None exactly when status is unclassifiable; the note then
-    starts with the reason category.  A value: to change one, put a
-    ``dataclasses.replace`` copy in its place, because ``LinkIndex`` holds
-    the repository's own records and finds them by identity.
-    """
-
-    artifact_id: str
-    code: str | None
-    provenance: str
-    status: str
-    note: str | None = None
-    created_at: str = ""
-
-    @staticmethod
-    def from_dict(doc: dict) -> "Assignment":
-        """Decode one stored record; a ``MalformedRecord`` leaves its location to the caller."""
-        if not isinstance(doc, dict):
-            raise MalformedRecord("expected an object")
-        get = doc.get
-        artifact_id = get("artifact_id")
-        if not isinstance(artifact_id, str):
-            raise MalformedRecord("missing artifact_id")
-        # The str check first: a list or an object is not hashable.
-        provenance = get("provenance")
-        if not isinstance(provenance, str) or provenance not in PROVENANCES:
-            raise MalformedRecord(f"unknown provenance {provenance!r}")
-        status = get("status")
-        if not isinstance(status, str) or status not in STATUSES:
-            raise MalformedRecord(f"unknown status {status!r}")
-        code = get("code")
-        if code is not None and not isinstance(code, str):
-            raise MalformedRecord("code must be a string or null")
-        if (code is None) != (status == UNCLASSIFIABLE):
-            raise MalformedRecord("code must be null exactly for unclassifiable status")
-        note, created_at = get("note"), get("created_at")
-        if not (isinstance(note, _STR_OR_NONE) and isinstance(created_at, _STR_OR_NONE)):
-            key = "note" if not isinstance(note, _STR_OR_NONE) else "created_at"
-            raise MalformedRecord(f"{key} must be a string or null")
-        return Assignment(artifact_id, code, provenance, status, note, created_at or "")
-
-
-@dataclass
-class EditRecord:
-    """One entry of the append-only link edit log."""
-
-    op: str
-    link_kind: str
-    endpoints: tuple[str, str]
-    cause: str
-
-    @staticmethod
-    def from_dict(doc: dict) -> "EditRecord":
-        """Decode one stored record; a ``MalformedRecord`` leaves its location to the caller."""
-        if not isinstance(doc, dict):
-            raise MalformedRecord("expected an object")
-        get = doc.get
-        op, link_kind, endpoints = get("op"), get("link_kind"), get("endpoints")
-        if op not in (ADD, DELETE):
-            raise MalformedRecord(f"unknown op {op!r}")
-        if link_kind not in (TAXONOMIC, DIRECT):
-            raise MalformedRecord(f"unknown link_kind {link_kind!r}")
-        if not (
-            isinstance(endpoints, list)
-            and len(endpoints) == 2
-            and isinstance(endpoints[0], str)
-            and isinstance(endpoints[1], str)
-        ):
-            raise MalformedRecord("endpoints must be a pair of strings")
-        cause = get("cause")
-        if not isinstance(cause, _STR_OR_NONE):
-            raise MalformedRecord("cause must be a string or null")
-        return EditRecord(op, link_kind, tuple(endpoints), cause or "")
 
 
 def _position(items: list, record) -> int:
@@ -203,7 +107,7 @@ class LinkIndex:
         }
 
 
-def links(repo: "Repository") -> LinkIndex:
+def links(repo: Repository) -> LinkIndex:
     """The repository's link index, built in one pass on first use.
 
     From then on ``assign``, ``unassign`` and ``mark_unclassifiable``
@@ -217,13 +121,13 @@ def links(repo: "Repository") -> LinkIndex:
     return repo.links
 
 
-def active_codes(repo: "Repository", artifact_id: str, include_proposed: bool = False) -> set[str]:
+def active_codes(repo: Repository, artifact_id: str, include_proposed: bool = False) -> set[str]:
     """Codes currently assigned to an artifact (confirmed, optionally proposed)."""
     return links(repo).codes(artifact_id, include_proposed)
 
 
 def assign(
-    repo: "Repository",
+    repo: Repository,
     artifact_id: str,
     code: str,
     provenance: str = MANUAL,
@@ -260,7 +164,7 @@ def assign(
     return assignment
 
 
-def unassign(repo: "Repository", artifact_id: str, code: str, now: str | None = None) -> Assignment:
+def unassign(repo: Repository, artifact_id: str, code: str, now: str | None = None) -> Assignment:
     """Retire a half-link: a rejected copy takes its place, and is returned; history stays."""
     normalized = normalize_code(code)
     index = links(repo)
@@ -279,7 +183,7 @@ def unassign(repo: "Repository", artifact_id: str, code: str, now: str | None = 
 
 
 def mark_unclassifiable(
-    repo: "Repository",
+    repo: Repository,
     artifact_id: str,
     reason_category: str,
     note: str | None = None,
@@ -335,9 +239,9 @@ class SplitOutcome:
 
 
 def split_artifact(
-    repo: "Repository",
+    repo: Repository,
     artifact_id: str,
-    parts: list["Artifact"],
+    parts: list[Artifact],
     code_allocation: dict[str, set[str]],
     now: str | None = None,
 ) -> SplitOutcome:
@@ -350,8 +254,6 @@ def split_artifact(
     Every part is checked before any is added, so a rejected split
     changes nothing.
     """
-    from .store import check_kind, get_artifact
-
     original = get_artifact(repo, artifact_id)
     if len(parts) < 2:
         raise TooFewParts(f"split of {artifact_id!r} needs at least 2 parts, got {len(parts)}")

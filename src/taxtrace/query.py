@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyClassification, UnknownId
-from .linkage import CONFIRMED, links
-from .store import Repository, check_kind, get_artifact
+from .linkage import links
+from .store import CONFIRMED, Repository, check_kind, get_artifact
 from .taxonomy import (
     Relation,
     Taxonomy,

@@ -1,17 +1,25 @@
-"""Artifact repository: one store for every artifact kind, plus persistence.
+"""Artifact repository: the records and their file format, plus persistence.
 
 Requirements, design objects, test cases, source units, and compliance
 clauses all live in a single repository file together with the taxonomy,
-the artifact-to-class assignments, and the edit log.  Persistence is a
-canonical JSON document: sorted keys, stable ordering, trailing newline,
-so that saving the same repository twice yields byte-identical files.
-Schema 2 writes each artifact, assignment, edit-log entry and taxonomy
-node as one compact line, so a change to one record is one line in a
-diff.  Each record kind has its own line encoder, bound to write exactly
-what ``json.dumps(doc, sort_keys=True, ensure_ascii=False)`` writes for
-the record's stored document; a field of the wrong type raises TypeError
-and nothing is written.  Schema 1 files, the same document indented,
-still load and are rewritten as schema 2 by their next save.
+the artifact-to-class assignments, and the edit log.  This module owns
+the records' stored format: it declares ``Artifact``, ``Assignment`` and
+``EditRecord`` with the values their fields may take, and holds each
+one's decoder next to its line encoder; ``taxonomy`` owns the node's.
+``linkage`` edits the records and imports this module, never the reverse.
+
+Persistence is a canonical JSON document: sorted keys, stable ordering,
+trailing newline, so that saving the same repository twice yields
+byte-identical files.  Schema 2 writes each artifact, assignment,
+edit-log entry and taxonomy node as one compact line, so a change to one
+record is one line in a diff.  Each line is exactly what
+``json.dumps(doc, sort_keys=True, ensure_ascii=False)`` writes for the
+record's stored document.  A save refuses what a load refuses, and
+writes nothing: a field of the wrong type raises TypeError, a value the
+decoder rejects raises ValueError, and an assignment to a missing
+artifact or code raises ReferentialIntegrityError.  Schema 1 files, the
+same document indented, still load and are rewritten as schema 2 by
+their next save.
 
 Commands that change the repository go through ``editing``: one writer
 at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
@@ -62,8 +70,7 @@ from .errors import (
     TaxTraceError,
     UnknownId,
 )
-from .linkage import _STR_OR_NONE, Assignment, EditRecord, LinkIndex
-from .taxonomy import Taxonomy, TaxonomyNode, _build, _structured_records
+from .taxonomy import Taxonomy, _build, _record_lines, _structured_records, _structured_text
 
 REQUIREMENT = "requirement"
 DESIGN_OBJECT = "design-object"
@@ -74,6 +81,24 @@ COMPLIANCE_CLAUSE = "compliance-clause"
 ARTIFACT_KINDS = frozenset(
     {REQUIREMENT, DESIGN_OBJECT, TEST_CASE, SOURCE_UNIT, COMPLIANCE_CLAUSE}
 )
+
+MANUAL = "manual"
+SUGGESTED = "suggested"
+IMPORTED = "imported"
+PROVENANCES = frozenset({MANUAL, SUGGESTED, IMPORTED})
+
+CONFIRMED = "confirmed"
+PROPOSED = "proposed"
+REJECTED = "rejected"
+UNCLASSIFIABLE = "unclassifiable"
+STATUSES = frozenset({CONFIRMED, PROPOSED, REJECTED, UNCLASSIFIABLE})
+
+# Edit-log ops and link kinds.  A repository only ever logs taxonomic links;
+# direct ones exist in ``linkage``'s cost simulation.
+ADD = "add"
+DELETE = "delete"
+TAXONOMIC = "taxonomic"
+DIRECT = "direct"
 
 SCHEMA_VERSION = 2
 
@@ -102,25 +127,54 @@ class Artifact:
 
 
 @dataclass
+class Assignment:
+    """One artifact-to-class half-link, or an unclassifiable marker.
+
+    ``code`` is None exactly when status is unclassifiable; the note then
+    starts with the reason category.  A value: to change one, put a
+    ``dataclasses.replace`` copy in its place, because ``linkage.LinkIndex``
+    holds the repository's own records and finds them by identity.
+    """
+
+    artifact_id: str
+    code: str | None
+    provenance: str
+    status: str
+    note: str | None = None
+    created_at: str = ""
+
+
+@dataclass
+class EditRecord:
+    """One entry of the append-only link edit log."""
+
+    op: str
+    link_kind: str
+    endpoints: tuple[str, str]
+    cause: str
+
+
+@dataclass
 class Repository:
     """Taxonomy, artifacts, assignments, and the append-only edit log.
 
     Inside ``editing``, ``edit_log`` holds only the entries the edit appends;
     the save writes them after the file's log lines.
 
-    ``links`` is the link index that ``linkage.links`` builds from the
-    assignments on first use.  Once it exists, assignments change only
-    through ``linkage`` (``assign``, ``unassign``, ``mark_unclassifiable``
-    and ``split_artifact``), which keep it up to date.  Every record is a
-    value: an edit replaces it at its key or position, never changes it in
-    place (see the module docstring).
+    ``links`` is the ``linkage.LinkIndex`` that ``linkage.links`` builds
+    from the assignments on first use; this module never reads it.  Once it
+    exists, assignments change only through ``linkage`` (``assign``,
+    ``unassign``, ``mark_unclassifiable`` and ``split_artifact``), which
+    keep it up to date.  Every record is a value: an edit replaces it at
+    its key or position, never changes it in place (see the module
+    docstring).
     """
 
     taxonomy: Taxonomy
     artifacts: dict[str, Artifact] = field(default_factory=dict)
     assignments: list[Assignment] = field(default_factory=list)
     edit_log: list[EditRecord] = field(default_factory=list)
-    links: LinkIndex | None = field(default=None, repr=False, compare=False)
+    links: object = field(default=None, repr=False, compare=False)
 
 
 def new_repository(t: Taxonomy | None = None) -> Repository:
@@ -179,11 +233,17 @@ def check_integrity(repo: Repository) -> None:
 # --- canonical serialization ---
 
 
+# Each record kind has a decoder, which leaves a ``MalformedRecord``'s
+# location to its caller, and next to it a line encoder.  An encoder passes
+# every string through ``json``'s own ``encode_basestring``, which raises
+# TypeError for anything but a str, and then raises ValueError for a value
+# the decoder rejects.
+_text = json.encoder.encode_basestring
+_STR_OR_NONE = (str, type(None))
 _OPTIONAL_TEXT = ("body", "document", "version")
 
 
 def _artifact_from_dict(doc: dict) -> Artifact:
-    """Decode one stored record; a ``MalformedRecord`` leaves its location to the caller."""
     if not isinstance(doc, dict):
         raise MalformedRecord("expected an object")
     get = doc.get
@@ -216,17 +276,6 @@ def _artifact_from_dict(doc: dict) -> Artifact:
     return Artifact(artifact_id, kind, title, body, attrs, document, version, archived)
 
 
-# Each record kind has its own line encoder.  Each writes what
-# ``json.dumps(doc, sort_keys=True, ensure_ascii=False)`` writes for the
-# record's stored document: its keys in sorted order, with the optional keys
-# of an artifact and a node left out when empty.  Every string goes through
-# ``json``'s own ``encode_basestring``, which raises TypeError for anything
-# but a str; so a field of the wrong type fails the save before anything is
-# written, instead of writing a file the loader rejects or reads back as
-# another value.
-_text = json.encoder.encode_basestring
-
-
 def _artifact_line(a: Artifact) -> str:
     archived, attrs = a.archived, a.attrs
     if archived is not True and archived is not False:
@@ -244,74 +293,109 @@ def _artifact_line(a: Artifact) -> str:
     line += f', "id": {_text(a.id)}, "kind": {_text(a.kind)}, "title": {_text(a.title)}'
     if a.version is not None:
         line += f', "version": {_text(a.version)}'
+    if a.kind not in ARTIFACT_KINDS:
+        raise ValueError(f"unknown artifact kind {a.kind!r}")
     return line + "}"
 
 
+def _assignment_from_dict(doc: dict) -> Assignment:
+    if not isinstance(doc, dict):
+        raise MalformedRecord("expected an object")
+    get = doc.get
+    artifact_id = get("artifact_id")
+    if not isinstance(artifact_id, str):
+        raise MalformedRecord("missing artifact_id")
+    # The str check first: a list or an object is not hashable.
+    provenance = get("provenance")
+    if not isinstance(provenance, str) or provenance not in PROVENANCES:
+        raise MalformedRecord(f"unknown provenance {provenance!r}")
+    status = get("status")
+    if not isinstance(status, str) or status not in STATUSES:
+        raise MalformedRecord(f"unknown status {status!r}")
+    code = get("code")
+    if code is not None and not isinstance(code, str):
+        raise MalformedRecord("code must be a string or null")
+    if (code is None) != (status == UNCLASSIFIABLE):
+        raise MalformedRecord("code must be null exactly for unclassifiable status")
+    note, created_at = get("note"), get("created_at")
+    if not (isinstance(note, _STR_OR_NONE) and isinstance(created_at, _STR_OR_NONE)):
+        key = "note" if not isinstance(note, _STR_OR_NONE) else "created_at"
+        raise MalformedRecord(f"{key} must be a string or null")
+    return Assignment(artifact_id, code, provenance, status, note, created_at or "")
+
+
 def _assignment_line(a: Assignment) -> str:
-    code, note = a.code, a.note
-    return (f'{{"artifact_id": {_text(a.artifact_id)}, '
+    code, note, provenance, status = a.code, a.note, a.provenance, a.status
+    line = (f'{{"artifact_id": {_text(a.artifact_id)}, '
             f'"code": {"null" if code is None else _text(code)}, '
             f'"created_at": {_text(a.created_at)}, '
             f'"note": {"null" if note is None else _text(note)}, '
-            f'"provenance": {_text(a.provenance)}, "status": {_text(a.status)}}}')
+            f'"provenance": {_text(provenance)}, "status": {_text(status)}}}')
+    if provenance not in PROVENANCES:
+        raise ValueError(f"unknown provenance {provenance!r}")
+    if status not in STATUSES:
+        raise ValueError(f"unknown status {status!r}")
+    if (code is None) != (status == UNCLASSIFIABLE):
+        raise ValueError("code must be None exactly for unclassifiable status")
+    return line
+
+
+def _edit_from_dict(doc: dict) -> EditRecord:
+    if not isinstance(doc, dict):
+        raise MalformedRecord("expected an object")
+    get = doc.get
+    op, link_kind, endpoints = get("op"), get("link_kind"), get("endpoints")
+    if op not in (ADD, DELETE):
+        raise MalformedRecord(f"unknown op {op!r}")
+    if link_kind not in (TAXONOMIC, DIRECT):
+        raise MalformedRecord(f"unknown link_kind {link_kind!r}")
+    if not (
+        isinstance(endpoints, list)
+        and len(endpoints) == 2
+        and isinstance(endpoints[0], str)
+        and isinstance(endpoints[1], str)
+    ):
+        raise MalformedRecord("endpoints must be a pair of strings")
+    cause = get("cause")
+    if not isinstance(cause, _STR_OR_NONE):
+        raise MalformedRecord("cause must be a string or null")
+    return EditRecord(op, link_kind, tuple(endpoints), cause or "")
 
 
 def _edit_line(e: EditRecord) -> str:
-    endpoints = e.endpoints
+    op, link_kind, endpoints = e.op, e.link_kind, e.endpoints
     if not isinstance(endpoints, (tuple, list)) or len(endpoints) != 2:
         raise TypeError(f"endpoints must be a pair of strings, not {endpoints!r}")
     source, target = endpoints
-    return (f'{{"cause": {_text(e.cause)}, "endpoints": [{_text(source)}, {_text(target)}], '
-            f'"link_kind": {_text(e.link_kind)}, "op": {_text(e.op)}}}')
-
-
-def _node_line(node: TaxonomyNode) -> str:
-    """The line of ``taxonomy._node_doc``'s record, which the structured format writes."""
-    synonyms = node.synonyms
-    if not isinstance(synonyms, (list, tuple)):
-        raise TypeError(f"synonyms must be a list of strings, not {synonyms!r}")
-    line = f'{{"code": {_text(node.code)}'
-    if node.description is not None:
-        line += f', "description": {_text(node.description)}'
-    if node.parent is not None:
-        line += f', "parent": {_text(node.parent)}'
-    if synonyms:
-        line += f', "synonyms": [{", ".join(map(_text, synonyms))}]'
-    return f'{line}, "title": {_text(node.title)}}}'
-
-
-def _record_lines(lines: list[str]) -> str:
-    """A JSON list with one encoded record per line; ``[]`` when empty."""
-    return "[\n" + ",\n".join(lines) + "\n]" if lines else "[]"
-
-
-def _document(artifacts: str, assignments: str, edit_log: str, nodes: str) -> str:
-    """The schema-2 file around each section's ``_record_lines``."""
-    return (
-        f'{{\n"artifacts": {artifacts},\n"assignments": {assignments},\n'
-        f'"edit_log": {edit_log},\n"schema_version": {SCHEMA_VERSION},\n'
-        f'"taxonomy": {{"nodes": {nodes}}}\n}}\n'
-    )
-
-
-def _sections(repo: Repository):
-    """Each section's records in file order, with the function that makes a record's line.
-
-    The one statement of the file's section order: artifacts by id, the
-    assignments and the edit log as listed, and taxonomy nodes by code.
-    """
-    artifacts, nodes = repo.artifacts, repo.taxonomy.nodes
-    yield map(artifacts.__getitem__, sorted(artifacts)), _artifact_line
-    yield repo.assignments, _assignment_line
-    yield repo.edit_log, _edit_line
-    yield map(nodes.__getitem__, sorted(nodes)), _node_line
+    line = (f'{{"cause": {_text(e.cause)}, "endpoints": [{_text(source)}, {_text(target)}], '
+            f'"link_kind": {_text(link_kind)}, "op": {_text(op)}}}')
+    if op not in (ADD, DELETE):
+        raise ValueError(f"unknown op {op!r}")
+    if link_kind not in (TAXONOMIC, DIRECT):
+        raise ValueError(f"unknown link_kind {link_kind!r}")
+    return line
 
 
 def _serialize(repo: Repository, log: list[str]) -> str:
-    """The file of ``repo``, with the edit-log lines ``log`` before those of its own log."""
-    # One section at a time, so that only one section's lines are held.
-    return _document(*(_record_lines([*kept, *map(line, records)])
-                       for kept, (records, line) in zip(([], [], log, []), _sections(repo))))
+    """The file of ``repo``, with the edit-log lines ``log`` before those of its own log.
+
+    Artifacts are written by id, the assignments and the edit log as
+    listed, and taxonomy nodes by code.  Each section is encoded in turn,
+    so that only one section's lines are held.  ``check_integrity`` runs
+    after every record is encoded, as a load runs it after every record
+    is decoded.
+    """
+    artifacts = repo.artifacts
+    by_id = map(artifacts.__getitem__, sorted(artifacts))
+    text = (
+        f'{{\n"artifacts": {_record_lines(map(_artifact_line, by_id))},\n'
+        f'"assignments": {_record_lines(map(_assignment_line, repo.assignments))},\n'
+        f'"edit_log": {_record_lines(itertools.chain(log, map(_edit_line, repo.edit_log)))},\n'
+        f'"schema_version": {SCHEMA_VERSION},\n'
+        f'"taxonomy": {_structured_text(repo.taxonomy)}\n}}\n'
+    )
+    check_integrity(repo)
+    return text
 
 
 def serialize_repository(repo: Repository) -> str:
@@ -402,8 +486,8 @@ def deserialize_repository(text: str) -> Repository:
     taxonomy = _build(_structured_records(doc.get("taxonomy") or {"nodes": []}))
     artifacts = _by_id(_decoded(_records(doc, "artifacts"), _artifact_from_dict,
                                 "artifacts", _by_id))
-    assignments = _decoded(_records(doc, "assignments"), Assignment.from_dict, "assignments")
-    edit_log = _decoded(_records(doc, "edit_log"), EditRecord.from_dict, "edit_log")
+    assignments = _decoded(_records(doc, "assignments"), _assignment_from_dict, "assignments")
+    edit_log = _decoded(_records(doc, "edit_log"), _edit_from_dict, "edit_log")
     repo = Repository(taxonomy, artifacts, assignments, edit_log)
     check_integrity(repo)
     return repo

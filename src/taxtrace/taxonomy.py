@@ -11,6 +11,11 @@ the usual structural sense, and top-level roots are treated as siblings of
 each other (they share the absent parent).  Root pairs report the
 conventional sibling distance 2 even though no path connects their trees;
 breadth-first operations (``neighborhood``) never cross trees.
+
+This module owns the stored node format.  The structured format is a
+``{"nodes": [...]}`` document with one node per line, by code, and a
+repository file stores the same text under "taxonomy": both are decoded
+by ``_structured_records`` and encoded by ``_node_line``.
 """
 
 from __future__ import annotations
@@ -330,21 +335,37 @@ def parse_taxonomy(text: str, format: str = TABULAR) -> Taxonomy:
     return _build(records)
 
 
-def _node_doc(node: TaxonomyNode) -> dict:
-    """One node's record in the structured format."""
-    item: dict = {"code": node.code, "title": node.title}
-    if node.parent is not None:
-        item["parent"] = node.parent
+# A node's line is what ``json.dumps(doc, sort_keys=True, ensure_ascii=False)``
+# writes for its record, with the optional keys left out when empty.
+# ``encode_basestring`` raises TypeError for anything but a str, so a field
+# of the wrong type fails before anything is written.
+_text = json.encoder.encode_basestring
+
+
+def _node_line(node: TaxonomyNode) -> str:
+    synonyms = node.synonyms
+    if not isinstance(synonyms, (list, tuple)):
+        raise TypeError(f"synonyms must be a list of strings, not {synonyms!r}")
+    line = f'{{"code": {_text(node.code)}'
     if node.description is not None:
-        item["description"] = node.description
-    if node.synonyms:
-        item["synonyms"] = list(node.synonyms)
-    return item
+        line += f', "description": {_text(node.description)}'
+    if node.parent is not None:
+        line += f', "parent": {_text(node.parent)}'
+    if synonyms:
+        line += f', "synonyms": [{", ".join(map(_text, synonyms))}]'
+    return f'{line}, "title": {_text(node.title)}}}'
 
 
-def _structured_doc(t: Taxonomy) -> dict:
-    """The ``{"nodes": [...]}`` document of the structured format, by code."""
-    return {"nodes": [_node_doc(t.nodes[code]) for code in sorted(t.nodes)]}
+def _record_lines(lines) -> str:
+    """A JSON list with one encoded record per line; ``[]`` when empty."""
+    text = ",\n".join(lines)
+    return f"[\n{text}\n]" if text else "[]"
+
+
+def _structured_text(t: Taxonomy) -> str:
+    """The structured format's ``{"nodes": [...]}`` document, one node per line, by code."""
+    nodes = t.nodes
+    return f'{{"nodes": {_record_lines([_node_line(nodes[code]) for code in sorted(nodes)])}}}'
 
 
 def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:
@@ -366,7 +387,7 @@ def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:
             )
         return buf.getvalue()
     if format == STRUCTURED:
-        return json.dumps(_structured_doc(t), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return _structured_text(t) + "\n"
     raise ValueError(f"unknown taxonomy format {format!r}")
 
 

@@ -17,7 +17,12 @@ import pytest
 
 from conftest import CANONICAL_TAXONOMY_CSV, FENCES_TAXONOMY_CSV, NOW
 from taxtrace import cli, linkage, store, taxonomy
-from taxtrace.errors import DuplicateAssignment, MalformedRecord, RepositoryLocked
+from taxtrace.errors import (
+    DuplicateAssignment,
+    MalformedRecord,
+    ReferentialIntegrityError,
+    RepositoryLocked,
+)
 from taxtrace.store import (
     Artifact,
     add_artifact,
@@ -468,6 +473,46 @@ class TestWrongFieldTypes:
         assert (read(marked_path), read(sidecar(marked_path))) == start
 
 
+# Values of the right type that the loader refuses, and what the save raises.
+REFUSED_VALUES = [
+    (Artifact, "kind", "poem", ValueError),
+    (linkage.Assignment, "status", "maybe", ValueError),
+    (linkage.Assignment, "provenance", "robot", ValueError),
+    (linkage.Assignment, "status", linkage.UNCLASSIFIABLE, ValueError),  # a marker with a code
+    (linkage.Assignment, "code", None, ValueError),  # a confirmed link without one
+    (linkage.EditRecord, "op", "move", ValueError),
+    (linkage.EditRecord, "link_kind", "psychic", ValueError),
+    (linkage.Assignment, "artifact_id", "R9", ReferentialIntegrityError),  # no such artifact
+    (linkage.Assignment, "code", "a -", ReferentialIntegrityError),  # not a normal code
+]
+REFUSED_IDS = [f"{cls.__name__}.{name}={value!r}" for cls, name, value, _ in REFUSED_VALUES]
+
+
+class TestRefusedValues:
+    """A value the loader refuses fails the save, and nothing is written."""
+
+    @pytest.mark.parametrize("cls, name, value, error", REFUSED_VALUES, ids=REFUSED_IDS)
+    def test_save_repository(self, marked_path, cls, name, value, error):
+        start = read(marked_path), read(sidecar(marked_path))
+        repo = load_repository(marked_path)
+        put_wrong(repo, cls, name, value)
+        with pytest.raises(error):
+            save_repository(repo, marked_path)
+        assert (read(marked_path), read(sidecar(marked_path))) == start
+
+    @pytest.mark.parametrize("trusted", [True, False], ids=["trusted", "stale stamp"])
+    @pytest.mark.parametrize("cls, name, value, error", REFUSED_VALUES, ids=REFUSED_IDS)
+    def test_editing(self, marked_path, cls, name, value, error, trusted):
+        if not trusted:
+            with open(sidecar(marked_path), "wb") as f:
+                f.write(b"0\n")
+        start = read(marked_path), read(sidecar(marked_path))
+        with pytest.raises(error):
+            with store.editing(marked_path) as repo:
+                put_wrong(repo, cls, name, value)
+        assert (read(marked_path), read(sidecar(marked_path))) == start
+
+
 class TestAppendOnlyLog:
     """Inside ``store.editing`` the edit log holds only the entries the block
     appends; the save writes the file's log lines and then theirs."""
@@ -491,9 +536,9 @@ class TestAppendOnlyLog:
     def test_a_trusted_edit_neither_decodes_nor_encodes_the_files_log(
             self, marked_path, capsys, monkeypatch):
         decoded = []
-        real = linkage.EditRecord.from_dict
-        monkeypatch.setattr(linkage.EditRecord, "from_dict",
-                            staticmethod(lambda doc: decoded.append(doc) or real(doc)))
+        real = store._edit_from_dict
+        monkeypatch.setattr(store, "_edit_from_dict",
+                            lambda doc: decoded.append(doc) or real(doc))
         encoded = encoded_log_entries(monkeypatch)
         assert run_cli(marked_path, ["assign", "R0", "63FH"], capsys) == 0
         assert decoded == []

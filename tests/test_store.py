@@ -5,11 +5,13 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 
 import pytest
 
 import oracles
-from conftest import NOW, random_repo, tax_from_parents
+from conftest import CANONICAL_TAXONOMY_CSV, NOW, random_repo, tax_from_parents
 from taxtrace import linkage, store, taxonomy
 from taxtrace.errors import (
     CycleDetected,
@@ -684,9 +686,9 @@ class TestLineEncoders:
                 repo = edge_records(repo)
             kinds = [
                 (repo.artifacts.values(), store._artifact_line, store._artifact_from_dict),
-                (repo.assignments, store._assignment_line, linkage.Assignment.from_dict),
-                (repo.edit_log, store._edit_line, linkage.EditRecord.from_dict),
-                (repo.taxonomy.nodes.values(), store._node_line,
+                (repo.assignments, store._assignment_line, store._assignment_from_dict),
+                (repo.edit_log, store._edit_line, store._edit_from_dict),
+                (repo.taxonomy.nodes.values(), taxonomy._node_line,
                  lambda doc: taxonomy._structured_records({"nodes": [doc]})[0]),
             ]
             for records, line_of, decode in kinds:
@@ -704,7 +706,39 @@ class TestLineEncoders:
         assert store._assignment_line(mark) == (
             '{"artifact_id": "R1", "code": null, "created_at": "", "note": null, '
             '"provenance": "manual", "status": "unclassifiable"}')
-        assert store._node_line(TaxonomyNode("A", "Alpha")) == '{"code": "A", "title": "Alpha"}'
+        assert taxonomy._node_line(TaxonomyNode("A", "Alpha")) == '{"code": "A", "title": "Alpha"}'
+
+
+class TestOneNodeEncoder:
+    """The structured taxonomy format is the text a repository stores under "taxonomy"."""
+
+    @pytest.mark.parametrize("edge", [False, True], ids=["canonical", "edge records"])
+    def test_write_taxonomy_writes_the_stored_taxonomy(self, tmp_path, edge):
+        repo = new_repository(taxonomy.parse_taxonomy(CANONICAL_TAXONOMY_CSV))
+        if edge:
+            repo = edge_records(repo)
+        path = tmp_path / "repo.json"
+        save_repository(repo, path)
+        stored = path.read_text(encoding="utf-8").partition('\n"taxonomy": ')[2]
+        assert stored.endswith("\n}\n")
+        assert taxonomy.write_taxonomy(repo.taxonomy, "structured") == stored[:-3] + "\n"
+
+
+# Each module with the package modules it must not load: taxonomy <- store <- linkage.
+LAYERS = [
+    ("taxtrace.store", ("taxtrace.linkage",)),
+    ("taxtrace.taxonomy", ("taxtrace.store", "taxtrace.linkage")),
+]
+
+
+class TestLayering:
+    @pytest.mark.parametrize("module, above", LAYERS, ids=[m for m, _ in LAYERS])
+    def test_a_module_loads_no_module_above_it(self, module, above):
+        code = f"import sys, {module}; print(sorted(set({above!r}) & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(store.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestJsonlIngestion:

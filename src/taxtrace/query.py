@@ -13,7 +13,7 @@ never participate.  Everything here is read-only.
 Both read the repository's link index (``linkage.links``): codes per
 artifact and artifacts per code.  A trace reads only the artifacts under
 its admissible codes and computes each code pair's relation once;
-coverage is one pass over the sources, with no trace per source.
+coverage runs no trace, but memoizes up to two targets per source code.
 """
 
 from __future__ import annotations
@@ -161,6 +161,23 @@ def trace(
     return [TraceHit(target=target_id, via=via[target_id]) for target_id in sorted(via)]
 
 
+def _two_targets(repo: Repository, f: RelationFilter, source_code: str, kind: str,
+                 include_proposed: bool) -> list[str]:
+    """Up to two distinct unarchived targets of ``kind`` usably linked to an admissible code."""
+    index = links(repo)
+    found: list[str] = []
+    for c in index.by_code.keys() & _admissible_codes(repo.taxonomy, f, source_code):
+        for a in index.by_code[c]:
+            target_id = a.artifact_id
+            if (include_proposed or a.status == CONFIRMED) and target_id not in found:
+                target = repo.artifacts[target_id]
+                if target.kind == kind and not target.archived:
+                    found.append(target_id)
+                    if len(found) == 2:
+                        return found
+    return found
+
+
 @dataclass
 class CoverageReport:
     covered: list[str]
@@ -186,6 +203,12 @@ def coverage(
     both lists and from the denominator; the default counts them as
     uncovered.  A marked artifact that was classified since is judged
     like any other.
+
+    Each source code is looked up once, on first use: its memo holds up
+    to two distinct usable targets under its admissible codes.  Two are
+    enough, because a source must not cover itself when ``from_kind ==
+    to_kind``: with two, one is another artifact; with one, it is the only
+    target there is.  A source's remaining codes go unread once one covers it.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown coverage policy {policy!r}")
@@ -194,7 +217,7 @@ def coverage(
         check_kind(to_kind)
         f = require_filter(f)
     index = links(repo)
-    admissible: dict[str, set[str]] = {}
+    reach: dict[str, list[str]] = {}
     covered: list[str] = []
     uncovered: list[str] = []
     for artifact_id in sorted(repo.artifacts):
@@ -210,16 +233,14 @@ def coverage(
             covered.append(artifact_id)
             continue
         for s in codes:
-            if s not in admissible:
-                admissible[s] = index.by_code.keys() & _admissible_codes(repo.taxonomy, f, s)
-        hit = any(
-            (include_proposed or a.status == CONFIRMED)
-            and _is_target(repo, a.artifact_id, artifact_id, to_kind)
-            for s in codes
-            for c in admissible[s]
-            for a in index.by_code[c]
-        )
-        (covered if hit else uncovered).append(artifact_id)
+            if s not in reach:
+                reach[s] = _two_targets(repo, f, s, to_kind, include_proposed)
+            # Distinct targets: another artifact is there unless the source is alone.
+            if reach[s] not in ([], [artifact_id]):
+                covered.append(artifact_id)
+                break
+        else:
+            uncovered.append(artifact_id)
     total = len(covered) + len(uncovered)
     rate = Fraction(len(covered), total) if total else Fraction(1)
     return CoverageReport(covered=covered, uncovered=uncovered, rate=rate, policy=policy)

@@ -383,7 +383,7 @@ def _serialize(repo: Repository, log: list[str]) -> str:
     listed, and taxonomy nodes by code.  Each section is encoded in turn,
     so that only one section's lines are held.  ``check_integrity`` runs
     after every record is encoded, as a load runs it after every record
-    is decoded.
+    is decoded.  ValueError for an artifact under a key that is not its id.
     """
     artifacts = repo.artifacts
     by_id = map(artifacts.__getitem__, sorted(artifacts))
@@ -394,6 +394,9 @@ def _serialize(repo: Repository, log: list[str]) -> str:
         f'"schema_version": {SCHEMA_VERSION},\n'
         f'"taxonomy": {_structured_text(repo.taxonomy)}\n}}\n'
     )
+    for key, artifact in artifacts.items():
+        if artifact.id != key:
+            raise ValueError(f"artifact {artifact.id!r} is stored under key {key!r}")
     check_integrity(repo)
     return text
 

@@ -363,9 +363,16 @@ def _record_lines(lines) -> str:
 
 
 def _structured_text(t: Taxonomy) -> str:
-    """The structured format's ``{"nodes": [...]}`` document, one node per line, by code."""
+    """The structured format's ``{"nodes": [...]}`` document, one node per line, by code.
+
+    ValueError for a node under a key that is not its code: it would parse back under its code.
+    """
     nodes = t.nodes
-    return f'{{"nodes": {_record_lines([_node_line(nodes[code]) for code in sorted(nodes)])}}}'
+    text = f'{{"nodes": {_record_lines([_node_line(nodes[code]) for code in sorted(nodes)])}}}'
+    for code, node in nodes.items():
+        if node.code != code:
+            raise ValueError(f"taxonomy node {node.code!r} is stored under key {code!r}")
+    return text
 
 
 def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:

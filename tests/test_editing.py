@@ -319,7 +319,13 @@ class TestCanonicalBytes:
                 restore()
                 with store.editing(repo_path) as repo:
                     records = records_of(repo)
-                    records[key] = dataclasses.replace(records[key], **{f.name: values[f.name]})
+                    changed = dataclasses.replace(records[key], **{f.name: values[f.name]})
+                    if cls is Artifact:
+                        # An artifact is stored under its id; a renamed one moves.
+                        del records[key]
+                        records[changed.id] = changed
+                    else:
+                        records[key] = changed
                 assert read(repo_path) != start[0], f.name
                 assert read(repo_path) == canonical(repo_path), f.name
         for f in dataclasses.fields(linkage.EditRecord):
@@ -484,6 +490,11 @@ REFUSED_VALUES = [
     (linkage.EditRecord, "link_kind", "psychic", ValueError),
     (linkage.Assignment, "artifact_id", "R9", ReferentialIntegrityError),  # no such artifact
     (linkage.Assignment, "code", "a -", ReferentialIntegrityError),  # not a normal code
+    # A record under a key that is not its own: ``put_wrong`` keeps key R1 or 1.
+    (Artifact, "id", "R0", ValueError),  # beside R0, read back as a duplicate
+    (Artifact, "id", "R9", ValueError),  # read back as R9
+    (taxonomy.TaxonomyNode, "code", "2", ValueError),  # beside 2, read back as a duplicate
+    (taxonomy.TaxonomyNode, "code", "9", ValueError),  # read back as class 9
 ]
 REFUSED_IDS = [f"{cls.__name__}.{name}={value!r}" for cls, name, value, _ in REFUSED_VALUES]
 
@@ -511,6 +522,17 @@ class TestRefusedValues:
             with store.editing(marked_path) as repo:
                 put_wrong(repo, cls, name, value)
         assert (read(marked_path), read(sidecar(marked_path))) == start
+
+    @pytest.mark.parametrize("cls, value, message", [
+        (Artifact, "R0", "artifact 'R0' is stored under key 'R1'"),
+        (taxonomy.TaxonomyNode, "2", "taxonomy node '2' is stored under key '1'"),
+    ], ids=["artifact", "taxonomy node"])
+    def test_a_record_under_another_key_is_named_by_both(self, marked_path, cls, value, message):
+        repo = load_repository(marked_path)
+        put_wrong(repo, cls, "code" if cls is taxonomy.TaxonomyNode else "id", value)
+        with pytest.raises(ValueError) as caught:
+            save_repository(repo, marked_path)
+        assert str(caught.value) == message
 
 
 class TestAppendOnlyLog:

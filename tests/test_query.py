@@ -236,6 +236,67 @@ class TestCoverage:
             trace(sampled_repo, "R3", "design-objct", f)
 
 
+def linked_repo(links, archived=()):
+    """Artifacts named by kind letter (R requirement, D design object), linked
+    in the order given; a link is ``(id, code)`` or ``(id, code, provenance)``."""
+    kinds = {"R": "requirement", "D": "design-object"}
+    repo = new_repository(tax_from_parents({"A": None, "B": None, "C": None}))
+    for link in links:
+        artifact_id, code, *provenance = link
+        if artifact_id not in repo.artifacts:
+            add_artifact(repo, Artifact(id=artifact_id, kind=kinds[artifact_id[0]],
+                                        title=artifact_id, archived=artifact_id in archived))
+        assign(repo, artifact_id, code, *provenance, now=NOW)
+    return repo
+
+
+class TestCoverageEdgeCases:
+    """Each source code's memo keeps at most two targets; these pin it.
+
+    Every case checks the lists and that each classified source's
+    ``trace`` is non-empty exactly when it is covered."""
+
+    def check(self, repo, from_kind, to_kind, covered, uncovered, proposed=False):
+        report = coverage(repo, from_kind, to_kind, RelationFilter("equal"),
+                          include_proposed=proposed)
+        assert (report.covered, report.uncovered) == (covered, uncovered)
+        for source_id in covered + uncovered:
+            hits = trace(repo, source_id, to_kind, RelationFilter("equal"), proposed)
+            assert bool(hits) == (source_id in covered), source_id
+
+    def test_from_kind_records_before_the_first_target(self):
+        repo = linked_repo([(f"R{i}", "A") for i in range(1, 6)] + [("R6", "B"), ("D1", "A")])
+        self.check(repo, "requirement", "design-object",
+                   ["R1", "R2", "R3", "R4", "R5"], ["R6"])
+
+    def test_a_source_does_not_cover_itself(self):
+        # R1 is the only requirement under A; R2 and R3 share B; the memo of
+        # C stops at R4 and R5, and still covers R6.
+        repo = linked_repo([("R1", "A"), ("R2", "B"), ("R3", "B"),
+                            ("R4", "C"), ("R5", "C"), ("R6", "C")])
+        self.check(repo, "requirement", "requirement",
+                   ["R2", "R3", "R4", "R5", "R6"], ["R1"])
+
+    def test_a_duplicate_record_of_the_source_is_one_target(self):
+        # A hand-edited file may hold two active records for one pair.  R1's
+        # are all there is under A; R2's come before R3's under B.
+        repo = linked_repo([("R1", "A"), ("R2", "B")])
+        repo.assignments += [dataclasses.replace(a) for a in repo.assignments]
+        repo = store.deserialize_repository(serialize_repository(repo))
+        add_artifact(repo, Artifact(id="R3", kind="requirement", title="R3"))
+        assign(repo, "R3", "B", now=NOW)
+        assert [a.artifact_id for a in linkage.links(repo).by_code["B"]] == ["R2", "R2", "R3"]
+        self.check(repo, "requirement", "requirement", ["R2", "R3"], ["R1"])
+
+    def test_archived_and_proposed_targets(self):
+        repo = linked_repo([("R1", "A"), ("D1", "A"), ("D2", "A", linkage.SUGGESTED),
+                            ("R2", "B"), ("D3", "B"), ("R3", "C"), ("D4", "C")],
+                           archived={"D1", "D3"})
+        unassign(repo, "D4", "C", now=NOW)
+        self.check(repo, "requirement", "design-object", [], ["R1", "R2", "R3"])
+        self.check(repo, "requirement", "design-object", ["R1"], ["R2", "R3"], proposed=True)
+
+
 class TestImpact:
     def test_groups_only_reached_kinds(self, canon_tax):
         repo = new_repository(canon_tax)

@@ -3,11 +3,18 @@
 One repository file holds everything.  ``main`` is the one runner: each
 subcommand declares its ``access`` to that file, and ``main`` opens it,
 calls the handler, prints the handler's ``Output`` and picks the exit
-code.  Under ``READ`` the handler gets the loaded repository; under
-``EDIT`` it runs inside ``store.editing``, which holds the writer lock
-and saves the repository when the handler returns, before anything,
-warnings included, is printed; ``init`` and ``cost`` (access None) open
-no repository.
+code.  Under ``READ`` the handler gets the repository, read without a
+lock; under ``EDIT`` it runs inside ``store.editing``, which holds the
+writer lock and saves the repository when the handler returns, before
+anything, warnings included, is printed; ``init`` and ``cost`` (access
+None) open no repository.
+A ``READ`` handler also declares the ``sections`` of the file it reads:
+``suggest``, ``audit`` and ``diff`` the taxonomy and the artifacts
+(``MODELS``), ``trace``, ``coverage`` and ``impact`` the assignments too
+(``LINKS``).  When the sidecar's stamp vouches for the file, only those
+are decoded and checked, and the others are left empty
+(``store.read_sections``).  ``validate`` declares None: it loads and
+checks the whole file, whatever the stamp says.
 Python's cyclic garbage collector is paused for a ``READ`` command's
 load and handler, and for an ``EDIT`` command's load and save, and is
 left as it was found.
@@ -46,6 +53,10 @@ JSON = "json"
 # How a command reaches the repository file; see the module docstring.
 READ = "read"
 EDIT = "edit"
+
+# The sections of the file a READ handler reads (``store.read_sections``).
+MODELS = ("taxonomy", "artifacts")
+LINKS = (*MODELS, "assignments")
 
 
 @dataclasses.dataclass
@@ -379,12 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_import, access=EDIT)
 
     p = sub.add_parser("validate", help="check taxonomy and referential integrity")
-    p.set_defaults(func=cmd_validate, access=READ)
+    p.set_defaults(func=cmd_validate, access=READ, sections=None)
 
     p = sub.add_parser("suggest", help="rank classes for an artifact's text")
     p.add_argument("artifact_id")
     p.add_argument("-n", type=int, default=5)
-    p.set_defaults(func=cmd_suggest, access=READ)
+    p.set_defaults(func=cmd_suggest, access=READ, sections=MODELS)
 
     p = sub.add_parser("assign", help="link an artifact to a class")
     p.add_argument("artifact_id")
@@ -423,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_kind", help="restrict to one target kind")
     p.add_argument("--filter", default=query.EQUAL, help=filter_help)
     p.add_argument("--include-proposed", action="store_true")
-    p.set_defaults(func=cmd_trace, access=READ)
+    p.set_defaults(func=cmd_trace, access=READ, sections=LINKS)
 
     p = sub.add_parser("coverage", help="which from-kind artifacts reach the to-kind")
     p.add_argument("--from", dest="from_kind", required=True)
@@ -431,20 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", help=filter_help)
     p.add_argument("--policy", choices=list(query.POLICIES), default=query.COUNT_UNCLASSIFIABLE)
     p.add_argument("--include-proposed", action="store_true")
-    p.set_defaults(func=cmd_coverage, access=READ)
+    p.set_defaults(func=cmd_coverage, access=READ, sections=LINKS)
 
     p = sub.add_parser("impact", help="artifacts affected by changing one artifact")
     p.add_argument("artifact_id")
     p.add_argument("--filter", default=query.EQUAL, help=filter_help)
     p.add_argument("--include-proposed", action="store_true")
-    p.set_defaults(func=cmd_impact, access=READ)
+    p.set_defaults(func=cmd_impact, access=READ, sections=LINKS)
 
     p = sub.add_parser("audit", help="check model classification quality")
     p.add_argument("check", choices=["comprehensiveness", "inter"])
     p.add_argument("--model", action="append", required=True, metavar="VERSION_LABEL")
     p.add_argument("--sample", action="append", metavar="CODE")
     p.add_argument("--type-attr", default="type")
-    p.set_defaults(func=cmd_audit, access=READ)
+    p.set_defaults(func=cmd_audit, access=READ, sections=MODELS)
 
     p = sub.add_parser("diff", help="compare codes between two model versions")
     p.add_argument("--from", dest="from_version", required=True, metavar="VERSION_LABEL")
@@ -454,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ATTRS",
         help="comma-separated attribute names, or 'default', to also match objects",
     )
-    p.set_defaults(func=cmd_diff, access=READ)
+    p.set_defaults(func=cmd_diff, access=READ, sections=MODELS)
 
     p = sub.add_parser("cost", help="compare link maintenance effort for a scenario")
     p.add_argument("--scenario", required=True)
@@ -473,7 +484,7 @@ def main(argv=None) -> int:
             # Paused for the handler too: once the collector is back on, its
             # first collections would scan the whole repository anyway.
             with store._gc_paused():
-                out = args.func(args, store.load_repository(_repo_path(args)))
+                out = args.func(args, store.read_sections(_repo_path(args), args.sections))
         else:
             with store.editing(_repo_path(args)) as repo:
                 out = args.func(args, repo)

@@ -208,7 +208,7 @@ def coverage(
     to two distinct usable targets under its admissible codes.  Two are
     enough, because a source must not cover itself when ``from_kind ==
     to_kind``: with two, one is another artifact; with one, it is the only
-    target there is.  A source's remaining codes go unread once one covers it.
+    target there is.  A source's remaining links go unread once one covers it.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown coverage policy {policy!r}")
@@ -220,27 +220,26 @@ def coverage(
     reach: dict[str, list[str]] = {}
     covered: list[str] = []
     uncovered: list[str] = []
-    for artifact_id in sorted(repo.artifacts):
-        artifact = repo.artifacts[artifact_id]
-        if artifact.kind != from_kind or artifact.archived:
-            continue
-        codes = index.codes(artifact_id, include_proposed)
-        if not codes:
-            if policy != EXCLUDE_UNCLASSIFIABLE or artifact_id not in index.markers:
+    for artifact_id in sorted(key for key, a in repo.artifacts.items()
+                              if a.kind == from_kind and not a.archived):
+        usable = False
+        for a in index.by_artifact.get(artifact_id, ()):
+            if include_proposed or a.status == CONFIRMED:
+                usable = True
+                if to_kind is None:
+                    break
+                targets = reach.get(a.code)
+                if targets is None:
+                    targets = reach[a.code] = _two_targets(repo, f, a.code, to_kind,
+                                                           include_proposed)
+                # Distinct targets: another artifact is there unless the source is alone.
+                if targets and targets != [artifact_id]:
+                    break
+        else:
+            if usable or policy != EXCLUDE_UNCLASSIFIABLE or artifact_id not in index.markers:
                 uncovered.append(artifact_id)
             continue
-        if to_kind is None:
-            covered.append(artifact_id)
-            continue
-        for s in codes:
-            if s not in reach:
-                reach[s] = _two_targets(repo, f, s, to_kind, include_proposed)
-            # Distinct targets: another artifact is there unless the source is alone.
-            if reach[s] not in ([], [artifact_id]):
-                covered.append(artifact_id)
-                break
-        else:
-            uncovered.append(artifact_id)
+        covered.append(artifact_id)
     total = len(covered) + len(uncovered)
     rate = Fraction(len(covered), total) if total else Fraction(1)
     return CoverageReport(covered=covered, uncovered=uncovered, rate=rate, policy=policy)

@@ -24,10 +24,17 @@ their next save.
 Commands that change the repository go through ``editing``: one writer
 at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
 The save keeps the edit log's lines and encodes every other record.  The
-sidecar never holds data; deleting it costs the next edit one decode of
-the log.  Library callers that mutate a repository and
+sidecar never holds data, only the stamp of the bytes last saved, which
+``editing`` and ``save_repository`` write; deleting it costs the next
+command one full load.  Library callers that mutate a repository and
 ``save_repository`` it take no lock, so they must not run alongside a
 command that edits the same file.
+
+Read commands go through ``read_sections``, which reads the stamp but
+never creates or writes the sidecar.  While the stamp vouches for the
+file, they decode and check only the sections they read, each parsed in
+place, and leave the others empty; ``load_repository`` and
+``deserialize_repository`` always decode and check every section.
 
 The edit log is append-only.  Inside ``editing``, ``repo.edit_log`` starts
 empty and holds only the entries the block appends; the save writes the
@@ -67,7 +74,6 @@ from .errors import (
     RepositoryIOError,
     RepositoryLocked,
     SchemaVersionMismatch,
-    TaxTraceError,
     UnknownId,
 )
 from .taxonomy import Taxonomy, _build, _record_lines, _structured_records, _structured_text
@@ -159,7 +165,8 @@ class Repository:
     """Taxonomy, artifacts, assignments, and the append-only edit log.
 
     Inside ``editing``, ``edit_log`` holds only the entries the edit appends;
-    the save writes them after the file's log lines.
+    the save writes them after the file's log lines.  ``read_sections`` may
+    leave the sections it was not asked for empty.
 
     ``links`` is the ``linkage.LinkIndex`` that ``linkage.links`` builds
     from the assignments on first use; this module never reads it.  Once it
@@ -406,14 +413,13 @@ def serialize_repository(repo: Repository) -> str:
     return _serialize(repo, [])
 
 
-def _records(doc: dict, key: str) -> list:
-    """The record list under ``key``; a missing key or null means none."""
-    records = doc.get(key)
-    if records is None:
+def _records(value, key: str) -> list:
+    """The record list stored under ``key``; a missing key or null means none."""
+    if value is None:
         return []
-    if not isinstance(records, list):
+    if not isinstance(value, list):
         raise MalformedRecord(f"{key} must be a list")
-    return records
+    return value
 
 
 def _decoded(records: list, decode, section: str, check=None) -> list:
@@ -447,6 +453,22 @@ def _by_id(artifacts: list[Artifact]) -> dict[str, Artifact]:
                 raise ReferentialIntegrityError(f"artifact id {a.id!r} appears twice")
             seen.add(a.id)
     return by_id
+
+
+# The order in which a load decodes the sections, which is also the order
+# of ``Repository``'s fields: the first fault in it is the one reported.
+_LOAD_ORDER = ("taxonomy", "artifacts", "assignments", "edit_log")
+
+
+def _section(name: str, value):
+    """The records of section ``name`` from its parsed JSON ``value``, checked as a load does."""
+    if name == "taxonomy":
+        return _build(_structured_records(value or {"nodes": []}))
+    records = _records(value, name)
+    if name == "artifacts":
+        return _by_id(_decoded(records, _artifact_from_dict, name, _by_id))
+    decode = _assignment_from_dict if name == "assignments" else _edit_from_dict
+    return _decoded(records, decode, name)
 
 
 @contextlib.contextmanager
@@ -486,11 +508,8 @@ def deserialize_repository(text: str) -> Repository:
         raise SchemaVersionMismatch(
             f"repository schema version {version!r}, expected 1 or {SCHEMA_VERSION}"
         )
-    taxonomy = _build(_structured_records(doc.get("taxonomy") or {"nodes": []}))
-    artifacts = _by_id(_decoded(_records(doc, "artifacts"), _artifact_from_dict,
-                                "artifacts", _by_id))
-    assignments = _decoded(_records(doc, "assignments"), _assignment_from_dict, "assignments")
-    edit_log = _decoded(_records(doc, "edit_log"), _edit_from_dict, "edit_log")
+    taxonomy, artifacts, assignments, edit_log = (
+        _section(name, doc.get(name)) for name in _LOAD_ORDER)
     repo = Repository(taxonomy, artifacts, assignments, edit_log)
     check_integrity(repo)
     return repo
@@ -536,10 +555,20 @@ def _write(text: str, path: str | os.PathLike) -> bytes:
 def save_repository(repo: Repository, path: str | os.PathLike) -> None:
     """Write the repository to ``path`` atomically, always as the current schema.
 
-    See ``_write`` for how.  This takes no lock and writes no sidecar;
-    commands save through ``editing``.
+    See ``_write`` for how.  After the rename, the sidecar ``<path>.lock``
+    (next to a symlink's target) gets the ``_stamp`` of the bytes written.
+    This takes no lock: a stamp that a racing writer or a failed sidecar
+    write left stale does not match the file, and costs the next command a
+    full load.  A failed save leaves the old stamp.  Commands that edit
+    save through ``editing``.
     """
-    _write(serialize_repository(repo), path)
+    data = _write(serialize_repository(repo), path)
+    with contextlib.suppress(OSError):  # the file is saved; a stale stamp is safe
+        sidecar = os.open(f"{os.path.realpath(path)}.lock", os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            _put_stamp(sidecar, data)
+        finally:
+            os.close(sidecar)
 
 
 def _read(path: str | os.PathLike) -> bytes:
@@ -555,42 +584,7 @@ def load_repository(path: str | os.PathLike) -> Repository:
     return deserialize_repository(_read(path).decode("utf-8"))
 
 
-# --- editing: one locked writer, keeping the edit log's lines ---
-
-
-_LOG_HEADER = '\n"edit_log": ['
-
-
-def _load_keeping_log(text: str) -> tuple[Repository, list[str]] | None:
-    """The repository of ``text`` with an empty edit log, and the log's record lines.
-
-    The log block after ``_LOG_HEADER`` is spliced out unread.  It is kept
-    only as one record per line, each line but the last ending in the
-    separating comma.  The rest is parsed and checked as
-    ``deserialize_repository`` does.  None if either fails, or if the rest
-    holds another ``"edit_log"`` key; the caller then loads the file in full.
-    """
-    start = text.find(_LOG_HEADER)  # record lines hold no raw newline
-    if start < 0:
-        return None
-    body = start + len(_LOG_HEADER)
-    if text.startswith("\n", body):  # one record per line, up to the line "],"
-        end = text.find("\n]", body)
-        if end < 0:
-            return None
-        log = text[body + 1:end].split(",\n")
-        if len(log) != text.count("\n", body, end) or log[-1].endswith(","):
-            return None
-        rest = text[:body] + text[end + 1:]
-    else:  # "[],"
-        log, rest = [], text
-    if rest.find('"edit_log"', body) >= 0:
-        return None
-    try:
-        repo = deserialize_repository(rest)
-    except TaxTraceError:
-        return None
-    return None if repo.edit_log else (repo, log)
+# --- the sidecar's stamp, and the sections of a file it vouches for ---
 
 
 # The revision of the bytes this module writes, in every stamp.  Stamps of
@@ -603,6 +597,106 @@ _CODEC_REVISION = 2
 def _stamp(data: bytes) -> bytes:
     """The sidecar's record of bytes this module wrote: schema, codec revision, length, CRC-32."""
     return b"%d %d %d %d\n" % (SCHEMA_VERSION, _CODEC_REVISION, len(data), zlib.crc32(data))
+
+
+def _put_stamp(sidecar: int, data: bytes) -> None:
+    """Write the stamp of ``data`` over the open sidecar, in place."""
+    stamp = _stamp(data)
+    os.pwrite(sidecar, stamp, 0)
+    os.ftruncate(sidecar, len(stamp))
+
+
+# The sections in the order a save writes them.  Each starts a line of its
+# own, as ``"name": value``; a record line starts with "{" and holds no raw
+# newline, so in a file this module wrote no other line starts so.
+_SECTIONS = ("artifacts", "assignments", "edit_log", "schema_version", "taxonomy")
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _load_vouched(text: str, sections: tuple[str, ...]) -> tuple[Repository, list[str]] | None:
+    """The repository of ``text``, a file its stamp vouches for, with only ``sections`` read.
+
+    Each of the taxonomy, artifacts and assignments named is parsed in
+    place (``raw_decode`` at its offset, copying no part of ``text``), then
+    decoded and checked as ``deserialize_repository`` does, and so is the
+    repository (``check_integrity``).  Every other section is left empty
+    and unchecked, but "edit_log" named returns the log's record lines,
+    unread.  None unless ``text`` is laid out as a save writes it: the
+    headers in order, each value but the last followed by a comma, a read
+    section ending at the next header, a log of one record per line.  The
+    caller then loads the file in full.  A section not read is not
+    scanned either, so a key repeated inside one under a forged stamp goes
+    unseen, where the full load takes the last of two equal keys.
+    """
+    if not (text.startswith("{") and text.endswith("\n}\n")):
+        return None
+    heads, pos = [], 0
+    for name in _SECTIONS:
+        pos = text.find(f'\n"{name}": ', pos)
+        if pos < 0:
+            return None
+        heads.append(pos)
+    if heads[0] != 1 or any(text[head - 1] != "," for head in heads[1:]):
+        return None
+    # A value runs from its header to the comma before the next one, the last to "\n}\n".
+    ends = [head - 1 for head in heads[1:]] + [len(text) - len("\n}\n")]
+    span = {name: (head + len(name) + len('\n"": '), end)
+            for name, head, end in zip(_SECTIONS, heads, ends)}
+    start, end = span["schema_version"]
+    if text[start:end] != str(SCHEMA_VERSION):
+        return None
+    log: list[str] = []
+    if "edit_log" in sections:
+        start, end = span["edit_log"]
+        if not (end - start == 2 and text.startswith("[]", start)):  # not the empty "[]"
+            if not (text.startswith("[\n", start) and text.endswith("\n]", start, end)):
+                return None
+            log = text[start + 2:end - 2].split(",\n")
+            if len(log) != text.count("\n", start, end) - 1 or log[-1].endswith(","):
+                return None
+    fields = {"taxonomy": Taxonomy()}
+    for name in _LOAD_ORDER[:-1]:  # all but the log, which is never decoded here
+        if name in sections:
+            start, end = span[name]
+            try:
+                value, stop = _raw_decode(text, start)
+            except json.JSONDecodeError:
+                return None
+            if stop != end:
+                return None
+            fields[name] = _section(name, value)
+            del value  # a parsed section is dropped once decoded
+    repo = Repository(**fields)
+    check_integrity(repo)
+    return repo, log
+
+
+def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None) -> Repository:
+    """The repository at ``path``, with only ``sections`` read when its sidecar vouches for it.
+
+    ``sections`` names some of "taxonomy", "artifacts" and "assignments".
+    When the sidecar ``<path>.lock`` holds the stamp of the file's bytes,
+    only those are decoded and checked (``_load_vouched``).  Otherwise, and
+    always with ``sections`` None, this is ``load_repository``: all are.
+    The sidecar is only read, never created or written.  The cyclic
+    garbage collector is paused meanwhile.
+    """
+    if sections is None:
+        return load_repository(path)
+    data = _read(path)
+    try:
+        with open(f"{os.path.realpath(path)}.lock", "rb") as sidecar:
+            vouched = sidecar.read(64) == _stamp(data)  # a stamp is shorter
+    except OSError:
+        vouched = False
+    with _gc_paused():
+        text = data.decode("utf-8")
+        del data  # the file is held once, as text
+        kept = _load_vouched(text, sections) if vouched else None
+        return deserialize_repository(text) if kept is None else kept[0]
+
+
+# --- editing: one locked writer, keeping the edit log's lines ---
 
 
 @contextlib.contextmanager
@@ -624,8 +718,8 @@ def editing(path: str | os.PathLike):
     After a save, the sidecar holds the ``_stamp`` of the bytes written,
     rewritten in place because renaming over a locked file would void the
     lock.  When the file still holds exactly those bytes, the log's lines
-    are kept as text, neither decoded nor checked (``_load_keeping_log``),
-    and the rest loads with every check ``load_repository`` makes.
+    are kept as text, neither decoded nor checked, and every other section
+    loads with every check ``load_repository`` makes (``_load_vouched``).
     Otherwise (no sidecar, a stamp of an older codec revision, a log not
     one record per line, a hand edit) the whole file loads with those
     checks, and its log is encoded to lines at once.
@@ -654,7 +748,7 @@ def editing(path: str | os.PathLike):
         with _gc_paused():
             text = data.decode("utf-8")
             del data  # the file is held once, as text
-            kept = _load_keeping_log(text) if trusted else None
+            kept = _load_vouched(text, _LOAD_ORDER) if trusted else None
             if kept is None:
                 repo = deserialize_repository(text)
                 log, repo.edit_log = list(map(_edit_line, repo.edit_log)), []
@@ -664,9 +758,7 @@ def editing(path: str | os.PathLike):
         yield repo
         with _gc_paused():
             text = _serialize(repo, log)
-        stamp = _stamp(_write(text, path))
-        os.pwrite(lock, stamp, 0)
-        os.ftruncate(lock, len(stamp))
+        _put_stamp(lock, _write(text, path))
     finally:
         os.close(lock)
 

@@ -362,22 +362,31 @@ def _record_lines(lines) -> str:
     return f"[\n{text}\n]" if text else "[]"
 
 
-def _structured_text(t: Taxonomy) -> str:
-    """The structured format's ``{"nodes": [...]}`` document, one node per line, by code.
-
-    ValueError for a node under a key that is not its code: it would parse back under its code.
-    """
-    nodes = t.nodes
-    text = f'{{"nodes": {_record_lines([_node_line(nodes[code]) for code in sorted(nodes)])}}}'
+def _check_keys(nodes: dict[str, TaxonomyNode]) -> None:
+    """ValueError for a node under a key other than its code: it would parse back under its code."""
     for code, node in nodes.items():
         if node.code != code:
             raise ValueError(f"taxonomy node {node.code!r} is stored under key {code!r}")
+
+
+def _structured_text(t: Taxonomy) -> str:
+    """The structured format's ``{"nodes": [...]}`` document, one node per line, by code.
+
+    ValueError for a node under a key that is not its code (``_check_keys``).
+    """
+    nodes = t.nodes
+    text = f'{{"nodes": {_record_lines([_node_line(nodes[code]) for code in sorted(nodes)])}}}'
+    _check_keys(nodes)
     return text
 
 
 def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:
-    """Serialize a taxonomy so that parse_taxonomy round-trips it."""
+    """Serialize a taxonomy so that parse_taxonomy round-trips it.
+
+    ValueError for a node under a key that is not its code, in either format.
+    """
     if format == TABULAR:
+        _check_keys(t.nodes)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)

@@ -1,6 +1,7 @@
 """Edits through ``store.editing``: the writer lock, the sidecar, and saves
 that keep the edit log's lines, encode every other record and write
-canonical bytes."""
+canonical bytes; and read commands that read only their sections while
+the sidecar's stamp vouches for the file."""
 
 import copy
 import dataclasses
@@ -15,7 +16,14 @@ import zlib
 
 import pytest
 
-from conftest import CANONICAL_TAXONOMY_CSV, FENCES_TAXONOMY_CSV, NOW
+from conftest import (
+    CANONICAL_TAXONOMY_CSV,
+    FENCES_TAXONOMY_CSV,
+    NOW,
+    clone_object,
+    make_object,
+    random_repo,
+)
 from taxtrace import cli, linkage, store, taxonomy
 from taxtrace.errors import (
     DuplicateAssignment,
@@ -191,6 +199,7 @@ class TestCanonicalBytes:
         control = str(tmp_path / "control.json")
         for p in (path, control):
             save_repository(starting_repo(), p)
+        os.unlink(sidecar(control))
         commands = Commands(rng, tmp_path, path)
         for _ in range(30):
             if rng.random() < 0.15 and os.path.exists(sidecar(path)):
@@ -226,6 +235,7 @@ class TestCanonicalBytes:
         add_artifact(repo, Artifact(id="R1", kind="requirement", title="Req 1"))
         for p in (path, control):
             save_repository(repo, p)
+        os.unlink(sidecar(control))
         for argv in (["import", "taxonomy", str(tax)], ["assign", "R1", "AC -"],
                      ["assign", "R1", "AD"], ["unassign", "R1", "ac"],
                      ["assign", "R1", "AC"], ["unassign", "R1", "AD \t-"]):
@@ -534,6 +544,16 @@ class TestRefusedValues:
             save_repository(repo, marked_path)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("fmt", [taxonomy.TABULAR, taxonomy.STRUCTURED])
+    def test_either_taxonomy_writer_refuses_a_node_under_another_key(self, fmt):
+        # Written as its own code, node C would parse back as another class.
+        t = taxonomy.parse_taxonomy("code,parent,title,description,synonyms\n"
+                                    "A,,Alpha,,\nB,,Beta,,\n")
+        t.nodes["B"] = dataclasses.replace(t.nodes["B"], code="C")
+        with pytest.raises(ValueError) as caught:
+            taxonomy.write_taxonomy(t, fmt)
+        assert str(caught.value) == "taxonomy node 'C' is stored under key 'B'"
+
 
 class TestAppendOnlyLog:
     """Inside ``store.editing`` the edit log holds only the entries the block
@@ -689,6 +709,11 @@ def ascii_escapes(text):
     return text.encode("ascii", "backslashreplace").decode("ascii")
 
 
+def trailing_value(text):
+    """Canonical lines, but a second value after the artifacts: not JSON."""
+    return text.replace('\n],\n"assignments": ', '\n] [],\n"assignments": ', 1)
+
+
 STALE, MISSING, GARBAGE, VALID = "stale", "missing", "garbage", "valid checksum"
 
 
@@ -735,6 +760,156 @@ class TestNonCanonicalInput:
         assert read(repo_path) == text
         assert run_cli(repo_path, ["unassign", "R1", "18B"], capsys) == 0
         assert read(repo_path) == canonical(repo_path)
+
+
+def model_repo(seed):
+    """A seeded random repository with requirements that have text, and two model versions."""
+    rng = random.Random(seed)
+    repo = random_repo(rng, max_artifacts=40, max_assignments=80, taxonomy_nodes=25)
+    codes = sorted(repo.taxonomy.nodes)
+    ids = sorted(repo.artifacts)
+    for artifact_id in rng.sample(ids, len(ids) // 2):
+        titles = [repo.taxonomy.nodes[code].title for code in rng.sample(codes, 2)]
+        repo.artifacts[artifact_id] = dataclasses.replace(
+            repo.artifacts[artifact_id], kind="requirement", body=" and ".join(titles))
+    first = repo.taxonomy.nodes[codes[0]].title
+    store.add_artifact(repo, Artifact(id="R1", kind="requirement", title="Req 1",
+                                      body=f"{first} – Brücke ✓"))
+    for i in range(rng.randint(2, 10)):
+        code = rng.choice(codes + ["99ZZ", None])
+        v1 = make_object(f"M{i}", code, type_label=rng.choice("ab"))
+        overrides = {"sb11_code": rng.choice(codes)} if code is not None and i % 3 == 0 else {}
+        store.add_artifact(repo, v1)
+        store.add_artifact(repo, clone_object(v1, f"N{i}", **overrides))
+    return repo
+
+
+def read_commands(repo, rng):
+    """One of each read command, with arguments drawn from ``repo``."""
+    ids = sorted(repo.artifacts)
+    spec = rng.choice(["equal", "sibling", "equal-or-descendant", "neighborhood:2"])
+    return [
+        ["suggest", rng.choice([i for i in ids if repo.artifacts[i].body])],
+        ["audit", "comprehensiveness", "--model", "v1"],
+        ["audit", "inter", "--model", "v1", "--model", "v2"],
+        ["diff", "--from", "v1", "--to", "v2", "--fingerprint", "default"],
+        ["trace", rng.choice(ids), "--filter", spec],
+        ["coverage", "--from", "requirement"],
+        ["coverage", "--from", "requirement", "--to", "design-object", "--filter", spec],
+        ["impact", rng.choice(ids), "--filter", spec, "--include-proposed"],
+        ["validate"],
+    ]
+
+
+def outcome(path, argv, capsys):
+    """Exit code, stdout and stderr of one command, in either format."""
+    results = []
+    for fmt in ("text", "json"):
+        code = cli.main(["--repo", path, "--format", fmt, *argv])
+        out, err = capsys.readouterr()
+        results.append((code, out, err))
+    return results
+
+
+def count_decoded(monkeypatch):
+    """The assignments and edit-log entries decoded from now on, by section."""
+    decoded = {"assignments": 0, "edit_log": 0}
+    for name, section in (("_assignment_from_dict", "assignments"),
+                          ("_edit_from_dict", "edit_log")):
+        def spy(doc, real=getattr(store, name), section=section):
+            decoded[section] += 1
+            return real(doc)
+        monkeypatch.setattr(store, name, spy)
+    return decoded
+
+
+VOUCHING, STALE_STAMP, NO_SIDECAR = "stamp vouching", "stamp stale", "no sidecar"
+
+
+class TestVouchedReads:
+    """Under a stamp that vouches for the file, a read command decodes only its
+    sections; its output is the same as after a full load."""
+
+    def set_sidecar(self, path, state):
+        if state == NO_SIDECAR:
+            if os.path.exists(sidecar(path)):
+                os.unlink(sidecar(path))
+            return
+        data = read(path) if state == VOUCHING else read(path) + b" "
+        with open(sidecar(path), "wb") as f:
+            f.write(store._stamp(data))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_read_command_prints_the_same_in_every_sidecar_state(
+            self, seed, tmp_path, capsys):
+        path = str(tmp_path / "repo.json")
+        repo = model_repo(seed)
+        save_repository(repo, path)
+        before = read(path)
+        for argv in read_commands(repo, random.Random(seed)):
+            seen = {}
+            for state in (VOUCHING, STALE_STAMP, NO_SIDECAR):
+                self.set_sidecar(path, state)
+                seen[state] = outcome(path, argv, capsys)
+            assert seen[VOUCHING] == seen[STALE_STAMP] == seen[NO_SIDECAR], argv
+        assert read(path) == before
+
+    @pytest.mark.parametrize("rewrite", [spaced, schema_1, joined_records, shifted_lines,
+                                         inner_spacing, ascii_escapes, trailing_value])
+    def test_a_stamp_over_another_layout_reads_as_a_full_load(self, rewrite, tmp_path, capsys):
+        path = str(tmp_path / "repo.json")
+        repo = model_repo(1)
+        save_repository(repo, path)
+        odd = rewrite(read(path).decode("utf-8")).encode("utf-8")
+        assert odd != read(path)
+        with open(path, "wb") as f:
+            f.write(odd)
+        for argv in read_commands(repo, random.Random(1)):
+            self.set_sidecar(path, VOUCHING)
+            vouched = outcome(path, argv, capsys)
+            self.set_sidecar(path, NO_SIDECAR)
+            assert outcome(path, argv, capsys) == vouched, argv
+
+    @pytest.mark.parametrize("argv, reads", [
+        (["suggest", "R1"], set()),
+        (["audit", "comprehensiveness", "--model", "v1"], set()),
+        (["diff", "--from", "v1", "--to", "v1"], set()),
+        (["trace", "R1"], {"assignments"}),
+        (["coverage", "--from", "requirement"], {"assignments"}),
+        (["impact", "R1"], {"assignments"}),
+        (["validate"], {"assignments", "edit_log"}),
+    ])
+    def test_skipped_sections_are_not_decoded(self, marked_path, argv, reads, capsys,
+                                              monkeypatch):
+        repo = load_repository(marked_path)
+        every = {"assignments": len(repo.assignments), "edit_log": len(repo.edit_log)}
+        assert min(every.values()) > 0
+        decoded = count_decoded(monkeypatch)
+        assert run_cli(marked_path, argv, capsys) == 0
+        assert decoded == {name: n if name in reads else 0 for name, n in every.items()}
+        os.unlink(sidecar(marked_path))
+        decoded.update(assignments=0, edit_log=0)
+        assert run_cli(marked_path, argv, capsys) == 0
+        assert decoded == every
+
+    def test_a_stamp_vouches_only_for_the_sections_a_command_skips(self, marked_path, capsys):
+        # As with the edit log under an edit, a forged stamp is believed for
+        # what a command does not read; what it reads is checked as a load does.
+        data = read(marked_path)
+        first = data.partition(b'\n"assignments": [\n')[2].partition(b"\n")[0]
+        forged = data.replace(first, first.replace(b'"confirmed"', b'"maybe"'), 1)
+        assert forged != data
+        with open(marked_path, "wb") as f:
+            f.write(forged)
+        with open(sidecar(marked_path), "wb") as f:
+            f.write(store._stamp(forged))
+        assert run_cli(marked_path, ["suggest", "R1"], capsys) == 0
+        for argv in (["trace", "R1"], ["validate"]):
+            assert cli.main(["--repo", marked_path, *argv]) == 2
+            assert capsys.readouterr().err == "error: assignments[0]: unknown status 'maybe'\n"
+        os.unlink(sidecar(marked_path))
+        assert cli.main(["--repo", marked_path, "suggest", "R1"]) == 2
+        assert capsys.readouterr().err == "error: assignments[0]: unknown status 'maybe'\n"
 
 
 HOLD_LOCK = """
@@ -850,7 +1025,14 @@ class TestWriterLock:
         assert os.listdir(tmp_path) == []
 
     def test_read_only_commands_write_no_sidecar(self, repo_path, capsys):
-        for argv in (["trace", "R1"], ["validate"], ["coverage", "--from", "requirement"]):
+        reads = (["trace", "R1"], ["validate"], ["coverage", "--from", "requirement"],
+                 ["suggest", "R1"])
+        stamp = read(sidecar(repo_path))
+        for argv in reads:
+            assert run_cli(repo_path, argv, capsys) == 0
+        assert read(sidecar(repo_path)) == stamp == store._stamp(read(repo_path))
+        os.unlink(sidecar(repo_path))
+        for argv in reads:
             assert run_cli(repo_path, argv, capsys) == 0
         assert not os.path.exists(sidecar(repo_path))
 

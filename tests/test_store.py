@@ -232,9 +232,11 @@ class TestPersistence:
     ])
     def test_failed_replace_keeps_the_old_file(self, sampled_repo, tmp_path, monkeypatch,
                                                failure, raised):
-        path = tmp_path / "repo.json"
+        path, sidecar = tmp_path / "repo.json", tmp_path / "repo.json.lock"
         save_repository(new_repository(), path)
         before = path.read_bytes()
+        stamp = sidecar.read_bytes()
+        assert stamp == store._stamp(before)
 
         def refuse(src, dst):
             raise failure
@@ -243,11 +245,13 @@ class TestPersistence:
         with pytest.raises(raised):
             save_repository(sampled_repo, path)
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["repo.json"]
+        assert sidecar.read_bytes() == stamp
+        assert sorted(os.listdir(tmp_path)) == ["repo.json", "repo.json.lock"]
         monkeypatch.undo()
         save_repository(sampled_repo, path)
         assert path.read_text(encoding="utf-8") == serialize_repository(sampled_repo)
-        assert os.listdir(tmp_path) == ["repo.json"]
+        assert sidecar.read_bytes() == store._stamp(path.read_bytes())
+        assert sorted(os.listdir(tmp_path)) == ["repo.json", "repo.json.lock"]
 
     def test_save_fsyncs_the_directory_after_the_rename(self, sampled_repo, tmp_path,
                                                         monkeypatch):
@@ -278,7 +282,17 @@ class TestPersistence:
         assert link.is_symlink()
         assert stat.S_IMODE(real.stat().st_mode) == 0o600
         assert real.read_text(encoding="utf-8") == serialize_repository(sampled_repo)
-        assert sorted(os.listdir(tmp_path)) == ["real.json", "repo.json"]
+        assert sorted(os.listdir(tmp_path)) == ["real.json", "real.json.lock", "repo.json"]
+        assert (tmp_path / "real.json.lock").read_bytes() == store._stamp(real.read_bytes())
+
+    def test_a_sidecar_that_cannot_be_written_does_not_fail_the_save(self, sampled_repo,
+                                                                     tmp_path):
+        path = tmp_path / "repo.json"
+        (tmp_path / "repo.json.lock").mkdir()
+        save_repository(sampled_repo, path)
+        assert path.read_text(encoding="utf-8") == serialize_repository(sampled_repo)
+        assert load_repository(path) == store.read_sections(path, ("taxonomy", "artifacts",
+                                                                   "assignments"))
 
     def test_assignment_to_missing_artifact_names_it(self, canon_tax):
         repo = new_repository(canon_tax)

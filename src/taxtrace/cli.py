@@ -9,12 +9,14 @@ writer lock and saves the repository when the handler returns, before
 anything, warnings included, is printed; ``init`` and ``cost`` (access
 None) open no repository.
 A ``READ`` handler also declares the ``sections`` of the file it reads:
-``suggest``, ``audit`` and ``diff`` the taxonomy and the artifacts
-(``MODELS``), ``trace``, ``coverage`` and ``impact`` the assignments too
-(``LINKS``).  When the sidecar's stamp vouches for the file, only those
-are decoded and checked, and the others are left empty
-(``store.read_sections``).  ``validate`` declares None: it loads and
-checks the whole file, whatever the stamp says.
+``diff`` the artifacts (``ARTIFACTS``), ``suggest`` and ``audit`` the
+taxonomy too (``MODELS``), ``trace``, ``coverage`` and ``impact`` the
+assignments as well (``LINKS``).  When the sidecar's stamp vouches for
+the file, only those are decoded and checked, and the others are left
+empty (``store.read_sections``).  ``validate`` declares None: it loads
+and checks the whole file, whatever the stamp says.
+``main`` builds the parser of the subcommand that its arguments name
+(``parse_args``); help and usage errors are printed by the full parser.
 Python's cyclic garbage collector is paused for a ``READ`` command's
 load and handler, and for an ``EDIT`` command's load and save, and is
 left as it was found.
@@ -55,7 +57,8 @@ READ = "read"
 EDIT = "edit"
 
 # The sections of the file a READ handler reads (``store.read_sections``).
-MODELS = ("taxonomy", "artifacts")
+ARTIFACTS = ("artifacts",)
+MODELS = ("taxonomy", *ARTIFACTS)
 LINKS = (*MODELS, "assignments")
 
 
@@ -355,8 +358,97 @@ def cmd_cost(args) -> Output:
 # --- parser ---
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
+    """One ``add_argument`` call, kept for when its subparser is built."""
+    return flags, kwargs
+
+
+_FILTER_HELP = "equal|ancestor|descendant|equal-or-descendant|sibling|neighborhood:k"
+
+# Every subcommand, in the order --help lists them: its help, its defaults
+# (access and sections) and its arguments.  Its handler is the function
+# ``cmd_<name>``, with "-" as "_", found when its parser is built.
+_COMMANDS = {
+    "init": ("create an empty repository file", dict(access=None), [
+        _arg("path", nargs="?", help="repository file (default: --repo)"),
+    ]),
+    "import": ("ingest taxonomy, artifacts, or a model export", dict(access=EDIT), [
+        _arg("what", choices=["taxonomy", "artifacts", "model"]),
+        _arg("file"),
+        _arg("--taxonomy-format", choices=[taxonomy.TABULAR, taxonomy.STRUCTURED],
+             default=taxonomy.TABULAR),
+        _arg("--infer-hierarchy", action="store_true",
+             help="derive taxonomy parents from code prefixes"),
+    ]),
+    "validate": ("check taxonomy and referential integrity",
+                 dict(access=READ, sections=None), []),
+    "suggest": ("rank classes for an artifact's text", dict(access=READ, sections=MODELS), [
+        _arg("artifact_id"),
+        _arg("-n", type=int, default=5),
+    ]),
+    "assign": ("link an artifact to a class", dict(access=EDIT), [
+        _arg("artifact_id"),
+        _arg("code"),
+        _arg("--provenance", choices=sorted(linkage.PROVENANCES), default=linkage.MANUAL),
+    ]),
+    "unassign": ("retire an artifact-to-class link", dict(access=EDIT), [
+        _arg("artifact_id"),
+        _arg("code"),
+    ]),
+    "mark-unclassifiable": ("record that no class fits", dict(access=EDIT), [
+        _arg("artifact_id"),
+        _arg("category", choices=list(linkage.REASON_CATEGORIES)),
+        _arg("--note"),
+    ]),
+    "split": ("replace an artifact by parts, reallocating codes", dict(access=EDIT), [
+        _arg("artifact_id"),
+        _arg("--part", action="append", required=True, metavar="NEW_ID:CODE[,CODE...]",
+             help="repeat once per part"),
+    ]),
+    "trace": ("find artifacts related through the taxonomy",
+              dict(access=READ, sections=LINKS), [
+        _arg("artifact_id"),
+        _arg("--to", dest="to_kind", help="restrict to one target kind"),
+        _arg("--filter", default=query.EQUAL, help=_FILTER_HELP),
+        _arg("--include-proposed", action="store_true"),
+    ]),
+    "coverage": ("which from-kind artifacts reach the to-kind",
+                 dict(access=READ, sections=LINKS), [
+        _arg("--from", dest="from_kind", required=True),
+        _arg("--to", dest="to_kind"),
+        _arg("--filter", help=_FILTER_HELP),
+        _arg("--policy", choices=list(query.POLICIES), default=query.COUNT_UNCLASSIFIABLE),
+        _arg("--include-proposed", action="store_true"),
+    ]),
+    "impact": ("artifacts affected by changing one artifact",
+               dict(access=READ, sections=LINKS), [
+        _arg("artifact_id"),
+        _arg("--filter", default=query.EQUAL, help=_FILTER_HELP),
+        _arg("--include-proposed", action="store_true"),
+    ]),
+    "audit": ("check model classification quality", dict(access=READ, sections=MODELS), [
+        _arg("check", choices=["comprehensiveness", "inter"]),
+        _arg("--model", action="append", required=True, metavar="VERSION_LABEL"),
+        _arg("--sample", action="append", metavar="CODE"),
+        _arg("--type-attr", default="type"),
+    ]),
+    "diff": ("compare codes between two model versions",
+             dict(access=READ, sections=ARTIFACTS), [
+        _arg("--from", dest="from_version", required=True, metavar="VERSION_LABEL"),
+        _arg("--to", dest="to_version", required=True, metavar="VERSION_LABEL"),
+        _arg("--fingerprint", metavar="ATTRS",
+             help="comma-separated attribute names, or 'default', to also match objects"),
+    ]),
+    "cost": ("compare link maintenance effort for a scenario", dict(access=None), [
+        _arg("--scenario", required=True),
+        _arg("--strategy", choices=[linkage.DIRECT, linkage.TAXONOMIC], required=True),
+    ]),
+}
+
+
+def _parser(commands, parser_class) -> argparse.ArgumentParser:
+    """A ``parser_class`` parser of the subcommands named in ``commands``."""
+    parser = parser_class(
         prog="taxtrace",
         description="Create and exploit taxonomy-mediated trace links between artifacts.",
     )
@@ -370,113 +462,52 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true", help="exit 1 when findings or uncovered items exist"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("init", help="create an empty repository file")
-    p.add_argument("path", nargs="?", help="repository file (default: --repo)")
-    p.set_defaults(func=cmd_init, access=None)
-
-    p = sub.add_parser("import", help="ingest taxonomy, artifacts, or a model export")
-    p.add_argument("what", choices=["taxonomy", "artifacts", "model"])
-    p.add_argument("file")
-    p.add_argument(
-        "--taxonomy-format", choices=[taxonomy.TABULAR, taxonomy.STRUCTURED],
-        default=taxonomy.TABULAR,
-    )
-    p.add_argument(
-        "--infer-hierarchy",
-        action="store_true",
-        help="derive taxonomy parents from code prefixes",
-    )
-    p.set_defaults(func=cmd_import, access=EDIT)
-
-    p = sub.add_parser("validate", help="check taxonomy and referential integrity")
-    p.set_defaults(func=cmd_validate, access=READ, sections=None)
-
-    p = sub.add_parser("suggest", help="rank classes for an artifact's text")
-    p.add_argument("artifact_id")
-    p.add_argument("-n", type=int, default=5)
-    p.set_defaults(func=cmd_suggest, access=READ, sections=MODELS)
-
-    p = sub.add_parser("assign", help="link an artifact to a class")
-    p.add_argument("artifact_id")
-    p.add_argument("code")
-    p.add_argument(
-        "--provenance", choices=sorted(linkage.PROVENANCES), default=linkage.MANUAL
-    )
-    p.set_defaults(func=cmd_assign, access=EDIT)
-
-    p = sub.add_parser("unassign", help="retire an artifact-to-class link")
-    p.add_argument("artifact_id")
-    p.add_argument("code")
-    p.set_defaults(func=cmd_unassign, access=EDIT)
-
-    p = sub.add_parser("mark-unclassifiable", help="record that no class fits")
-    p.add_argument("artifact_id")
-    p.add_argument("category", choices=list(linkage.REASON_CATEGORIES))
-    p.add_argument("--note")
-    p.set_defaults(func=cmd_mark_unclassifiable, access=EDIT)
-
-    p = sub.add_parser("split", help="replace an artifact by parts, reallocating codes")
-    p.add_argument("artifact_id")
-    p.add_argument(
-        "--part",
-        action="append",
-        required=True,
-        metavar="NEW_ID:CODE[,CODE...]",
-        help="repeat once per part",
-    )
-    p.set_defaults(func=cmd_split, access=EDIT)
-
-    filter_help = "equal|ancestor|descendant|equal-or-descendant|sibling|neighborhood:k"
-
-    p = sub.add_parser("trace", help="find artifacts related through the taxonomy")
-    p.add_argument("artifact_id")
-    p.add_argument("--to", dest="to_kind", help="restrict to one target kind")
-    p.add_argument("--filter", default=query.EQUAL, help=filter_help)
-    p.add_argument("--include-proposed", action="store_true")
-    p.set_defaults(func=cmd_trace, access=READ, sections=LINKS)
-
-    p = sub.add_parser("coverage", help="which from-kind artifacts reach the to-kind")
-    p.add_argument("--from", dest="from_kind", required=True)
-    p.add_argument("--to", dest="to_kind")
-    p.add_argument("--filter", help=filter_help)
-    p.add_argument("--policy", choices=list(query.POLICIES), default=query.COUNT_UNCLASSIFIABLE)
-    p.add_argument("--include-proposed", action="store_true")
-    p.set_defaults(func=cmd_coverage, access=READ, sections=LINKS)
-
-    p = sub.add_parser("impact", help="artifacts affected by changing one artifact")
-    p.add_argument("artifact_id")
-    p.add_argument("--filter", default=query.EQUAL, help=filter_help)
-    p.add_argument("--include-proposed", action="store_true")
-    p.set_defaults(func=cmd_impact, access=READ, sections=LINKS)
-
-    p = sub.add_parser("audit", help="check model classification quality")
-    p.add_argument("check", choices=["comprehensiveness", "inter"])
-    p.add_argument("--model", action="append", required=True, metavar="VERSION_LABEL")
-    p.add_argument("--sample", action="append", metavar="CODE")
-    p.add_argument("--type-attr", default="type")
-    p.set_defaults(func=cmd_audit, access=READ, sections=MODELS)
-
-    p = sub.add_parser("diff", help="compare codes between two model versions")
-    p.add_argument("--from", dest="from_version", required=True, metavar="VERSION_LABEL")
-    p.add_argument("--to", dest="to_version", required=True, metavar="VERSION_LABEL")
-    p.add_argument(
-        "--fingerprint",
-        metavar="ATTRS",
-        help="comma-separated attribute names, or 'default', to also match objects",
-    )
-    p.set_defaults(func=cmd_diff, access=READ, sections=MODELS)
-
-    p = sub.add_parser("cost", help="compare link maintenance effort for a scenario")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--strategy", choices=[linkage.DIRECT, linkage.TAXONOMIC], required=True)
-    p.set_defaults(func=cmd_cost, access=None)
-
+    for name in commands:
+        help_text, defaults, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=globals()[f"cmd_{name.replace('-', '_')}"], **defaults)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
+    return _parser(_COMMANDS, argparse.ArgumentParser)
+
+
+class _Unparsed(Exception):
+    """The lean parser met help, a usage error or a subcommand it was not given."""
+
+
+class _LeanParser(argparse.ArgumentParser):
+    """A parser that raises ``_Unparsed`` where argparse would print and exit."""
+
+    def print_help(self, file=None):
+        raise _Unparsed
+
+    def error(self, message):
+        raise _Unparsed
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the subparsers ``argv`` names.
+
+    A parse that the lean parser cannot finish, for help, a usage error or
+    a subcommand it was not given, runs again with every subparser, so the
+    output and exit code are the full parser's.  A lean parse that succeeds
+    gives the full parser's namespace: both have the same options, and the
+    subcommand chosen is one they both hold.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        return _parser([name for name in _COMMANDS if name in argv], _LeanParser).parse_args(argv)
+    except _Unparsed:
+        return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         if args.access is None:
             out = args.func(args)

@@ -362,31 +362,54 @@ def _record_lines(lines) -> str:
     return f"[\n{text}\n]" if text else "[]"
 
 
-def _check_keys(nodes: dict[str, TaxonomyNode]) -> None:
-    """ValueError for a node under a key other than its code: it would parse back under its code."""
+def _check_nodes(nodes: dict[str, TaxonomyNode]) -> None:
+    """ValueError for a node that the parsers would read back changed, or refuse.
+
+    That is a node under a key other than its code (it would parse back
+    under its code), a code not in normal form, and a title, description
+    or synonym that is blank or padded (the parsers strip each one, drop a
+    blank description or synonym and refuse a blank title).
+    """
     for code, node in nodes.items():
         if node.code != code:
             raise ValueError(f"taxonomy node {node.code!r} is stored under key {code!r}")
+        try:
+            normal = normalize_code(code) == code
+        except EmptyCode:
+            normal = False
+        if not normal:
+            raise ValueError(f"taxonomy node code {code!r} is not in normal form")
+        title, description = node.title, node.description
+        if not title or title.strip() != title:
+            raise ValueError(f"taxonomy node {code!r} has a blank or padded title {title!r}")
+        if description is not None and (not description or description.strip() != description):
+            raise ValueError(
+                f"taxonomy node {code!r} has a blank or padded description {description!r}")
+        for synonym in node.synonyms:
+            if not synonym or synonym.strip() != synonym:
+                raise ValueError(
+                    f"taxonomy node {code!r} has a blank or padded synonym {synonym!r}")
 
 
 def _structured_text(t: Taxonomy) -> str:
     """The structured format's ``{"nodes": [...]}`` document, one node per line, by code.
 
-    ValueError for a node under a key that is not its code (``_check_keys``).
+    ValueError for a node that would parse back changed (``_check_nodes``).
     """
     nodes = t.nodes
     text = f'{{"nodes": {_record_lines([_node_line(nodes[code]) for code in sorted(nodes)])}}}'
-    _check_keys(nodes)
+    _check_nodes(nodes)
     return text
 
 
 def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:
     """Serialize a taxonomy so that parse_taxonomy round-trips it.
 
-    ValueError for a node under a key that is not its code, in either format.
+    ValueError for a node that would parse back changed, in either format
+    (``_check_nodes``).
     """
     if format == TABULAR:
-        _check_keys(t.nodes)
+        _check_nodes(t.nodes)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)

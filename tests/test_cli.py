@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -1121,6 +1122,61 @@ warning: code-changed D2,D5: classification changed from '32Q' to '3'
      "warning: codes ['31'] of 'R4A' are not allocated to any part\n"),
 ]
 TRANSCRIPT_REPO_SHA256 = "d414e67bed6806da74c4e8ecbfdcb338a548c7f100e70bd9713c2f554b8457ea"
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace, or the exit code, of ``parse(argv)``, with what it printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestLeanParser:
+    """``cli.parse_args`` builds only the subparsers its arguments name, and
+    gives what the full parser gives: namespace, output and exit code."""
+
+    def test_a_command_builds_only_its_own_subparser(self, monkeypatch):
+        built = []
+        real = cli._parser
+
+        def spy(commands, parser_class):
+            built.append(list(commands))
+            return real(commands, parser_class)
+
+        monkeypatch.setattr(cli, "_parser", spy)
+        args = cli.parse_args(["--repo", "r.json", "suggest", "R1", "-n", "2"])
+        assert (args.func, args.artifact_id, args.n) == (cli.cmd_suggest, "R1", 2)
+        assert built == [["suggest"]]
+
+    def test_transcript_argvs_and_their_mutations(self, monkeypatch, capsys):
+        monkeypatch.setenv("TTL_REPO", "r.json")
+        rng = random.Random(31)
+        cases = [[], ["bogus"], ["--repo", "trace", "suggest", "R1"], ["--re=x.json", "validate"],
+                 ["--fo", "json", "--st", "validate"], ["--format", "xml", "validate"],
+                 ["suggest", "R1", "-n", "two"], ["trace", "trace"]]
+        for line, *_ in TRANSCRIPT:
+            argv = shlex.split(line)
+            cases.append(argv)
+            i = rng.randrange(len(argv))
+            cases.append(argv[:i] + argv[i + 1:])
+            i = rng.randint(0, len(argv))
+            cases.append(argv[:i] + ["--unknown"] + argv[i:])
+            options = [i for i, token in enumerate(argv) if token.startswith("--")]
+            if options:
+                i = rng.choice(options)
+                cases.append(argv[:i] + [argv[i][:rng.randint(3, len(argv[i]) - 1)]]
+                             + argv[i + 1:])
+            cases.extend(argv[:i] + ["-h"] + argv[i:] for i in range(len(argv) + 1))
+
+        def full(argv):
+            return cli.build_parser().parse_args(argv)
+
+        for argv in cases:
+            lean = parse_outcome(cli.parse_args, argv, capsys)
+            assert lean == parse_outcome(full, argv, capsys), argv
 
 
 class TestTranscript:

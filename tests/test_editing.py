@@ -505,6 +505,14 @@ REFUSED_VALUES = [
     (Artifact, "id", "R9", ValueError),  # read back as R9
     (taxonomy.TaxonomyNode, "code", "2", ValueError),  # beside 2, read back as a duplicate
     (taxonomy.TaxonomyNode, "code", "9", ValueError),  # read back as class 9
+    # A field the parsers strip, drop or refuse.
+    (taxonomy.TaxonomyNode, "title", " ", ValueError),  # refused as empty
+    (taxonomy.TaxonomyNode, "title", " Alpha ", ValueError),  # read back as "Alpha"
+    (taxonomy.TaxonomyNode, "description", "", ValueError),  # read back as None
+    (taxonomy.TaxonomyNode, "description", "\t", ValueError),  # read back as None
+    (taxonomy.TaxonomyNode, "description", "Alpha\n", ValueError),  # read back as "Alpha"
+    (taxonomy.TaxonomyNode, "synonyms", ["x", ""], ValueError),  # read back as ["x"]
+    (taxonomy.TaxonomyNode, "synonyms", [" x"], ValueError),  # read back as ["x"]
 ]
 REFUSED_IDS = [f"{cls.__name__}.{name}={value!r}" for cls, name, value, _ in REFUSED_VALUES]
 
@@ -542,6 +550,47 @@ class TestRefusedValues:
         put_wrong(repo, cls, "code" if cls is taxonomy.TaxonomyNode else "id", value)
         with pytest.raises(ValueError) as caught:
             save_repository(repo, marked_path)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("trusted", [True, False], ids=["trusted", "stale stamp"])
+    @pytest.mark.parametrize("code", ["a -", "A-", " A", "a", "-"])
+    def test_a_code_not_in_normal_form_is_refused_under_its_own_key(self, marked_path, code,
+                                                                      trusted):
+        # Under key "a -", node "a -" would be read back as class A.
+        if not trusted:
+            with open(sidecar(marked_path), "wb") as f:
+                f.write(b"0\n")
+        start = read(marked_path), read(sidecar(marked_path))
+        message = f"taxonomy node code {code!r} is not in normal form"
+        repo = load_repository(marked_path)
+        repo.taxonomy.nodes[code] = taxonomy.TaxonomyNode(code, "Alpha")
+        with pytest.raises(ValueError) as caught:
+            save_repository(repo, marked_path)
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            with store.editing(marked_path) as repo:
+                repo.taxonomy.nodes[code] = taxonomy.TaxonomyNode(code, "Alpha")
+        assert str(caught.value) == message
+        assert (read(marked_path), read(sidecar(marked_path))) == start
+
+    @pytest.mark.parametrize("fmt", [taxonomy.TABULAR, taxonomy.STRUCTURED])
+    @pytest.mark.parametrize("name, value, message", [
+        ("code", "b", "taxonomy node code 'b' is not in normal form"),
+        ("title", "", "taxonomy node 'B' has a blank or padded title ''"),
+        ("title", "Beta ", "taxonomy node 'B' has a blank or padded title 'Beta '"),
+        ("description", " ", "taxonomy node 'B' has a blank or padded description ' '"),
+        ("description", "\u3000Beta", "taxonomy node 'B' has a blank or padded description"
+                                      " '\\u3000Beta'"),
+        ("synonyms", ["beta", "\n"], "taxonomy node 'B' has a blank or padded synonym '\\n'"),
+    ])
+    def test_either_taxonomy_writer_refuses_a_node_it_would_read_back_changed(
+            self, fmt, name, value, message):
+        t = taxonomy.parse_taxonomy("code,parent,title,description,synonyms\n"
+                                    "A,,Alpha,,\nB,,Beta,,\n")
+        node = dataclasses.replace(t.nodes.pop("B"), **{name: value})
+        t.nodes[node.code] = node
+        with pytest.raises(ValueError) as caught:
+            taxonomy.write_taxonomy(t, fmt)
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("fmt", [taxonomy.TABULAR, taxonomy.STRUCTURED])
@@ -812,9 +861,10 @@ def outcome(path, argv, capsys):
 
 
 def count_decoded(monkeypatch):
-    """The assignments and edit-log entries decoded from now on, by section."""
-    decoded = {"assignments": 0, "edit_log": 0}
-    for name, section in (("_assignment_from_dict", "assignments"),
+    """The taxonomies, assignments and edit-log entries decoded from now on, by section."""
+    decoded = {"taxonomy": 0, "assignments": 0, "edit_log": 0}
+    for name, section in (("_structured_records", "taxonomy"),
+                          ("_assignment_from_dict", "assignments"),
                           ("_edit_from_dict", "edit_log")):
         def spy(doc, real=getattr(store, name), section=section):
             decoded[section] += 1
@@ -871,24 +921,25 @@ class TestVouchedReads:
             assert outcome(path, argv, capsys) == vouched, argv
 
     @pytest.mark.parametrize("argv, reads", [
-        (["suggest", "R1"], set()),
-        (["audit", "comprehensiveness", "--model", "v1"], set()),
+        (["suggest", "R1"], {"taxonomy"}),
+        (["audit", "comprehensiveness", "--model", "v1"], {"taxonomy"}),
         (["diff", "--from", "v1", "--to", "v1"], set()),
-        (["trace", "R1"], {"assignments"}),
-        (["coverage", "--from", "requirement"], {"assignments"}),
-        (["impact", "R1"], {"assignments"}),
-        (["validate"], {"assignments", "edit_log"}),
+        (["trace", "R1"], {"taxonomy", "assignments"}),
+        (["coverage", "--from", "requirement"], {"taxonomy", "assignments"}),
+        (["impact", "R1"], {"taxonomy", "assignments"}),
+        (["validate"], {"taxonomy", "assignments", "edit_log"}),
     ])
     def test_skipped_sections_are_not_decoded(self, marked_path, argv, reads, capsys,
                                               monkeypatch):
         repo = load_repository(marked_path)
-        every = {"assignments": len(repo.assignments), "edit_log": len(repo.edit_log)}
+        every = {"taxonomy": 1, "assignments": len(repo.assignments),
+                 "edit_log": len(repo.edit_log)}
         assert min(every.values()) > 0
         decoded = count_decoded(monkeypatch)
         assert run_cli(marked_path, argv, capsys) == 0
         assert decoded == {name: n if name in reads else 0 for name, n in every.items()}
         os.unlink(sidecar(marked_path))
-        decoded.update(assignments=0, edit_log=0)
+        decoded.update(taxonomy=0, assignments=0, edit_log=0)
         assert run_cli(marked_path, argv, capsys) == 0
         assert decoded == every
 

@@ -2,8 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import SAMPLED_BODIES
@@ -221,3 +224,57 @@ class TestAgainstOracle:
             assert all(s.score > 0 and s.matched_terms for s in got)
             keys = [(-s.score, s.code) for s in got]
             assert keys == sorted(keys)
+
+
+# The separator ``_index`` joins fields with, the underscore, characters
+# whose case folding grows (ß -> ss, İ -> i + combining dot) or depends on
+# position (final sigma), numerals that are alphanumeric without being
+# letters (², ½), and combining marks.
+TRICKY = ["\x00", "_", "ß", "İ", "ς", "Σ", "²", "½", "\u0301", "\u0307", "ﬁ", " ", "-",
+          "a", "Z", "9"]
+
+
+def separator_field(rng) -> str:
+    pieces = ["gate", "GATE", "fence", "ß", "ss", "\x00", " \x00 ", "x\x00y", "_", "İ", "i",
+              "ς", "σ", "²", "½", "\u0301", " ", "-"]
+    return "".join(rng.choices(pieces, k=rng.randint(1, 6)))
+
+
+class TestTokenizerEquivalence:
+    """The translate-and-split tokenizer against the character-by-character oracle."""
+
+    @seed(23)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=40))
+    @example("ab\x00cd")
+    def test_tokenize_matches_the_oracle(self, text):
+        assert tokenize(text) == oracles.oracle_tokens(text)
+
+    def test_isalnum_is_the_regex_class_on_every_code_point(self):
+        # The tokenizer keeps a character when ``str.isalnum`` holds, the
+        # rule that the regex class ``[^\W_]`` states.  No kept character
+        # is whitespace, so ``split`` keeps each run of them whole.
+        text = "".join(map(chr, range(0x110000)))
+        kept = "".join(filter(str.isalnum, text))
+        assert "".join(re.findall(r"[^\W_]", text)) == kept
+        assert not any(map(str.isspace, kept))
+
+    def test_fields_holding_the_separator_match_reference_scoring(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            nodes = [
+                TaxonomyNode(
+                    code=f"S{i}",
+                    title=separator_field(rng),
+                    synonyms=[separator_field(rng) for _ in range(rng.randint(0, 2))],
+                    description=separator_field(rng) if rng.random() < 0.6 else None,
+                )
+                for i in range(rng.randint(1, 8))
+            ]
+            t = Taxonomy(nodes={n.code: n for n in nodes})
+            text = " ".join(separator_field(rng) for _ in range(rng.randint(1, 4)))
+            want = oracles.scoring_oracle(
+                {n.code: {"title": n.title, "description": n.description,
+                          "synonyms": list(n.synonyms)} for n in nodes}, text)
+            got = suggest(text, t, len(t))
+            assert {s.code: s.score for s in got} == pytest.approx(want, rel=1e-9), (nodes, text)

@@ -165,14 +165,14 @@ def cmd_import(args, repo: store.Repository) -> Output:
         lines = [f"imported {len(artifacts)} artifacts"]
     else:
         objects = store.read_design_objects_csv(text)
-        assigned = 0
+        assigned, now = 0, _now()
         for obj in objects:
             store.add_artifact(repo, obj)
             raw = obj.attrs.get(store.CODE_ATTR)
             if raw is None:
                 continue
             try:
-                linkage.assign(repo, obj.id, raw, provenance=linkage.IMPORTED, now=_now())
+                linkage.assign(repo, obj.id, raw, provenance=linkage.IMPORTED, now=now)
                 assigned += 1
             except TaxTraceError as exc:
                 warnings.append(f"{obj.id}: code {raw!r} not assigned ({exc})")

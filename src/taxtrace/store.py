@@ -21,6 +21,13 @@ artifact or code raises ReferentialIntegrityError.  Schema 1 files, the
 same document indented, still load and are rewritten as schema 2 by
 their next save.
 
+A load checks the artifacts section a field at a time and, when every
+record is as a save writes it, builds the artifacts in one pass
+(``_saved_artifacts``); any other section is decoded record by record,
+which normalizes hand-written values and names the first faulty record
+by index.  The taxonomy section is decoded alike (``taxonomy``), and the
+assignments and the edit log record by record.
+
 Commands that change the repository go through ``editing``: one writer
 at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
 The save keeps the edit log's lines and encodes every other record.  The
@@ -443,6 +450,31 @@ def _decoded(records: list, decode, section: str, check=None) -> list:
     return decoded
 
 
+# ``Artifact``'s fields in order, and the types each takes in a file a save wrote.
+_ARTIFACT_COLUMNS = ("id", "kind", "title", "body", "attrs", "document", "version", "archived")
+_STR = frozenset({str})
+_SAVED_TYPES = (_STR, _STR, _STR, frozenset(_STR_OR_NONE), frozenset({dict}),
+                frozenset(_STR_OR_NONE), frozenset(_STR_OR_NONE), frozenset({bool}))
+
+
+def _saved_artifacts(records: list) -> list[Artifact] | None:
+    """The artifacts of ``records`` if every one is in the form a save writes, else None.
+
+    Each field is checked once for the whole list, column by column: its
+    type, a known kind, and attrs that hold strings only.  From such
+    records ``_artifact_from_dict`` builds exactly these artifacts.
+    """
+    if not {dict}.issuperset(map(type, records)):
+        return None
+    columns = [list(map(dict.get, records, itertools.repeat(key))) for key in _ARTIFACT_COLUMNS]
+    if not (all(types.issuperset(map(type, column)) for types, column in zip(_SAVED_TYPES, columns))
+            and ARTIFACT_KINDS.issuperset(columns[1])
+            and _STR.issuperset(map(type, itertools.chain.from_iterable(
+                map(dict.values, columns[4]))))):
+        return None
+    return list(map(Artifact, *columns))
+
+
 def _by_id(artifacts: list[Artifact]) -> dict[str, Artifact]:
     """The artifacts keyed by id; the first one whose id came before is rejected."""
     by_id = {a.id: a for a in artifacts}
@@ -466,7 +498,10 @@ def _section(name: str, value):
         return _build(_structured_records(value or {"nodes": []}))
     records = _records(value, name)
     if name == "artifacts":
-        return _by_id(_decoded(records, _artifact_from_dict, name, _by_id))
+        saved = _saved_artifacts(records)
+        if saved is None:
+            saved = _decoded(records, _artifact_from_dict, name, _by_id)
+        return _by_id(saved)
     decode = _assignment_from_dict if name == "assignments" else _edit_from_dict
     return _decoded(records, decode, name)
 
@@ -789,7 +824,8 @@ def read_design_objects_csv(text: str) -> list[Artifact]:
     Every column after the three fixed ones becomes an attribute.  The
     classification code lands in attr ``sb11_code`` exactly as exported
     (audits need the faulty spelling, so no normalization here); an empty
-    code cell leaves the attribute unset.
+    code cell leaves the attribute unset.  A header that repeats a column
+    name is refused, naming the first repeat.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
@@ -799,6 +835,9 @@ def read_design_objects_csv(text: str) -> list[Artifact]:
         raise MalformedRecord(
             f"expected header to start with 'object_id,{CODE_ATTR},version', got {','.join(header[:3])!r}"
         )
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise MalformedRecord(f"header repeats column {name!r}")
     attr_names = header[3:]
     artifacts = []
     for lineno, row in enumerate(rows[1:], start=2):

@@ -15,7 +15,12 @@ breadth-first operations (``neighborhood``) never cross trees.
 This module owns the stored node format.  The structured format is a
 ``{"nodes": [...]}`` document with one node per line, by code, and a
 repository file stores the same text under "taxonomy": both are decoded
-by ``_structured_records`` and encoded by ``_node_line``.
+by ``_structured_records`` and encoded by ``_node_line``.  The decoder
+checks the node list a field at a time; when every node is as a save
+writes it, it builds them in one pass, and otherwise it decodes node by
+node, normalizing hand-written values and naming the first faulty node
+by index.  ``_build`` and ``Taxonomy`` likewise check all codes and
+parents at once and look for the offending node only when a check fails.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import attrgetter, is_not
 
 from .errors import (
     CycleDetected,
@@ -84,6 +91,9 @@ class TaxonomyNode:
                              synonyms=[] if synonyms is None else synonyms, parent=parent)
 
 
+_code, _parent = attrgetter("code"), attrgetter("parent")
+
+
 @dataclass
 class Taxonomy:
     """A forest of taxonomy nodes keyed by normalized code, checked when built."""
@@ -92,9 +102,13 @@ class Taxonomy:
 
     def __post_init__(self) -> None:
         nodes = self.nodes
-        for node in nodes.values():
-            if node.parent is not None and node.parent not in nodes:
-                raise UnknownParent(f"node {node.code!r} names unknown parent {node.parent!r}")
+        # All parents are checked at once; the loop only finds the first unknown one.
+        parents = set(map(_parent, nodes.values()))
+        parents.discard(None)
+        if not nodes.keys() >= parents:
+            for node in nodes.values():
+                if node.parent is not None and node.parent not in nodes:
+                    raise UnknownParent(f"node {node.code!r} names unknown parent {node.parent!r}")
         # One walk up from each code, in node order.  ``reached`` maps each
         # code walked so far to the code whose walk reached it first; a walk
         # that meets a code of an earlier walk stops there, because that one
@@ -224,12 +238,17 @@ def neighborhood(t: Taxonomy, code: str, k: int) -> list[str]:
 
 
 def _build(records: list[TaxonomyNode]) -> Taxonomy:
-    """Index records by code, rejecting duplicate codes; ``Taxonomy`` checks the rest."""
-    nodes: dict[str, TaxonomyNode] = {}
-    for node in records:
-        if node.code in nodes:
-            raise DuplicateCode(f"code {node.code!r} appears more than once")
-        nodes[node.code] = node
+    """Index records by code; the first one whose code came before is rejected.
+
+    ``Taxonomy`` checks the rest.
+    """
+    nodes = dict(zip(map(_code, records), records))
+    if len(nodes) < len(records):
+        seen = set()
+        for node in records:
+            if node.code in seen:
+                raise DuplicateCode(f"code {node.code!r} appears more than once")
+            seen.add(node.code)
     return Taxonomy(nodes)
 
 
@@ -278,12 +297,52 @@ def _parse_structured(text: str) -> list[TaxonomyNode]:
 
 
 _NODE_FIELDS = frozenset({"code", "parent", "title", "description", "synonyms"})
+_NODE_COLUMNS = ("code", "title", "description", "synonyms", "parent")  # ``TaxonomyNode``'s order
+_STR = frozenset({str})
+_STR_OR_NONE = frozenset({str, type(None)})
+_LIST_OR_NONE = frozenset({list, type(None)})
+_given = partial(is_not, None)
+
+
+def _saved_nodes(items: list) -> list[TaxonomyNode] | None:
+    """The nodes of ``items`` if every one is in the form a save writes, else None.
+
+    Each field is checked once for the whole list, column by column: no
+    unknown field, codes and parents in normal form, and titles, present
+    descriptions and synonyms non-blank and stripped.  From such items the
+    node-by-node decoding builds exactly these nodes.
+    """
+    if not ({dict}.issuperset(map(type, items))
+            and _NODE_FIELDS.issuperset(chain.from_iterable(items))):
+        return None
+    columns = [list(map(dict.get, items, repeat(key))) for key in _NODE_COLUMNS]
+    _, titles, descriptions, synonyms, parents = columns
+    if not (_LIST_OR_NONE.issuperset(map(type, synonyms))
+            and _STR_OR_NONE.issuperset(map(type, descriptions))
+            and _STR_OR_NONE.issuperset(map(type, parents))):
+        return None
+    codes = [*columns[0], *filter(_given, parents)]
+    texts = [*titles, *filter(_given, descriptions),
+             *chain.from_iterable(filter(None, synonyms))]
+    if not (_STR.issuperset(map(type, codes)) and _STR.issuperset(map(type, texts))
+            and all(codes) and all(texts)
+            and list(map(str.strip, texts)) == texts
+            and list(map(str.rstrip, map(str.upper, map(str.strip, codes)),
+                         repeat(_PADDING))) == codes):  # ``normalize_code``, in C
+        return None
+    return list(map(TaxonomyNode, *columns))
 
 
 def _structured_records(doc) -> list[TaxonomyNode]:
-    """Validated node records from a decoded ``{"nodes": [...]}`` document."""
+    """Validated node records from a decoded ``{"nodes": [...]}`` document.
+
+    Built in one pass when ``_saved_nodes`` takes them, else node by node.
+    """
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MalformedRecord("expected an object with a 'nodes' list")
+    saved = _saved_nodes(doc["nodes"])
+    if saved is not None:
+        return saved
     records = []
     for i, item in enumerate(doc["nodes"]):
         if not isinstance(item, dict):
@@ -406,10 +465,16 @@ def write_taxonomy(t: Taxonomy, format: str = TABULAR) -> str:
     """Serialize a taxonomy so that parse_taxonomy round-trips it.
 
     ValueError for a node that would parse back changed, in either format
-    (``_check_nodes``).
+    (``_check_nodes``), and in the tabular format for a synonym holding
+    "|", which separates a row's synonyms there.
     """
     if format == TABULAR:
         _check_nodes(t.nodes)
+        for code, node in t.nodes.items():
+            for synonym in node.synonyms:
+                if "|" in synonym:
+                    raise ValueError(f"taxonomy node {code!r} has a synonym {synonym!r} "
+                                     "holding '|', which the tabular format cannot write")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)

@@ -6,6 +6,7 @@ set differences.  Nothing imports the production algorithms beyond the
 data types needed to build inputs.
 """
 
+import json
 from collections import deque
 
 # --- forests as plain parent maps: {code: parent or None} ---
@@ -277,3 +278,145 @@ def inter_reliability_oracle(a: list, b: list, sample: set[str], type_attr: str)
                 "severity": "error",
             })
     return {"findings": findings, "per_code": per_code}
+
+
+# --- stored sections decoded one record at a time, as a hand-written file is ---
+
+
+class Rejected(Exception):
+    """A section the load must refuse: the error class's name and its message."""
+
+    def __init__(self, error: str, message: str) -> None:
+        super().__init__(message)
+        self.error = error
+
+
+def normal_code_oracle(raw: str) -> str:
+    """Trimmed and uppercased, trailing dashes and whitespace dropped; "" when nothing is left."""
+    code = raw.strip().upper()
+    while code and (code[-1] == "-" or code[-1].isspace()):
+        code = code[:-1]
+    return code
+
+
+NODE_FIELDS = {"code", "parent", "title", "description", "synonyms"}
+
+
+def node_oracle(i: int, item) -> dict:
+    """The fields of node ``nodes[i]`` of a structured taxonomy document."""
+    def reject(message):
+        raise Rejected("MalformedRecord", f"nodes[{i}]: {message}")
+
+    if not isinstance(item, dict):
+        reject("expected an object")
+    unknown = sorted(set(item) - NODE_FIELDS)
+    if unknown:
+        reject(f"unknown fields {unknown}")
+    if item.get("code") is None or item.get("title") is None:
+        reject("'code' and 'title' are required")
+    code = normal_code_oracle(str(item["code"]))
+    if not code:
+        reject("empty code")
+    title = str(item["title"]).strip()
+    if not title:
+        reject(f"empty title for code {code!r}")
+    parent = item.get("parent")
+    if parent is not None:
+        parent = normal_code_oracle(str(parent))
+        if not parent:
+            reject("unusable parent")
+    description = item.get("description")
+    if description is not None:
+        description = str(description).strip() or None
+    synonyms = item.get("synonyms")
+    if not synonyms:  # null, [], "", 0 and false all mean none
+        synonyms = []
+    if not isinstance(synonyms, list):
+        reject("synonyms must be a list")
+    if any(s is None for s in synonyms):
+        reject("synonyms must not be null")
+    kept = [str(s).strip() for s in synonyms]
+    return {"code": code, "title": title, "description": description,
+            "synonyms": [s for s in kept if s], "parent": parent}
+
+
+def taxonomy_section_oracle(doc) -> list[dict]:
+    """The nodes of a stored taxonomy section, in order, checked as a load checks them.
+
+    Every node is decoded first; then a repeated code, a parent that is no
+    node's code and a cycle are refused, in that order, each naming the
+    first offender in node order.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
+        raise Rejected("MalformedRecord", "expected an object with a 'nodes' list")
+    nodes = [node_oracle(i, item) for i, item in enumerate(doc["nodes"])]
+    parents = {}
+    for node in nodes:
+        if node["code"] in parents:
+            raise Rejected("DuplicateCode", f"code {node['code']!r} appears more than once")
+        parents[node["code"]] = node["parent"]
+    for node in nodes:
+        if node["parent"] is not None and node["parent"] not in parents:
+            raise Rejected("UnknownParent",
+                           f"node {node['code']!r} names unknown parent {node['parent']!r}")
+    for code in parents:
+        current = code
+        for _ in range(len(parents) + 1):
+            current = parents[current]
+            if current is None:
+                break
+        else:
+            raise Rejected("CycleDetected", f"cycle through node {code!r}")
+    return nodes
+
+
+ARTIFACT_KINDS = {"requirement", "design-object", "test-case", "source-unit", "compliance-clause"}
+
+
+def artifact_oracle(doc) -> dict:
+    """The fields of one stored artifact record; a refusal's message has no location."""
+    def reject(message):
+        raise Rejected("MalformedRecord", message)
+
+    if not isinstance(doc, dict):
+        reject("expected an object")
+    for key in ("id", "kind", "title"):
+        if not isinstance(doc.get(key), str):
+            reject(f"missing or non-string {key!r}")
+    if doc["kind"] not in ARTIFACT_KINDS:
+        reject(f"unknown artifact kind {doc['kind']!r}")
+    attrs = doc.get("attrs")
+    if not attrs:
+        attrs = {}
+    if not isinstance(attrs, dict):
+        reject("attrs must be an object")
+    for k, v in attrs.items():
+        if v is None or isinstance(v, (list, dict)):
+            reject(f"attr {k!r} must be a string, number or boolean")
+    # A number or a boolean is kept as the JSON spells it.
+    attrs = {k: v if isinstance(v, str) else json.dumps(v) for k, v in attrs.items()}
+    for key in ("body", "document", "version"):
+        if doc.get(key) is not None and not isinstance(doc[key], str):
+            reject(f"{key} must be a string or null")
+    archived = doc.get("archived", False)
+    if archived is not True and archived is not False:
+        reject("archived must be true or false")
+    return {"id": doc["id"], "kind": doc["kind"], "title": doc["title"],
+            "body": doc.get("body"), "attrs": attrs, "document": doc.get("document"),
+            "version": doc.get("version"), "archived": archived}
+
+
+def artifacts_section_oracle(records: list) -> list[dict]:
+    """The artifacts of a stored section, in order: the first fault in record order is refused."""
+    artifacts, seen = [], set()
+    for i, record in enumerate(records):
+        try:
+            artifact = artifact_oracle(record)
+        except Rejected as exc:
+            raise Rejected(exc.error, f"artifacts[{i}]: {exc}") from None
+        if artifact["id"] in seen:
+            raise Rejected("ReferentialIntegrityError",
+                           f"artifact id {artifact['id']!r} appears twice")
+        seen.add(artifact["id"])
+        artifacts.append(artifact)
+    return artifacts

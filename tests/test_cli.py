@@ -113,6 +113,20 @@ class TestImport:
                   if a.status == "confirmed"}
         assert active == {("B2", "18B")}
 
+    def test_model_import_reads_the_clock_once(self, workspace, capsys, monkeypatch):
+        run(capsys, "init")
+        run(capsys, "import", "taxonomy", str(workspace / "taxonomy.csv"))
+        model = workspace / "model.csv"
+        model.write_text("object_id,sb11_code,version\nG1,32QG,v1\nG2,18B,v1\nG3,31B,v1\n",
+                         encoding="utf-8")
+        reads = []
+        monkeypatch.setattr(cli, "_now", lambda: reads.append(NOW_B) or NOW_B)
+        assert run(capsys, "import", "model", str(model))[0] == 0
+        assert reads == [NOW_B]
+        repo = load_repository(str(workspace / "repo.json"))
+        assert {a.created_at for a in repo.assignments} == {NOW_B}
+        assert len(repo.assignments) == 3
+
     def test_no_warning_is_printed_when_the_save_fails(self, workspace, capsys, monkeypatch):
         seed_repo(capsys, workspace)
         run(capsys, "assign", "R3", "32QG")

@@ -9,10 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import CANONICAL_TAXONOMY_CSV, NOW, random_repo, tax_from_parents
-from taxtrace import linkage, store, taxonomy
+from taxtrace import cli, linkage, store, taxonomy
 from taxtrace.errors import (
     CycleDetected,
     DuplicateCode,
@@ -21,6 +23,7 @@ from taxtrace.errors import (
     ReferentialIntegrityError,
     RepositoryIOError,
     SchemaVersionMismatch,
+    TaxTraceError,
     UnknownId,
     UnknownParent,
 )
@@ -738,6 +741,123 @@ class TestOneNodeEncoder:
         assert taxonomy.write_taxonomy(repo.taxonomy, "structured") == stored[:-3] + "\n"
 
 
+# Values as a save writes them, and per field the edge values that only a
+# hand-written file holds: some the record-by-record decoding normalizes
+# (a padded code or title, a number in attrs), some it refuses.
+SAVED_CODES = ["A", "AB", "B", "B1", "C", "\u00c4"]
+SAVED_TEXTS = ["Alpha", "Alpha beta", "x|y", "\u00e9t\u00e9"]
+EDGE_TEXTS = ["", " ", " Alpha ", "Alpha ", "\u3000Beta", "\n", 0, 5, False, None, ["x"]]
+NODE_EDGES = {
+    "code": ["ab -", " a", "b1-", "A-", "a", "", "-", " ", 5, True, None, ["A"]],
+    "parent": ["ab -", " a", "a", "", "-", 5, "ZZ", ["A"]],
+    "title": EDGE_TEXTS,
+    "description": EDGE_TEXTS,
+    "synonyms": [None, [], "", 0, "x", ["x", " y "], [""], [" "], [None], [0], ["x", 5]],
+    "extra": [1],
+}
+ARTIFACT_EDGES = {
+    "id": [None, 5, ["R1"]],
+    "kind": ["requirment", "", None, 5, ["requirement"]],
+    "title": EDGE_TEXTS,
+    "body": EDGE_TEXTS,
+    "document": EDGE_TEXTS,
+    "version": EDGE_TEXTS,
+    "attrs": [None, {}, "x", [], {"n": 2}, {"f": 2.5}, {"t": True}, {"z": None}, {"l": [1]},
+              {"d": {}}, {"a": "x", "n": 0}],
+    "archived": [0, 1, "false", None],
+}
+
+SAVED_NODES = st.fixed_dictionaries(
+    {"code": st.sampled_from(SAVED_CODES), "title": st.sampled_from(SAVED_TEXTS)},
+    optional={"parent": st.sampled_from(SAVED_CODES),
+              "description": st.sampled_from(SAVED_TEXTS),
+              "synonyms": st.lists(st.sampled_from(SAVED_TEXTS), max_size=3)})
+SAVED_ARTIFACTS = st.fixed_dictionaries(
+    {"id": st.sampled_from(["R1", "R2", "G1", "G2", "T1"]),
+     "kind": st.sampled_from(sorted(store.ARTIFACT_KINDS)),
+     "title": st.sampled_from(SAVED_TEXTS),
+     "attrs": st.dictionaries(st.sampled_from(["type", "volume", store.CODE_ATTR]),
+                              st.sampled_from(["gate", "", " 4.5 "]), max_size=3),
+     "archived": st.booleans()},
+    optional={key: st.one_of(st.none(), st.sampled_from(SAVED_TEXTS))
+              for key in ("body", "document", "version")})
+
+
+@st.composite
+def sections(draw, saved, edges, key):
+    """Records as a save writes them, with distinct ``key`` values, often with one
+    edge record inserted: a saved one with one or two fields set to edge
+    values and perhaps one left out, or not an object at all."""
+    records = draw(st.lists(saved, max_size=6, unique_by=lambda record: record[key]))
+    if draw(st.booleans()):
+        if draw(st.integers(0, 9)):
+            record = dict(draw(saved))
+            for name in draw(st.lists(st.sampled_from(sorted(edges)), min_size=1, max_size=2,
+                                      unique=True)):
+                record[name] = draw(st.sampled_from(edges[name]))
+            for name in draw(st.lists(st.sampled_from(sorted(record)), max_size=1)):
+                del record[name]
+        else:
+            record = draw(st.sampled_from([None, 5, "A", []]))
+        records.insert(draw(st.integers(0, len(records))), record)
+    return records
+
+
+def outcome(decode, value):
+    """What decoding ``value`` gives: the records' fields, or the error's class and message."""
+    try:
+        return "decoded", decode(value)
+    except oracles.Rejected as exc:
+        return exc.error, str(exc)
+    except TaxTraceError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBulkDecoding:
+    """A load builds a taxonomy or artifacts section in one pass when every record
+    is as a save writes it; whatever the records, it decodes them as the
+    record-by-record reference does, or refuses them with its error."""
+
+    @seed(24)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(sections(SAVED_NODES, NODE_EDGES, "code"))
+    @example([{"code": "A", "title": "Alpha"},
+              {"code": "ab -", "parent": " a", "title": " Alpha beta "}])
+    @example([{"code": "A", "title": "Alpha", "synonyms": []}])
+    def test_taxonomy_section_matches_the_reference(self, nodes):
+        got = outcome(lambda doc: [vars(node) for node in store._section("taxonomy", doc).nodes
+                                   .values()], {"nodes": nodes})
+        assert got == outcome(oracles.taxonomy_section_oracle, {"nodes": nodes})
+
+    @seed(24)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(sections(SAVED_ARTIFACTS, ARTIFACT_EDGES, "id"))
+    @example([{"id": "R1", "kind": "requirement", "title": "One", "attrs": {"n": 2},
+               "archived": False}])
+    def test_artifacts_section_matches_the_reference(self, records):
+        got = outcome(lambda value: list(map(vars, store._section("artifacts", value).values())),
+                      records)
+        assert got == outcome(oracles.artifacts_section_oracle, records)
+
+    def test_saved_sections_take_the_bulk_path(self):
+        # Each record of a saved file decodes in the one pass, and any edge
+        # value sends its section to the record-by-record decoding.
+        repo = edge_records(tricky_repo(random.Random(3)))
+        doc = json.loads(serialize_repository(repo))
+        nodes, artifacts = doc["taxonomy"]["nodes"], doc["artifacts"]
+        assert taxonomy._saved_nodes(nodes) == list(repo.taxonomy.nodes.values())
+        assert store._saved_artifacts(artifacts) == sorted(repo.artifacts.values(),
+                                                          key=lambda a: a.id)
+        for field, value in [("code", "a"), ("parent", " A"), ("title", " Alpha"),
+                             ("description", ""), ("synonyms", [" x"]), ("extra", 1)]:
+            assert taxonomy._saved_nodes([*nodes, {"code": "ZZ", "title": "Z", field: value}]) \
+                is None, field
+        for field, value in [("attrs", {"n": 2}), ("archived", 0), ("kind", "requirment"),
+                             ("body", 5)]:
+            assert store._saved_artifacts([*artifacts, {**artifacts[0], field: value}]) \
+                is None, field
+
+
 # Each module with the package modules it must not load: taxonomy <- store <- linkage.
 LAYERS = [
     ("taxtrace.store", ("taxtrace.linkage",)),
@@ -836,3 +956,29 @@ class TestModelCsvIngestion:
         with pytest.raises(MalformedRecord) as info:
             read_design_objects_csv("")
         assert str(info.value) == "empty design-object file"
+
+    @pytest.mark.parametrize("text, column", [
+        ("object_id,sb11_code,version,type,type\nG1,32QG,v1,gate,bridge\n", "type"),
+        # The fourth column would have stood in for the empty code cell.
+        ("object_id,sb11_code,version,sb11_code\nG1,,v1,ZZ\n", "sb11_code"),
+        ("object_id,sb11_code,version,object_id\nG1,32QG,v1,G2\n", "object_id"),
+    ], ids=["attr", "code", "object_id"])
+    def test_a_header_that_repeats_a_column_is_refused(self, text, column):
+        with pytest.raises(MalformedRecord) as info:
+            read_design_objects_csv(text)
+        assert str(info.value) == f"header repeats column {column!r}"
+
+    def test_import_model_exits_2_on_a_repeated_column(self, tmp_path, capsys):
+        path, tax, model = (str(tmp_path / name) for name in ("r.json", "t.json", "model.csv"))
+        with open(tax, "w", encoding="utf-8") as f:
+            f.write('{"nodes": [{"code": "ZZ", "title": "Zed"}]}')
+        with open(model, "w", encoding="utf-8") as f:
+            f.write("object_id,sb11_code,version,sb11_code\nG1,,v1,ZZ\n")
+        assert cli.main(["init", path]) == 0
+        assert cli.main(["--repo", path, "import", "taxonomy", "--taxonomy-format", "structured",
+                         tax]) == 0
+        capsys.readouterr()
+        before = (tmp_path / "r.json").read_bytes()
+        assert cli.main(["--repo", path, "import", "model", model]) == 2
+        assert capsys.readouterr() == ("", "error: header repeats column 'sb11_code'\n")
+        assert (tmp_path / "r.json").read_bytes() == before

@@ -18,6 +18,7 @@ from taxtrace.errors import (
     UnknownParent,
 )
 from taxtrace.taxonomy import (
+    Taxonomy,
     TaxonomyNode,
     _build,
     ancestors,
@@ -159,6 +160,17 @@ class TestParse:
     def test_tabular_round_trips_canonical(self, canon_tax):
         text = write_taxonomy(canon_tax)
         assert write_taxonomy(parse_taxonomy(text)) == text
+
+    def test_tabular_writer_refuses_a_synonym_holding_the_separator(self):
+        # The tabular format joins a row's synonyms with "|", so "x|y" would
+        # be read back as the two synonyms "x" and "y".
+        t = Taxonomy({"A": TaxonomyNode("A", "Alpha", synonyms=["x|y"])})
+        with pytest.raises(ValueError) as caught:
+            write_taxonomy(t, "tabular")
+        assert str(caught.value) == ("taxonomy node 'A' has a synonym 'x|y' holding '|', "
+                                     "which the tabular format cannot write")
+        again = parse_taxonomy(write_taxonomy(t, "structured"), format="structured")
+        assert again.nodes["A"].synonyms == ["x|y"]
 
     def test_round_trip_random_forests(self):
         rng = random.Random(2024)

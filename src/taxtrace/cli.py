@@ -13,8 +13,11 @@ A ``READ`` handler also declares the ``sections`` of the file it reads:
 taxonomy too (``MODELS``), ``trace``, ``coverage`` and ``impact`` the
 assignments as well (``LINKS``).  When the sidecar's stamp vouches for
 the file, only those are decoded and checked, and the others are left
-empty (``store.read_sections``).  ``validate`` declares None: it loads
-and checks the whole file, whatever the stamp says.
+empty (``store.read_sections``).  ``suggest`` also declares
+``one_artifact``: of the artifacts it builds and checks only the one it
+ranks, so under a forged stamp a hand edit of another artifact passes it
+unchecked.  ``validate`` declares None: it loads and checks the whole
+file, whatever the stamp says.
 ``main`` builds the parser of the subcommand that its arguments name
 (``parse_args``); help and usage errors are printed by the full parser.
 Python's cyclic garbage collector is paused for a ``READ`` command's
@@ -366,7 +369,8 @@ def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
 _FILTER_HELP = "equal|ancestor|descendant|equal-or-descendant|sibling|neighborhood:k"
 
 # Every subcommand, in the order --help lists them: its help, its defaults
-# (access and sections) and its arguments.  Its handler is the function
+# (access, sections and, for a handler that reads one artifact,
+# one_artifact) and its arguments.  Its handler is the function
 # ``cmd_<name>``, with "-" as "_", found when its parser is built.
 _COMMANDS = {
     "init": ("create an empty repository file", dict(access=None), [
@@ -382,7 +386,8 @@ _COMMANDS = {
     ]),
     "validate": ("check taxonomy and referential integrity",
                  dict(access=READ, sections=None), []),
-    "suggest": ("rank classes for an artifact's text", dict(access=READ, sections=MODELS), [
+    "suggest": ("rank classes for an artifact's text",
+                dict(access=READ, sections=MODELS, one_artifact=True), [
         _arg("artifact_id"),
         _arg("-n", type=int, default=5),
     ]),
@@ -514,8 +519,9 @@ def main(argv=None) -> int:
         elif args.access == READ:
             # Paused for the handler too: once the collector is back on, its
             # first collections would scan the whole repository anyway.
+            only = args.artifact_id if getattr(args, "one_artifact", False) else None
             with store._gc_paused():
-                out = args.func(args, store.read_sections(_repo_path(args), args.sections))
+                out = args.func(args, store.read_sections(_repo_path(args), args.sections, only))
         else:
             with store.editing(_repo_path(args)) as repo:
                 out = args.func(args, repo)

@@ -40,7 +40,9 @@ command that edits the same file.
 Read commands go through ``read_sections``, which reads the stamp but
 never creates or writes the sidecar.  While the stamp vouches for the
 file, they decode and check only the sections they read, each parsed in
-place, and leave the others empty; ``load_repository`` and
+place, and leave the others empty; a command that reads one artifact
+builds and checks that record alone, so under a forged stamp a hand edit
+of any other artifact passes it unchecked.  ``load_repository`` and
 ``deserialize_repository`` always decode and check every section.
 
 The edit log is append-only.  Inside ``editing``, ``repo.edit_log`` starts
@@ -475,6 +477,29 @@ def _saved_artifacts(records: list) -> list[Artifact] | None:
     return list(map(Artifact, *columns))
 
 
+def _one_artifact(value, artifact_id: str) -> dict[str, Artifact]:
+    """The artifacts section of parsed ``value``, holding at most the artifact ``artifact_id``.
+
+    Only that record is decoded and checked, as a load does and under the
+    same ``artifacts[i]`` location; of the others only the id is looked
+    at.  A list that holds a non-object, or holds the id twice, is decoded
+    in full (``_section``), which raises what a load raises.
+    """
+    records = _records(value, "artifacts")
+    if {dict}.issuperset(map(type, records)):
+        ids = list(map(dict.get, records, itertools.repeat("id")))
+        stored = ids.count(artifact_id)
+        if not stored:
+            return {}
+        if stored == 1:
+            i = ids.index(artifact_id)
+            try:
+                return {artifact_id: _artifact_from_dict(records[i])}
+            except MalformedRecord as exc:
+                raise MalformedRecord(f"artifacts[{i}]: {exc}") from None
+    return _section("artifacts", records)
+
+
 def _by_id(artifacts: list[Artifact]) -> dict[str, Artifact]:
     """The artifacts keyed by id; the first one whose id came before is rejected."""
     by_id = {a.id: a for a in artifacts}
@@ -648,14 +673,19 @@ _SECTIONS = ("artifacts", "assignments", "edit_log", "schema_version", "taxonomy
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _load_vouched(text: str, sections: tuple[str, ...]) -> tuple[Repository, list[str]] | None:
+def _load_vouched(text: str, sections: tuple[str, ...],
+                  artifact_id: str | None = None) -> tuple[Repository, list[str]] | None:
     """The repository of ``text``, a file its stamp vouches for, with only ``sections`` read.
 
     Each of the taxonomy, artifacts and assignments named is parsed in
     place (``raw_decode`` at its offset, copying no part of ``text``), then
     decoded and checked as ``deserialize_repository`` does, and so is the
-    repository (``check_integrity``).  Every other section is left empty
-    and unchecked, but "edit_log" named returns the log's record lines,
+    repository (``check_integrity``).  With ``artifact_id`` given, the
+    artifacts hold that artifact alone, or none if it is absent: the
+    section's other records are parsed but neither built nor checked
+    (``_one_artifact``), so under a forged stamp a hand edit of one of
+    them passes unchecked.  Every other section is left empty and
+    unchecked, but "edit_log" named returns the log's record lines,
     unread.  None unless ``text`` is laid out as a save writes it: the
     headers in order, each value but the last followed by a comma, a read
     section ending at the next header, a log of one record per line.  The
@@ -699,20 +729,26 @@ def _load_vouched(text: str, sections: tuple[str, ...]) -> tuple[Repository, lis
                 return None
             if stop != end:
                 return None
-            fields[name] = _section(name, value)
+            fields[name] = (_one_artifact(value, artifact_id)
+                            if name == "artifacts" and artifact_id is not None
+                            else _section(name, value))
             del value  # a parsed section is dropped once decoded
     repo = Repository(**fields)
     check_integrity(repo)
     return repo, log
 
 
-def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None) -> Repository:
+def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None,
+                  artifact_id: str | None = None) -> Repository:
     """The repository at ``path``, with only ``sections`` read when its sidecar vouches for it.
 
     ``sections`` names some of "taxonomy", "artifacts" and "assignments".
     When the sidecar ``<path>.lock`` holds the stamp of the file's bytes,
-    only those are decoded and checked (``_load_vouched``).  Otherwise, and
-    always with ``sections`` None, this is ``load_repository``: all are.
+    only those are decoded and checked (``_load_vouched``); with
+    ``artifact_id`` given too, of the artifacts only that one is built and
+    checked, so a hand edit of another artifact passes unchecked under a
+    forged stamp.  Otherwise, and always with ``sections`` None, this is
+    ``load_repository``: all are.
     The sidecar is only read, never created or written.  The cyclic
     garbage collector is paused meanwhile.
     """
@@ -727,7 +763,7 @@ def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None) -> 
     with _gc_paused():
         text = data.decode("utf-8")
         del data  # the file is held once, as text
-        kept = _load_vouched(text, sections) if vouched else None
+        kept = _load_vouched(text, sections, artifact_id) if vouched else None
         return deserialize_repository(text) if kept is None else kept[0]
 
 

@@ -333,6 +333,20 @@ def _saved_nodes(items: list) -> list[TaxonomyNode] | None:
     return list(map(TaxonomyNode, *columns))
 
 
+def _spelled(value, i: int, what: str) -> str:
+    """Field ``what`` of node ``nodes[i]`` as text.
+
+    A string is kept as it is, and a number or boolean is spelled as JSON
+    spells it (``true``, not Python's ``True``).  A list or an object is
+    refused, as in an artifact's attrs.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, dict)):
+        raise MalformedRecord(f"nodes[{i}]: {what} must be a string, number or boolean")
+    return json.dumps(value)
+
+
 def _structured_records(doc) -> list[TaxonomyNode]:
     """Validated node records from a decoded ``{"nodes": [...]}`` document.
 
@@ -353,28 +367,28 @@ def _structured_records(doc) -> list[TaxonomyNode]:
         if item.get("code") is None or item.get("title") is None:
             raise MalformedRecord(f"nodes[{i}]: 'code' and 'title' are required")
         try:
-            code = normalize_code(str(item["code"]))
+            code = normalize_code(_spelled(item["code"], i, "code"))
         except EmptyCode as exc:
             raise MalformedRecord(f"nodes[{i}]: empty code") from exc
-        title = str(item["title"]).strip()
+        title = _spelled(item["title"], i, "title").strip()
         if not title:
             raise MalformedRecord(f"nodes[{i}]: empty title for code {code!r}")
         parent = item.get("parent")
         if parent is not None:
             try:
-                parent = normalize_code(str(parent))
+                parent = normalize_code(_spelled(parent, i, "parent"))
             except EmptyCode as exc:
                 raise MalformedRecord(f"nodes[{i}]: unusable parent") from exc
         description = item.get("description")
         if description is not None:
-            description = str(description).strip() or None
+            description = _spelled(description, i, "description").strip() or None
         synonyms = item.get("synonyms") or []
         if not isinstance(synonyms, list):
             raise MalformedRecord(f"nodes[{i}]: synonyms must be a list")
         if synonyms:
             if None in synonyms:
                 raise MalformedRecord(f"nodes[{i}]: synonyms must not be null")
-            synonyms = [s for s in map(str.strip, map(str, synonyms)) if s]
+            synonyms = [s for s in (_spelled(s, i, "a synonym").strip() for s in synonyms) if s]
         records.append(TaxonomyNode(code, title, description, synonyms, parent))
     return records
 

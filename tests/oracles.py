@@ -307,6 +307,13 @@ def node_oracle(i: int, item) -> dict:
     def reject(message):
         raise Rejected("MalformedRecord", f"nodes[{i}]: {message}")
 
+    def text(value, what):
+        # A number or boolean is kept as the JSON spelled it; a list or an
+        # object is no text at all.
+        if type(value) in (list, dict):
+            reject(f"{what} must be a string, number or boolean")
+        return value if type(value) is str else json.dumps(value)
+
     if not isinstance(item, dict):
         reject("expected an object")
     unknown = sorted(set(item) - NODE_FIELDS)
@@ -314,20 +321,20 @@ def node_oracle(i: int, item) -> dict:
         reject(f"unknown fields {unknown}")
     if item.get("code") is None or item.get("title") is None:
         reject("'code' and 'title' are required")
-    code = normal_code_oracle(str(item["code"]))
+    code = normal_code_oracle(text(item["code"], "code"))
     if not code:
         reject("empty code")
-    title = str(item["title"]).strip()
+    title = text(item["title"], "title").strip()
     if not title:
         reject(f"empty title for code {code!r}")
     parent = item.get("parent")
     if parent is not None:
-        parent = normal_code_oracle(str(parent))
+        parent = normal_code_oracle(text(parent, "parent"))
         if not parent:
             reject("unusable parent")
     description = item.get("description")
     if description is not None:
-        description = str(description).strip() or None
+        description = text(description, "description").strip() or None
     synonyms = item.get("synonyms")
     if not synonyms:  # null, [], "", 0 and false all mean none
         synonyms = []
@@ -335,7 +342,7 @@ def node_oracle(i: int, item) -> dict:
         reject("synonyms must be a list")
     if any(s is None for s in synonyms):
         reject("synonyms must not be null")
-    kept = [str(s).strip() for s in synonyms]
+    kept = [text(s, "a synonym").strip() for s in synonyms]
     return {"code": code, "title": title, "description": description,
             "synonyms": [s for s in kept if s], "parent": parent}
 

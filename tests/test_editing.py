@@ -873,6 +873,14 @@ def count_decoded(monkeypatch):
     return decoded
 
 
+def built_artifacts(monkeypatch):
+    """The ids of the artifacts ``store`` builds from now on, in order."""
+    built = []
+    real = store.Artifact
+    monkeypatch.setattr(store, "Artifact", lambda *args: built.append(args[0]) or real(*args))
+    return built
+
+
 VOUCHING, STALE_STAMP, NO_SIDECAR = "stamp vouching", "stamp stale", "no sidecar"
 
 
@@ -961,6 +969,103 @@ class TestVouchedReads:
         os.unlink(sidecar(marked_path))
         assert cli.main(["--repo", marked_path, "suggest", "R1"]) == 2
         assert capsys.readouterr().err == "error: assignments[0]: unknown status 'maybe'\n"
+
+    def forge(self, path, old, new):
+        """Replace ``old`` by ``new`` in the file once, under a stamp of the new bytes."""
+        data = read(path)
+        assert data.count(old) == 1, old
+        forged = data.replace(old, new)
+        with open(path, "wb") as f:
+            f.write(forged)
+        with open(sidecar(path), "wb") as f:
+            f.write(store._stamp(forged))
+
+    def test_suggest_builds_only_the_artifact_it_ranks(self, marked_path, capsys, monkeypatch):
+        every = sorted(load_repository(marked_path).artifacts)
+        built = built_artifacts(monkeypatch)
+        for state, ids in ((VOUCHING, ["R1"]), (STALE_STAMP, every), (NO_SIDECAR, every)):
+            self.set_sidecar(marked_path, state)
+            built.clear()
+            assert run_cli(marked_path, ["suggest", "R1"], capsys) == 0
+            assert built == ids, state
+
+    def test_an_unknown_id_fails_alike_in_every_sidecar_state(self, marked_path, capsys):
+        seen = {}
+        for state in (VOUCHING, STALE_STAMP, NO_SIDECAR):
+            self.set_sidecar(marked_path, state)
+            seen[state] = outcome(marked_path, ["suggest", "NOPE"], capsys)
+        assert seen[VOUCHING] == seen[STALE_STAMP] == seen[NO_SIDECAR]
+        assert seen[VOUCHING][0] == (2, "", "error: no artifact with id 'NOPE'\n")
+
+    R1_LINE = (b'{"archived": false, "attrs": {"k": "v", "n": "1"}, "id": "R1", '
+               b'"kind": "requirement", "title": "Req 1"},\n')
+
+    @pytest.mark.parametrize("extra, message", [
+        (R1_LINE, "artifact id 'R1' appears twice"),
+        (b"5,\n", "artifacts[2]: expected an object"),
+    ], ids=["id stored twice", "non-object"])
+    def test_an_untrusted_artifacts_list_fails_as_a_full_load_does(self, marked_path, capsys,
+                                                                    extra, message):
+        # The extra record follows R1's own, which is well formed: only a
+        # decode of the whole list reports it.
+        self.forge(marked_path, self.R1_LINE, self.R1_LINE + extra)
+        for state in (VOUCHING, NO_SIDECAR):
+            self.set_sidecar(marked_path, state)
+            assert cli.main(["--repo", marked_path, "suggest", "R1"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n", state
+
+    def test_a_malformed_requested_artifact_fails_as_a_full_load_does(self, marked_path,
+                                                                      capsys):
+        self.forge(marked_path, b'"id": "R1", "kind": "requirement"',
+                   b'"id": "R1", "kind": "widget"')
+        message = "error: artifacts[1]: unknown artifact kind 'widget'\n"
+        for argv in (["suggest", "R1"], ["validate"]):
+            assert cli.main(["--repo", marked_path, *argv]) == 2
+            assert capsys.readouterr().err == message, argv
+        self.set_sidecar(marked_path, NO_SIDECAR)
+        assert cli.main(["--repo", marked_path, "suggest", "R1"]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_a_stamp_vouches_for_the_artifacts_suggest_does_not_rank(self, marked_path,
+                                                                      capsys):
+        # A forged stamp is believed for every artifact but the one ranked;
+        # a command that reads them all checks them all.
+        ranked = outcome(marked_path, ["suggest", "R1"], capsys)
+        self.forge(marked_path, b'"id": "R2", "kind": "requirement"',
+                   b'"id": "R2", "kind": "widget"')
+        assert outcome(marked_path, ["suggest", "R1"], capsys) == ranked
+        message = "error: artifacts[2]: unknown artifact kind 'widget'\n"
+        for argv in (["diff", "--from", "v1", "--to", "v2"], ["validate"]):
+            assert cli.main(["--repo", marked_path, *argv]) == 2
+            assert capsys.readouterr().err == message, argv
+        self.set_sidecar(marked_path, NO_SIDECAR)
+        assert cli.main(["--repo", marked_path, "suggest", "R1"]) == 2
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("escaped", [False, True])
+    def test_an_id_with_non_ascii_text_and_a_quote(self, escaped, tmp_path, capsys,
+                                                   monkeypatch):
+        # Escaped, the stored id is "R\"\u00fc\u20131": only a parse finds it.
+        path = str(tmp_path / "repo.json")
+        repo = model_repo(2)
+        odd = 'R"ü–1'
+        store.add_artifact(repo, Artifact(id=odd, kind="requirement", title="Odd",
+                                          body=repo.artifacts["R1"].body))
+        save_repository(repo, path)
+        if escaped:
+            self.forge(path, json.dumps(odd, ensure_ascii=False).encode("utf-8"),
+                       json.dumps(odd).encode("ascii"))
+        built = built_artifacts(monkeypatch)
+        seen = {}
+        for state in (VOUCHING, STALE_STAMP, NO_SIDECAR):
+            self.set_sidecar(path, state)
+            built.clear()
+            seen[state] = outcome(path, ["suggest", odd], capsys)
+            if state == VOUCHING:
+                assert built == [odd, odd]  # once for each format
+        assert seen[VOUCHING] == seen[STALE_STAMP] == seen[NO_SIDECAR]
+        code, out, err = seen[VOUCHING][1]
+        assert (code, err) == (0, "") and json.loads(out)["artifact"] == odd
 
 
 HOLD_LOCK = """

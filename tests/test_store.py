@@ -748,11 +748,12 @@ SAVED_CODES = ["A", "AB", "B", "B1", "C", "\u00c4"]
 SAVED_TEXTS = ["Alpha", "Alpha beta", "x|y", "\u00e9t\u00e9"]
 EDGE_TEXTS = ["", " ", " Alpha ", "Alpha ", "\u3000Beta", "\n", 0, 5, False, None, ["x"]]
 NODE_EDGES = {
-    "code": ["ab -", " a", "b1-", "A-", "a", "", "-", " ", 5, True, None, ["A"]],
-    "parent": ["ab -", " a", "a", "", "-", 5, "ZZ", ["A"]],
-    "title": EDGE_TEXTS,
-    "description": EDGE_TEXTS,
-    "synonyms": [None, [], "", 0, "x", ["x", " y "], [""], [" "], [None], [0], ["x", 5]],
+    "code": ["ab -", " a", "b1-", "A-", "a", "", "-", " ", 5, 1.5, True, None, ["A"], {"a": 1}],
+    "parent": ["ab -", " a", "a", "", "-", 5, True, "ZZ", ["A"], {"a": 1}],
+    "title": [*EDGE_TEXTS, 1.5, True, {"a": 1}],
+    "description": [*EDGE_TEXTS, 1.5, True, {"a": 1}],
+    "synonyms": [None, [], "", 0, "x", ["x", " y "], [""], [" "], [None], [0], ["x", 5],
+                 [False, 1.5], ["x", {"a": 1}], [["x"]]],
     "extra": [1],
 }
 ARTIFACT_EDGES = {

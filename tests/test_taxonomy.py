@@ -1,6 +1,7 @@
 """Taxonomy parsing, relations, and traversals against brute-force oracles."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -156,6 +157,36 @@ class TestParse:
         with pytest.raises(MalformedRecord, match="extra"):
             parse_taxonomy('{"nodes": [{"code": "A", "title": "Alpha", "extra": 1}]}',
                            format="structured")
+
+    def test_structured_refuses_a_list_or_an_object_as_text(self):
+        # Python's ``str`` once made them text: class "{'A': 1}" titled
+        # "['x', None]".
+        text = ('{"nodes": [{"code": {"a": 1}, "title": ["x", null], "description": true, '
+                '"synonyms": [false, 1.5]}]}')
+        with pytest.raises(MalformedRecord) as caught:
+            parse_taxonomy(text, format="structured")
+        assert str(caught.value) == "nodes[0]: code must be a string, number or boolean"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("title", ["x", None], "title must be a string, number or boolean"),
+        ("parent", {"a": 1}, "parent must be a string, number or boolean"),
+        ("description", [], "description must be a string, number or boolean"),
+        ("synonyms", ["x", {}], "a synonym must be a string, number or boolean"),
+        ("synonyms", [["x"]], "a synonym must be a string, number or boolean"),
+    ])
+    def test_structured_refuses_a_list_or_an_object_in_any_text_field(self, field, value,
+                                                                        message):
+        nodes = [{"code": "A", "title": "Alpha"}, {"code": "B", "title": "Beta", field: value}]
+        with pytest.raises(MalformedRecord) as caught:
+            parse_taxonomy(json.dumps({"nodes": nodes}), format="structured")
+        assert str(caught.value) == f"nodes[1]: {message}"
+
+    def test_structured_spells_numbers_and_booleans_as_json_does(self):
+        text = ('{"nodes": [{"code": 3, "title": "Three"}, {"code": 31, "parent": 3, '
+                '"title": true, "description": false, "synonyms": [false, 1.5, 2.50]}]}')
+        node = parse_taxonomy(text, format="structured").nodes["31"]
+        assert (node.code, node.parent, node.title, node.description, node.synonyms) == (
+            "31", "3", "true", "false", ["false", "1.5", "2.5"])
 
     def test_tabular_round_trips_canonical(self, canon_tax):
         text = write_taxonomy(canon_tax)

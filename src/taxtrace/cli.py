@@ -8,6 +8,12 @@ lock; under ``EDIT`` it runs inside ``store.editing``, which holds the
 writer lock and saves the repository when the handler returns, before
 anything, warnings included, is printed; ``init`` and ``cost`` (access
 None) open no repository.
+``assign``, ``unassign`` and ``mark-unclassifiable`` declare
+``one_artifact``: when the sidecar's stamp vouches for the file, they
+decode the taxonomy, their artifact and its assignments alone, and the
+save splices those, with the new assignments and log entries, into the
+file's other bytes, which it copies unread.  ``split`` and ``import``
+load and encode every record but the log's.
 A ``READ`` handler also declares the ``sections`` of the file it reads:
 ``diff`` the artifacts (``ARTIFACTS``), ``suggest`` and ``audit`` the
 taxonomy too (``MODELS``), ``trace``, ``coverage`` and ``impact`` the
@@ -15,9 +21,10 @@ assignments as well (``LINKS``).  When the sidecar's stamp vouches for
 the file, only those are decoded and checked, and the others are left
 empty (``store.read_sections``).  ``suggest`` also declares
 ``one_artifact``: of the artifacts it builds and checks only the one it
-ranks, so under a forged stamp a hand edit of another artifact passes it
-unchecked.  ``validate`` declares None: it loads and checks the whole
-file, whatever the stamp says.
+ranks.  So under a forged stamp a hand edit of another artifact passes
+``suggest`` and the three one-artifact edits unchecked.  ``validate``
+declares None: it loads and checks the whole file, whatever the stamp
+says.
 ``main`` builds the parser of the subcommand that its arguments name
 (``parse_args``); help and usage errors are printed by the full parser.
 Python's cyclic garbage collector is paused for a ``READ`` command's
@@ -369,7 +376,7 @@ def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
 _FILTER_HELP = "equal|ancestor|descendant|equal-or-descendant|sibling|neighborhood:k"
 
 # Every subcommand, in the order --help lists them: its help, its defaults
-# (access, sections and, for a handler that reads one artifact,
+# (access, sections and, for a handler that reads or edits one artifact,
 # one_artifact) and its arguments.  Its handler is the function
 # ``cmd_<name>``, with "-" as "_", found when its parser is built.
 _COMMANDS = {
@@ -391,16 +398,16 @@ _COMMANDS = {
         _arg("artifact_id"),
         _arg("-n", type=int, default=5),
     ]),
-    "assign": ("link an artifact to a class", dict(access=EDIT), [
+    "assign": ("link an artifact to a class", dict(access=EDIT, one_artifact=True), [
         _arg("artifact_id"),
         _arg("code"),
         _arg("--provenance", choices=sorted(linkage.PROVENANCES), default=linkage.MANUAL),
     ]),
-    "unassign": ("retire an artifact-to-class link", dict(access=EDIT), [
+    "unassign": ("retire an artifact-to-class link", dict(access=EDIT, one_artifact=True), [
         _arg("artifact_id"),
         _arg("code"),
     ]),
-    "mark-unclassifiable": ("record that no class fits", dict(access=EDIT), [
+    "mark-unclassifiable": ("record that no class fits", dict(access=EDIT, one_artifact=True), [
         _arg("artifact_id"),
         _arg("category", choices=list(linkage.REASON_CATEGORIES)),
         _arg("--note"),
@@ -513,17 +520,17 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    only = args.artifact_id if getattr(args, "one_artifact", False) else None
     try:
         if args.access is None:
             out = args.func(args)
         elif args.access == READ:
             # Paused for the handler too: once the collector is back on, its
             # first collections would scan the whole repository anyway.
-            only = args.artifact_id if getattr(args, "one_artifact", False) else None
             with store._gc_paused():
                 out = args.func(args, store.read_sections(_repo_path(args), args.sections, only))
         else:
-            with store.editing(_repo_path(args)) as repo:
+            with store.editing(_repo_path(args), only) as repo:
                 out = args.func(args, repo)
         for w in out.warnings:
             print(f"warning: {w}", file=sys.stderr)

@@ -30,7 +30,14 @@ assignments and the edit log record by record.
 
 Commands that change the repository go through ``editing``: one writer
 at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
-The save keeps the edit log's lines and encodes every other record.  The
+The save keeps the edit log's lines and encodes every other record.  An
+edit of one artifact's records, as ``assign``, ``unassign`` and
+``mark-unclassifiable`` are, names that artifact: while the stamp
+vouches for a file that holds no backslash, it decodes the taxonomy, the
+artifact and the artifact's assignments alone, and its save encodes
+those again and splices them, with the new assignments and log entries,
+into the file's other bytes, copied unread.  So under a forged stamp a
+hand edit of another artifact's records passes it unchecked.  The
 sidecar never holds data, only the stamp of the bytes last saved, which
 ``editing`` and ``save_repository`` write; deleting it costs the next
 command one full load.  Library callers that mutate a repository and
@@ -83,6 +90,7 @@ from .errors import (
     RepositoryIOError,
     RepositoryLocked,
     SchemaVersionMismatch,
+    TaxTraceError,
     UnknownId,
 )
 from .taxonomy import Taxonomy, _build, _record_lines, _structured_records, _structured_text
@@ -392,34 +400,41 @@ def _edit_line(e: EditRecord) -> str:
     return line
 
 
-def _serialize(repo: Repository, log: list[str]) -> str:
-    """The file of ``repo``, with the edit-log lines ``log`` before those of its own log.
+def _serialize(repo: Repository, log: str) -> str:
+    """The file of ``repo``, with the edit-log record lines ``log`` before those of its own log.
 
-    Artifacts are written by id, the assignments and the edit log as
-    listed, and taxonomy nodes by code.  Each section is encoded in turn,
-    so that only one section's lines are held.  ``check_integrity`` runs
-    after every record is encoded, as a load runs it after every record
-    is decoded.  ValueError for an artifact under a key that is not its id.
+    ``log`` holds the lines joined as in a file, or is empty.  Artifacts
+    are written by id, the assignments and the edit log as listed, and
+    taxonomy nodes by code.  Each section is encoded in turn, so that
+    only one section's lines are held.  The records are checked after
+    every one is encoded (``_check_saved``), as a load checks them after
+    every one is decoded.
     """
     artifacts = repo.artifacts
     by_id = map(artifacts.__getitem__, sorted(artifacts))
+    logged = itertools.chain([log] if log else [], map(_edit_line, repo.edit_log))
     text = (
         f'{{\n"artifacts": {_record_lines(map(_artifact_line, by_id))},\n'
         f'"assignments": {_record_lines(map(_assignment_line, repo.assignments))},\n'
-        f'"edit_log": {_record_lines(itertools.chain(log, map(_edit_line, repo.edit_log)))},\n'
+        f'"edit_log": {_record_lines(logged)},\n'
         f'"schema_version": {SCHEMA_VERSION},\n'
         f'"taxonomy": {_structured_text(repo.taxonomy)}\n}}\n'
     )
-    for key, artifact in artifacts.items():
+    _check_saved(repo)
+    return text
+
+
+def _check_saved(repo: Repository) -> None:
+    """ValueError for an artifact under a key that is not its id; then ``check_integrity``."""
+    for key, artifact in repo.artifacts.items():
         if artifact.id != key:
             raise ValueError(f"artifact {artifact.id!r} is stored under key {key!r}")
     check_integrity(repo)
-    return text
 
 
 def serialize_repository(repo: Repository) -> str:
     """Render the repository as canonical JSON text, one record per line."""
-    return _serialize(repo, [])
+    return _serialize(repo, "")
 
 
 def _records(value, key: str) -> list:
@@ -575,26 +590,32 @@ def deserialize_repository(text: str) -> Repository:
     return repo
 
 
-def _write(text: str, path: str | os.PathLike) -> bytes:
-    """Write ``text`` over ``path`` atomically and durably; return the bytes written.
+def _write(pieces, path: str | os.PathLike) -> bytes:
+    """Write the text ``pieces`` over ``path`` atomically and durably; return the bytes' stamp.
 
-    The bytes go to ``<path>.tmp`` in the same directory, which is
-    flushed, fsynced and then renamed over ``path`` with ``os.replace``;
-    the directory is fsynced after the rename, so that the rename itself
-    survives a crash.  A crash leaves either the old file or the new one.
-    As with a write in place, a symlink at ``path`` is followed and the
-    replaced file's permission bits are kept; a new file gets the umask's.
-    On any failure the temporary file is removed; an ``OSError`` is
-    raised as ``RepositoryIOError``.
+    Each piece is encoded and written in turn, never joined to the
+    others, and the stamp's CRC-32 is computed piece by piece.  The bytes
+    go to ``<path>.tmp`` in the same directory, which is flushed, fsynced
+    and then renamed over ``path`` with ``os.replace``; the directory is
+    fsynced after the rename, so that the rename itself survives a crash.
+    A crash leaves either the old file or the new one.  As with a write in
+    place, a symlink at ``path`` is followed and the replaced file's
+    permission bits are kept; a new file gets the umask's.  On any failure
+    the temporary file is removed; an ``OSError`` is raised as
+    ``RepositoryIOError``.
     """
-    data = text.encode("utf-8")
     target = os.path.realpath(path)
     tmp = f"{target}.tmp"
+    size = crc = 0
     try:
         with open(tmp, "wb") as f:
             with contextlib.suppress(FileNotFoundError):
                 shutil.copymode(target, tmp)
-            f.write(data)
+            for piece in pieces:
+                data = piece.encode("utf-8")
+                f.write(data)
+                size += len(data)
+                crc = zlib.crc32(data, crc)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, target)
@@ -609,7 +630,7 @@ def _write(text: str, path: str | os.PathLike) -> bytes:
         if isinstance(exc, OSError):
             raise RepositoryIOError(f"cannot write repository {path!s}: {exc}") from exc
         raise
-    return data
+    return _stamp_of(size, crc)
 
 
 def save_repository(repo: Repository, path: str | os.PathLike) -> None:
@@ -622,11 +643,11 @@ def save_repository(repo: Repository, path: str | os.PathLike) -> None:
     full load.  A failed save leaves the old stamp.  Commands that edit
     save through ``editing``.
     """
-    data = _write(serialize_repository(repo), path)
+    stamp = _write([serialize_repository(repo)], path)
     with contextlib.suppress(OSError):  # the file is saved; a stale stamp is safe
         sidecar = os.open(f"{os.path.realpath(path)}.lock", os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            _put_stamp(sidecar, data)
+            _put_stamp(sidecar, stamp)
         finally:
             os.close(sidecar)
 
@@ -656,12 +677,16 @@ _CODEC_REVISION = 2
 
 def _stamp(data: bytes) -> bytes:
     """The sidecar's record of bytes this module wrote: schema, codec revision, length, CRC-32."""
-    return b"%d %d %d %d\n" % (SCHEMA_VERSION, _CODEC_REVISION, len(data), zlib.crc32(data))
+    return _stamp_of(len(data), zlib.crc32(data))
 
 
-def _put_stamp(sidecar: int, data: bytes) -> None:
-    """Write the stamp of ``data`` over the open sidecar, in place."""
-    stamp = _stamp(data)
+def _stamp_of(size: int, crc: int) -> bytes:
+    """The stamp of ``size`` bytes whose CRC-32 is ``crc``."""
+    return b"%d %d %d %d\n" % (SCHEMA_VERSION, _CODEC_REVISION, size, crc)
+
+
+def _put_stamp(sidecar: int, stamp: bytes) -> None:
+    """Write ``stamp`` over the open sidecar, in place."""
     os.pwrite(sidecar, stamp, 0)
     os.ftruncate(sidecar, len(stamp))
 
@@ -673,66 +698,98 @@ _SECTIONS = ("artifacts", "assignments", "edit_log", "schema_version", "taxonomy
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _load_vouched(text: str, sections: tuple[str, ...],
-                  artifact_id: str | None = None) -> tuple[Repository, list[str]] | None:
-    """The repository of ``text``, a file its stamp vouches for, with only ``sections`` read.
+class _OtherLayout(Exception):
+    """The text is not laid out as a save writes it, so the caller loads it in full."""
 
-    Each of the taxonomy, artifacts and assignments named is parsed in
-    place (``raw_decode`` at its offset, copying no part of ``text``), then
-    decoded and checked as ``deserialize_repository`` does, and so is the
-    repository (``check_integrity``).  With ``artifact_id`` given, the
-    artifacts hold that artifact alone, or none if it is absent: the
-    section's other records are parsed but neither built nor checked
-    (``_one_artifact``), so under a forged stamp a hand edit of one of
-    them passes unchecked.  Every other section is left empty and
-    unchecked, but "edit_log" named returns the log's record lines,
-    unread.  None unless ``text`` is laid out as a save writes it: the
-    headers in order, each value but the last followed by a comma, a read
-    section ending at the next header, a log of one record per line.  The
-    caller then loads the file in full.  A section not read is not
-    scanned either, so a key repeated inside one under a forged stamp goes
-    unseen, where the full load takes the last of two equal keys.
+
+def _spans(text: str) -> dict[str, tuple[int, int]]:
+    """Each section's value in ``text``, as the offsets of its first and past its last character.
+
+    A value runs from its header to the comma before the next header, the
+    last one to the closing "\\n}\\n".  ``_OtherLayout`` unless the headers
+    are in order, each value but the last is followed by a comma, and the
+    schema version is the current one.
     """
     if not (text.startswith("{") and text.endswith("\n}\n")):
-        return None
+        raise _OtherLayout
     heads, pos = [], 0
     for name in _SECTIONS:
         pos = text.find(f'\n"{name}": ', pos)
         if pos < 0:
-            return None
+            raise _OtherLayout
         heads.append(pos)
     if heads[0] != 1 or any(text[head - 1] != "," for head in heads[1:]):
-        return None
-    # A value runs from its header to the comma before the next one, the last to "\n}\n".
+        raise _OtherLayout
     ends = [head - 1 for head in heads[1:]] + [len(text) - len("\n}\n")]
     span = {name: (head + len(name) + len('\n"": '), end)
             for name, head, end in zip(_SECTIONS, heads, ends)}
-    start, end = span["schema_version"]
-    if text[start:end] != str(SCHEMA_VERSION):
+    if text[slice(*span["schema_version"])] != str(SCHEMA_VERSION):
+        raise _OtherLayout
+    return span
+
+
+def _log_lines(text: str, start: int, end: int) -> tuple[int, int]:
+    """The offsets of the record lines of the edit log ``text[start:end]``; equal for "[]".
+
+    ``_OtherLayout`` unless the log holds one record per line: every line
+    break inside the list follows a comma, and the last line has none.
+    The lines are neither decoded nor checked.
+    """
+    if end - start == 2 and text.startswith("[]", start):
+        return end, end
+    if not (text.startswith("[\n", start) and text.endswith("\n]", start, end)):
+        raise _OtherLayout
+    start, end = start + 2, end - 2
+    if (text.count("\n", start, end) != text.count(",\n", start, end)
+            or text.endswith(",", start, end)):
+        raise _OtherLayout
+    return start, end
+
+
+def _value(text: str, start: int, end: int):
+    """The JSON value that fills ``text[start:end]``, parsed in place, copying no part of it."""
+    try:
+        value, stop = _raw_decode(text, start)
+    except json.JSONDecodeError:
+        raise _OtherLayout from None
+    if stop != end:
+        raise _OtherLayout
+    return value
+
+
+def _load_vouched(text: str, sections: tuple[str, ...],
+                  artifact_id: str | None = None) -> tuple[Repository, str] | None:
+    """The repository of ``text``, a file its stamp vouches for, with only ``sections`` read.
+
+    Each of the taxonomy, artifacts and assignments named is parsed in
+    place (``_value``), then decoded and checked as
+    ``deserialize_repository`` does, and so is the repository
+    (``check_integrity``).  With ``artifact_id`` given, the artifacts hold
+    that artifact alone, or none if it is absent: the section's other
+    records are parsed but neither built nor checked (``_one_artifact``),
+    so under a forged stamp a hand edit of one of them passes unchecked.
+    Every other section is left empty and unchecked, but "edit_log" named
+    returns the log's record lines as they stand in ``text``, unread.
+    None unless ``text`` is laid out as a save writes it (``_spans``), a
+    read section ends at the next header and the log holds one record per
+    line (``_log_lines``).  The caller then loads the file in full.  A
+    section not read is not scanned either, so a key repeated inside one
+    under a forged stamp goes unseen, where the full load takes the last
+    of two equal keys.
+    """
+    try:
+        span = _spans(text)
+        log = text[slice(*_log_lines(text, *span["edit_log"]))] if "edit_log" in sections else ""
+        fields = {"taxonomy": Taxonomy()}
+        for name in _LOAD_ORDER[:-1]:  # all but the log, which is never decoded here
+            if name in sections:
+                value = _value(text, *span[name])
+                fields[name] = (_one_artifact(value, artifact_id)
+                                if name == "artifacts" and artifact_id is not None
+                                else _section(name, value))
+                del value  # a parsed section is dropped once decoded
+    except _OtherLayout:
         return None
-    log: list[str] = []
-    if "edit_log" in sections:
-        start, end = span["edit_log"]
-        if not (end - start == 2 and text.startswith("[]", start)):  # not the empty "[]"
-            if not (text.startswith("[\n", start) and text.endswith("\n]", start, end)):
-                return None
-            log = text[start + 2:end - 2].split(",\n")
-            if len(log) != text.count("\n", start, end) - 1 or log[-1].endswith(","):
-                return None
-    fields = {"taxonomy": Taxonomy()}
-    for name in _LOAD_ORDER[:-1]:  # all but the log, which is never decoded here
-        if name in sections:
-            start, end = span[name]
-            try:
-                value, stop = _raw_decode(text, start)
-            except json.JSONDecodeError:
-                return None
-            if stop != end:
-                return None
-            fields[name] = (_one_artifact(value, artifact_id)
-                            if name == "artifacts" and artifact_id is not None
-                            else _section(name, value))
-            del value  # a parsed section is dropped once decoded
     repo = Repository(**fields)
     check_integrity(repo)
     return repo, log
@@ -770,8 +827,132 @@ def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None,
 # --- editing: one locked writer, keeping the edit log's lines ---
 
 
+def _load_one(text: str, artifact_id: str):
+    """The repository of ``text`` holding one artifact's records, and the save that splices them.
+
+    ``text`` is a file its stamp vouches for, holding no backslash, so
+    every string in it is written as a save writes it.  The repository
+    holds the taxonomy, decoded and checked as a load does; the artifact
+    ``artifact_id``, if present (``_one_artifact``); its assignments, each
+    found as a line that starts ``{"artifact_id": <its id>, `` and decoded
+    alone; and an empty log.  ``check_integrity`` checks them.  No other
+    record is decoded, built or checked, and the log is not read.
+
+    Returns the repository and a function that, given it after the edit,
+    returns the pieces of the file to write (``_spliced``).  Raises
+    ``_OtherLayout`` unless ``text`` is laid out as a save writes it
+    (``_spans``, ``_log_lines``) and the artifact's line is exactly its
+    encoding; a fault in a record read raises as a load does.
+    """
+    span = _spans(text)
+    _log_lines(text, *span["edit_log"])
+    taxonomy = _section("taxonomy", _value(text, *span["taxonomy"]))
+    start, end = span["artifacts"]
+    artifacts = _one_artifact(_value(text, start, end), artifact_id)
+    line = None
+    if artifacts:
+        encoded = _artifact_line(artifacts[artifact_id])
+        pos = text.find(f"\n{encoded}", start, end) + 1
+        if not pos:
+            raise _OtherLayout
+        line = (pos, pos + len(encoded))
+    start, end = span["assignments"]
+    head = f'\n{{"artifact_id": {_text(artifact_id)}, '
+    assignments, places = [], []
+    pos = text.find(head, start, end)
+    while pos >= 0:
+        try:
+            doc, stop = _raw_decode(text, pos + 1)
+        except json.JSONDecodeError:
+            raise _OtherLayout from None
+        assignment = _assignment_from_dict(doc)
+        if assignment.artifact_id != artifact_id:  # a second "artifact_id" key
+            raise _OtherLayout
+        assignments.append(assignment)
+        places.append((pos + 1, stop))
+        pos = text.find(head, stop, end)
+    repo = Repository(taxonomy, artifacts, assignments)
+    check_integrity(repo)
+    codes = set(taxonomy.nodes)
+    return repo, lambda edited: _spliced(text, span, artifact_id, line, places, codes, edited)
+
+
+def _spliced(text: str, span: dict[str, tuple[int, int]], artifact_id: str,
+             line: tuple[int, int] | None, places: list[tuple[int, int]], codes: set[str],
+             repo: Repository):
+    """The pieces of ``text`` with the records of ``repo``, loaded by ``_load_one``, put back.
+
+    The taxonomy, the artifact and each loaded assignment are encoded
+    again at their places, new assignments and new log entries are added
+    at the end of their sections, and every other character is copied.
+    ValueError, before anything is encoded, when the edit reached beyond
+    what was loaded: another artifact, fewer assignments, an assignment of
+    another artifact, or a class removed, which another artifact's
+    assignments may name.  Then the records are checked as a save checks
+    them (``_check_saved``).
+    """
+    artifacts, assignments = repo.artifacts, repo.assignments
+    if (artifacts.keys() != ({artifact_id} if line else set())
+            or len(assignments) < len(places)
+            or any(a.artifact_id != artifact_id for a in assignments)
+            or not repo.taxonomy.nodes.keys() >= codes):
+        raise ValueError(f"an edit of artifact {artifact_id!r} changed other records")
+    edits = [(*place, _assignment_line(a)) for place, a in zip(places, assignments)]
+    if line is not None:
+        edits.insert(0, (*line, _artifact_line(artifacts[artifact_id])))
+    edits += [
+        _appended(text, *span["assignments"], map(_assignment_line, assignments[len(places):])),
+        _appended(text, *span["edit_log"], map(_edit_line, repo.edit_log)),
+        (*span["taxonomy"], _structured_text(repo.taxonomy)),
+    ]
+    _check_saved(repo)
+    return _pieces(text, edits)
+
+
+def _appended(text: str, start: int, end: int, lines) -> tuple[int, int, str]:
+    """The edit of the record list ``text[start:end]`` that adds record ``lines`` at its end."""
+    added = ",\n".join(lines)
+    if not added:
+        return end, end, ""
+    if end - start == 2:  # the empty "[]"
+        return start, end, f"[\n{added}\n]"
+    return end - 2, end - 2, f",\n{added}"
+
+
+def _pieces(text: str, edits: list[tuple[int, int, str]]):
+    """``text`` with each ``(start, end, new)`` of ``edits``, in order, replacing its span."""
+    pos = 0
+    for start, end, new in edits:
+        yield text[pos:start]
+        yield new
+        pos = end
+    yield text[pos:]
+
+
+def _load_for_edit(text: str, trusted: bool, artifact_id: str | None):
+    """The repository of ``text`` for ``editing``, and the function giving the pieces of its save.
+
+    With ``artifact_id`` given, a file the stamp vouches for, holding no
+    backslash, loads that artifact's records alone (``_load_one``).  A
+    file in another layout, or one in which they fail a check, loads as
+    without ``artifact_id``, so a fault is reported as a load reports it.
+    """
+    if trusted and artifact_id is not None and "\\" not in text:
+        try:
+            return _load_one(text, artifact_id)
+        except (_OtherLayout, TaxTraceError):
+            pass
+    kept = _load_vouched(text, _LOAD_ORDER) if trusted else None
+    if kept is None:
+        repo = deserialize_repository(text)
+        log, repo.edit_log = ",\n".join(map(_edit_line, repo.edit_log)), []
+    else:
+        repo, log = kept
+    return repo, lambda edited: [_serialize(edited, log)]
+
+
 @contextlib.contextmanager
-def editing(path: str | os.PathLike):
+def editing(path: str | os.PathLike, artifact_id: str | None = None):
     """Load the repository at ``path`` for one edit, and save it if the block succeeds.
 
     An exclusive ``flock`` on the sidecar ``<path>.lock`` (next to a
@@ -794,6 +975,17 @@ def editing(path: str | os.PathLike):
     Otherwise (no sidecar, a stamp of an older codec revision, a log not
     one record per line, a hand edit) the whole file loads with those
     checks, and its log is encoded to lines at once.
+
+    With ``artifact_id`` given, the block edits that artifact's records
+    alone.  While the stamp vouches for a file that holds no backslash,
+    the repository holds only the taxonomy, that artifact and its
+    assignments, and the save encodes those again and splices them, with
+    the new assignments and log entries, into the file's other bytes,
+    which are copied unread (``_load_one``).  So under a forged stamp a
+    hand edit of another artifact's records is copied unchecked.  The
+    file gets the bytes of a full load, the same edit and
+    ``serialize_repository``.  A block that changes any other record
+    raises ValueError, and nothing is written.
 
     The load and the encode run with the cyclic garbage collector paused
     (``_gc_paused``); the block runs with it as the caller left it.
@@ -819,17 +1011,12 @@ def editing(path: str | os.PathLike):
         with _gc_paused():
             text = data.decode("utf-8")
             del data  # the file is held once, as text
-            kept = _load_vouched(text, _LOAD_ORDER) if trusted else None
-            if kept is None:
-                repo = deserialize_repository(text)
-                log, repo.edit_log = list(map(_edit_line, repo.edit_log)), []
-            else:
-                repo, log = kept
-            del text, kept
+            repo, save = _load_for_edit(text, trusted, artifact_id)
+            del text
         yield repo
         with _gc_paused():
-            text = _serialize(repo, log)
-        _put_stamp(lock, _write(text, path))
+            pieces = save(repo)
+        _put_stamp(lock, _write(pieces, path))
     finally:
         os.close(lock)
 

@@ -3,18 +3,24 @@ that keep the edit log's lines, encode every other record and write
 canonical bytes; and read commands that read only their sections while
 the sidecar's stamp vouches for the file."""
 
+import contextlib
 import copy
 import dataclasses
 import fcntl
 import gc
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import zlib
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CANONICAL_TAXONOMY_CSV,
@@ -754,8 +760,11 @@ def inner_spacing(text):
 
 
 def ascii_escapes(text):
-    """Canonical layout, but non-ASCII text written as JSON ``\\uXXXX`` escapes."""
-    return text.encode("ascii", "backslashreplace").decode("ascii")
+    """Canonical layout, but non-ASCII text written as JSON ``\\uXXXX`` escapes.
+
+    ``json.dumps`` escapes a character above U+FFFF as a surrogate pair.
+    """
+    return "".join(c if c.isascii() else json.dumps(c)[1:-1] for c in text)
 
 
 def trailing_value(text):
@@ -951,6 +960,38 @@ class TestVouchedReads:
         assert run_cli(marked_path, argv, capsys) == 0
         assert decoded == every
 
+    def test_one_artifact_edits_decode_only_its_records(self, marked_path, capsys,
+                                                          monkeypatch):
+        repo = load_repository(marked_path)
+        own = sum(a.artifact_id == "R1" for a in repo.assignments)
+        assert 0 < own < len(repo.assignments) and repo.edit_log
+        decoded, built = count_decoded(monkeypatch), built_artifacts(monkeypatch)
+
+        def run(argv, state):
+            self.set_sidecar(marked_path, state)
+            decoded.update(taxonomy=0, assignments=0, edit_log=0)
+            built.clear()
+            assert run_cli(marked_path, argv, capsys) == 0
+            return dict(decoded), list(built)
+
+        assert run(["assign", "R1", "63FH"], VOUCHING) == (
+            {"taxonomy": 1, "assignments": own, "edit_log": 0}, ["R1"])
+        repo = load_repository(marked_path)
+        every = sorted(repo.artifacts)
+        assert run(["unassign", "R1", "63FH"], NO_SIDECAR) == (
+            {"taxonomy": 1, "assignments": len(repo.assignments),
+             "edit_log": len(repo.edit_log)}, every)
+        # A split decodes every assignment; the stamp still vouches for the
+        # log's lines.  (``built_artifacts`` takes no keywords, which the
+        # split's parts are built with.)
+        repo = load_repository(marked_path)
+        monkeypatch.undo()
+        decoded = count_decoded(monkeypatch)
+        self.set_sidecar(marked_path, VOUCHING)
+        assert run_cli(marked_path, ["split", "R2", "--part", "R2a:2", "--part", "R2b:3"],
+                       capsys) == 0
+        assert decoded == {"taxonomy": 1, "assignments": len(repo.assignments), "edit_log": 0}
+
     def test_a_stamp_vouches_only_for_the_sections_a_command_skips(self, marked_path, capsys):
         # As with the edit log under an edit, a forged stamp is believed for
         # what a command does not read; what it reads is checked as a load does.
@@ -1066,6 +1107,168 @@ class TestVouchedReads:
         assert seen[VOUCHING] == seen[STALE_STAMP] == seen[NO_SIDECAR]
         code, out, err = seen[VOUCHING][1]
         assert (code, err) == (0, "") and json.loads(out)["artifact"] == odd
+
+
+# Artifact ids whose JSON needs an escape (a quote, a backslash, a control
+# character) or that a save writes as they are (non-ASCII, above U+FFFF).
+ODD_IDS = ['R"q', "R\\b", "R\x07", "Rü–1", "R\U0001F600"]
+JUDGED_IDS = st.sampled_from(["R1", "T5", "NOPE", *ODD_IDS])
+JUDGED_CODES = st.sampled_from(["63FH", "63fh -", "1", "18B", "99ZZ"])
+ONE_ARTIFACT_EDITS = st.one_of(
+    st.builds(lambda i, c: ["assign", i, c], JUDGED_IDS, JUDGED_CODES),
+    st.builds(lambda i, c: ["unassign", i, c], JUDGED_IDS, JUDGED_CODES),
+    st.builds(lambda i, category, note: ["mark-unclassifiable", i, category]
+              + (["--note", note] if note else []),
+              JUDGED_IDS, st.sampled_from(["vagueness", "compound"]),
+              st.sampled_from([None, "why – ✓", 'a "quoted" note'])),
+)
+
+
+def sidecar_bytes(path):
+    """The sidecar's bytes; none when it is absent."""
+    return read(sidecar(path)) if os.path.exists(sidecar(path)) else b""
+
+
+class TestOneArtifactEdits:
+    """``assign``, ``unassign`` and ``mark-unclassifiable`` load one artifact's
+    records under a stamp that vouches for the file, and splice them back:
+    what they print and write is what a full load, the same edit and a full
+    encode give."""
+
+    @seed(26)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.booleans(), st.sets(st.sampled_from(ODD_IDS)),
+           st.lists(ONE_ARTIFACT_EDITS, min_size=1, max_size=8))
+    @example(False, set(), [["mark-unclassifiable", "T5", "vagueness"], ["assign", "R1", "1"]])
+    @example(True, set(), [
+        ["assign", "R1", "63FH"], ["assign", "R1", "63fh -"], ["assign", "NOPE", "1"],
+        ["assign", "R1", "99ZZ"], ["unassign", "R1", "63FH"], ["unassign", "R1", "63FH"],
+        ["mark-unclassifiable", "R1", "vagueness"],
+        ["mark-unclassifiable", "R1", "compound", "--note", "why – ✓"]])
+    @example(True, {"Rü–1", "R\U0001F600"}, [
+        ["assign", "Rü–1", "1"], ["assign", "R\U0001F600", "1"], ["unassign", "Rü–1", "1"],
+        ["mark-unclassifiable", "R\U0001F600", "compound"],
+        ["mark-unclassifiable", "R\U0001F600", "vagueness"]])
+    @example(True, set(ODD_IDS), [
+        ["assign", 'R"q', "1"], ["mark-unclassifiable", "R\\b", "vagueness"],
+        ["unassign", "R\x07", "1"], ["assign", "R\x07", "18B"]])
+    def test_every_sidecar_state_prints_and_writes_alike(self, linked, stored, commands):
+        # Without links, the file's assignments and log are empty lists.
+        repo = starting_repo()
+        if linked:
+            linkage.mark_unclassifiable(repo, "T5", "vagueness", now=NOW)
+        else:
+            repo.assignments.clear()
+            repo.edit_log.clear()
+        for i, artifact_id in enumerate(sorted(stored)):
+            add_artifact(repo, Artifact(id=artifact_id, kind="requirement", title=f"Odd {i}"))
+            if linked:
+                linkage.assign(repo, artifact_id, "1", now=NOW)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, TTL_NOW=NOW):
+            paths = {state: os.path.join(tmp, f"{i}.json")
+                     for i, state in enumerate((VOUCHING, STALE_STAMP, NO_SIDECAR))}
+            for path in paths.values():
+                save_repository(repo, path)
+            for argv in commands:
+                seen = {}
+                for state, path in paths.items():
+                    if state == STALE_STAMP:
+                        with open(sidecar(path), "wb") as f:
+                            f.write(store._stamp(read(path) + b" "))
+                    elif state == NO_SIDECAR and os.path.exists(sidecar(path)):
+                        os.unlink(sidecar(path))
+                    before = read(path), sidecar_bytes(path)
+                    if state == VOUCHING:
+                        assert before[1] == store._stamp(before[0])
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(["--repo", path, "--format", "json", *argv])
+                    after = read(path), sidecar_bytes(path)
+                    if code == 0:
+                        assert after[1] == store._stamp(after[0]), (state, argv)
+                    else:
+                        assert after == before, (state, argv)
+                    seen[state] = code, out.getvalue(), err.getvalue(), after[0]
+                assert seen[VOUCHING] == seen[STALE_STAMP] == seen[NO_SIDECAR], argv
+                assert seen[VOUCHING][3] == canonical(paths[NO_SIDECAR]), argv
+
+    forge = TestVouchedReads.forge
+
+    def test_a_stamp_vouches_for_the_records_of_other_artifacts(self, marked_path, capsys):
+        # A forged stamp is believed for every record the edit does not
+        # load: they are copied, and covered by the new stamp.
+        self.forge(marked_path, b'"id": "R2", "kind": "requirement"',
+                   b'"id": "R2", "kind": "widget"')
+        assert run_cli(marked_path, ["assign", "R1", "63FH"], capsys) == 0
+        assert b'"kind": "widget"' in read(marked_path)
+        assert read(sidecar(marked_path)) == store._stamp(read(marked_path))
+        assert cli.main(["--repo", marked_path, "validate"]) == 2
+        assert capsys.readouterr().err == "error: artifacts[2]: unknown artifact kind 'widget'\n"
+
+    R1_LINK = (b'{"artifact_id": "R1", "code": "18B", "created_at": "2026-01-15T09:00:00+00:00", '
+               b'"note": null, "provenance": "manual", "status": "confirmed"}')
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"id": "R1", "kind": "requirement"', b'"id": "R1", "kind": "widget"'),
+        (R1_LINK, R1_LINK.replace(b'"confirmed"', b'"maybe"')),
+        (R1_LINK, R1_LINK.replace(b'"18B"', b'"99ZZ"')),
+        (R1_LINK, R1_LINK.replace(b'"confirmed"}', b'"confirmed", "artifact_id": "R2"}')),
+    ], ids=["its artifact", "its assignment", "its assignment's code",
+            "an assignment read back as another artifact's"])
+    def test_a_fault_in_a_record_it_loads_is_reported_as_a_full_load_does(
+            self, marked_path, tmp_path, capsys, old, new):
+        self.forge(marked_path, old, new)
+        control = str(tmp_path / "control.json")
+        with open(control, "wb") as f:
+            f.write(read(marked_path))
+        start = read(marked_path), read(sidecar(marked_path))
+        seen = outcome(marked_path, ["assign", "R1", "63FH"], capsys)
+        assert seen == outcome(control, ["assign", "R1", "63FH"], capsys)
+        assert read(marked_path) == read(control)
+        if seen[0][0] != 0:  # a second "artifact_id" key is read back, as JSON reads it
+            assert (read(marked_path), read(sidecar(marked_path))) == start
+
+    @pytest.mark.parametrize("title", [b"Unlinked", b"Emergency lighting"],
+                             ids=["its artifact", "a class"])
+    def test_a_hand_spaced_line_it_loads_is_encoded_again(self, marked_path, capsys, title):
+        # Z0 has no links, so only the check of its own line sees the spacing.
+        with store.editing(marked_path) as repo:
+            add_artifact(repo, Artifact(id="Z0", kind="requirement", title="Unlinked"))
+        self.forge(marked_path, b'"title": "%s"' % title, b'"title":"%s"' % title)
+        assert run_cli(marked_path, ["assign", "Z0", "63FH"], capsys) == 0
+        assert read(marked_path) == canonical(marked_path)
+
+    @pytest.mark.parametrize("change", ["artifact", "assignment"])
+    def test_a_field_set_in_place_is_saved(self, marked_path, change):
+        with store.editing(marked_path, "R1") as repo:
+            assert list(repo.artifacts) == ["R1"]
+            if change == "artifact":
+                repo.artifacts["R1"].title = "Set in place"
+            else:
+                repo.assignments[0].note = "set in place"
+        saved = load_repository(marked_path)
+        if change == "artifact":
+            assert saved.artifacts["R1"].title == "Set in place"
+        else:
+            assert [a.note for a in saved.assignments if a.artifact_id == "R1"] == ["set in place"]
+        assert read(marked_path) == canonical(marked_path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda repo: add_artifact(repo, Artifact(id="Z9", kind="requirement", title="z")),
+        lambda repo: repo.artifacts.pop("R1"),
+        lambda repo: repo.assignments.pop(),
+        lambda repo: repo.assignments.append(dataclasses.replace(repo.assignments[0],
+                                                                 artifact_id="R2", code="3")),
+        lambda repo: repo.taxonomy.nodes.pop("63N"),
+    ], ids=["another artifact", "its artifact removed", "an assignment removed",
+            "another artifact's assignment", "a class removed"])
+    def test_a_change_to_other_records_is_refused(self, marked_path, edit):
+        start = read(marked_path), read(sidecar(marked_path))
+        with pytest.raises(ValueError) as caught:
+            with store.editing(marked_path, "R1") as repo:
+                edit(repo)
+        assert str(caught.value) == "an edit of artifact 'R1' changed other records"
+        assert (read(marked_path), read(sidecar(marked_path))) == start
 
 
 HOLD_LOCK = """

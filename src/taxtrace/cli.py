@@ -8,23 +8,24 @@ lock; under ``EDIT`` it runs inside ``store.editing``, which holds the
 writer lock and saves the repository when the handler returns, before
 anything, warnings included, is printed; ``init`` and ``cost`` (access
 None) open no repository.
-``assign``, ``unassign`` and ``mark-unclassifiable`` declare
-``one_artifact``: when the sidecar's stamp vouches for the file, they
-decode the taxonomy, their artifact and its assignments alone, and the
-save splices those, with the new assignments and log entries, into the
-file's other bytes, which it copies unread.  ``split`` and ``import``
-load and encode every record but the log's.
+``assign``, ``unassign``, ``mark-unclassifiable`` and ``split`` declare
+``touches``, the ids of the artifacts they edit: their artifact, and for
+``split`` the original and each ``--part``'s id.  When the sidecar's
+stamp vouches for the file, they decode the taxonomy, those artifacts
+and their assignments alone, and the save splices those, with the new
+artifacts, assignments and log entries, into the file's other bytes,
+which it copies unread.  ``import`` loads and encodes every record but
+the log's.
 A ``READ`` handler also declares the ``sections`` of the file it reads:
 ``diff`` the artifacts (``ARTIFACTS``), ``suggest`` and ``audit`` the
 taxonomy too (``MODELS``), ``trace``, ``coverage`` and ``impact`` the
 assignments as well (``LINKS``).  When the sidecar's stamp vouches for
 the file, only those are decoded and checked, and the others are left
 empty (``store.read_sections``).  ``suggest`` also declares
-``one_artifact``: of the artifacts it builds and checks only the one it
+``touches``: of the artifacts it builds and checks only the one it
 ranks.  So under a forged stamp a hand edit of another artifact passes
-``suggest`` and the three one-artifact edits unchecked.  ``validate``
-declares None: it loads and checks the whole file, whatever the stamp
-says.
+``suggest`` and those four edits unchecked.  ``validate`` declares
+None: it loads and checks the whole file, whatever the stamp says.
 ``main`` builds the parser of the subcommand that its arguments name
 (``parse_args``); help and usage errors are printed by the full parser.
 Python's cyclic garbage collector is paused for a ``READ`` command's
@@ -132,6 +133,16 @@ def _hit_lines(hits: list[query.TraceHit]) -> list[str]:
         + ", ".join(f"{s}->{c} ({r.kind}, distance={r.distance})" for s, c, r in hit.via)
         for hit in hits
     ]
+
+
+def _artifact(args) -> tuple[str, ...]:
+    """The one artifact a command touches."""
+    return (args.artifact_id,)
+
+
+def _split_ids(args) -> tuple[str, ...]:
+    """The original and each part's id, as ``cmd_split`` reads them from ``--part``."""
+    return (args.artifact_id, *(spec.partition(":")[0] for spec in args.part))
 
 
 def _model_objects(repo: store.Repository, label: str) -> list[store.Artifact]:
@@ -376,9 +387,10 @@ def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
 _FILTER_HELP = "equal|ancestor|descendant|equal-or-descendant|sibling|neighborhood:k"
 
 # Every subcommand, in the order --help lists them: its help, its defaults
-# (access, sections and, for a handler that reads or edits one artifact,
-# one_artifact) and its arguments.  Its handler is the function
-# ``cmd_<name>``, with "-" as "_", found when its parser is built.
+# (access, sections and, for a handler that reads or edits named artifacts
+# alone, ``touches``, the function giving their ids) and its arguments.
+# Its handler is the function ``cmd_<name>``, with "-" as "_", found when
+# its parser is built.
 _COMMANDS = {
     "init": ("create an empty repository file", dict(access=None), [
         _arg("path", nargs="?", help="repository file (default: --repo)"),
@@ -394,25 +406,27 @@ _COMMANDS = {
     "validate": ("check taxonomy and referential integrity",
                  dict(access=READ, sections=None), []),
     "suggest": ("rank classes for an artifact's text",
-                dict(access=READ, sections=MODELS, one_artifact=True), [
+                dict(access=READ, sections=MODELS, touches=_artifact), [
         _arg("artifact_id"),
         _arg("-n", type=int, default=5),
     ]),
-    "assign": ("link an artifact to a class", dict(access=EDIT, one_artifact=True), [
+    "assign": ("link an artifact to a class", dict(access=EDIT, touches=_artifact), [
         _arg("artifact_id"),
         _arg("code"),
         _arg("--provenance", choices=sorted(linkage.PROVENANCES), default=linkage.MANUAL),
     ]),
-    "unassign": ("retire an artifact-to-class link", dict(access=EDIT, one_artifact=True), [
+    "unassign": ("retire an artifact-to-class link", dict(access=EDIT, touches=_artifact), [
         _arg("artifact_id"),
         _arg("code"),
     ]),
-    "mark-unclassifiable": ("record that no class fits", dict(access=EDIT, one_artifact=True), [
+    "mark-unclassifiable": ("record that no class fits",
+                            dict(access=EDIT, touches=_artifact), [
         _arg("artifact_id"),
         _arg("category", choices=list(linkage.REASON_CATEGORIES)),
         _arg("--note"),
     ]),
-    "split": ("replace an artifact by parts, reallocating codes", dict(access=EDIT), [
+    "split": ("replace an artifact by parts, reallocating codes",
+              dict(access=EDIT, touches=_split_ids), [
         _arg("artifact_id"),
         _arg("--part", action="append", required=True, metavar="NEW_ID:CODE[,CODE...]",
              help="repeat once per part"),
@@ -520,7 +534,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    only = args.artifact_id if getattr(args, "one_artifact", False) else None
+    touches = getattr(args, "touches", None)
+    only = touches(args) if touches else None
     try:
         if args.access is None:
             out = args.func(args)

@@ -31,25 +31,26 @@ assignments and the edit log record by record.
 Commands that change the repository go through ``editing``: one writer
 at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
 The save keeps the edit log's lines and encodes every other record.  An
-edit of one artifact's records, as ``assign``, ``unassign`` and
-``mark-unclassifiable`` are, names that artifact: while the stamp
-vouches for a file that holds no backslash, it decodes the taxonomy, the
-artifact and the artifact's assignments alone, and its save encodes
-those again and splices them, with the new assignments and log entries,
-into the file's other bytes, copied unread.  So under a forged stamp a
-hand edit of another artifact's records passes it unchecked.  The
-sidecar never holds data, only the stamp of the bytes last saved, which
-``editing`` and ``save_repository`` write; deleting it costs the next
-command one full load.  Library callers that mutate a repository and
-``save_repository`` it take no lock, so they must not run alongside a
-command that edits the same file.
+edit of some artifacts' records, as ``assign``, ``unassign``,
+``mark-unclassifiable`` and ``split`` are, names those artifacts, and
+may add one under a name that is absent, as a split adds its parts:
+while the stamp vouches for a file that holds no backslash, it decodes
+the taxonomy, the named artifacts and their assignments alone, and its
+save encodes those again and splices them, with the new artifacts,
+assignments and log entries, into the file's other bytes, copied unread.
+So under a forged stamp a hand edit of another artifact's records passes
+it unchecked.  The sidecar never holds data, only the stamp of the bytes
+last saved, which ``editing`` and ``save_repository`` write; deleting it
+costs the next command one full load.  Library callers that mutate a
+repository and ``save_repository`` it take no lock, so they must not run
+alongside a command that edits the same file.
 
 Read commands go through ``read_sections``, which reads the stamp but
 never creates or writes the sidecar.  While the stamp vouches for the
 file, they decode and check only the sections they read, each parsed in
-place, and leave the others empty; a command that reads one artifact
-builds and checks that record alone, so under a forged stamp a hand edit
-of any other artifact passes it unchecked.  ``load_repository`` and
+place, and leave the others empty; a command that reads named artifacts
+builds and checks those records alone, so under a forged stamp a hand
+edit of any other artifact passes it unchecked.  ``load_repository`` and
 ``deserialize_repository`` always decode and check every section.
 
 The edit log is append-only.  Inside ``editing``, ``repo.edit_log`` starts
@@ -71,6 +72,7 @@ caller's other threads run without cyclic collection meanwhile.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import fcntl
@@ -492,27 +494,34 @@ def _saved_artifacts(records: list) -> list[Artifact] | None:
     return list(map(Artifact, *columns))
 
 
-def _one_artifact(value, artifact_id: str) -> dict[str, Artifact]:
-    """The artifacts section of parsed ``value``, holding at most the artifact ``artifact_id``.
+def _one_artifact(value, ids: tuple[str, ...]) -> tuple[dict[str, Artifact], list]:
+    """The artifacts section of parsed ``value``, holding at most the artifacts ``ids``.
 
-    Only that record is decoded and checked, as a load does and under the
-    same ``artifacts[i]`` location; of the others only the id is looked
-    at.  A list that holds a non-object, or holds the id twice, is decoded
-    in full (``_section``), which raises what a load raises.
+    Only those records are decoded and checked, as a load does and under
+    the same ``artifacts[i]`` location; an absent id is left out.  Of the
+    others only the id is looked at: the list of every record's id, in
+    file order, is returned too.  A list that holds a non-object, or holds
+    one of ``ids`` twice, is decoded in full (``_section``), which raises
+    what a load raises.
     """
     records = _records(value, "artifacts")
     if {dict}.issuperset(map(type, records)):
-        ids = list(map(dict.get, records, itertools.repeat("id")))
-        stored = ids.count(artifact_id)
-        if not stored:
-            return {}
-        if stored == 1:
-            i = ids.index(artifact_id)
-            try:
-                return {artifact_id: _artifact_from_dict(records[i])}
-            except MalformedRecord as exc:
-                raise MalformedRecord(f"artifacts[{i}]: {exc}") from None
-    return _section("artifacts", records)
+        stored = list(map(dict.get, records, itertools.repeat("id")))
+        artifacts = {}
+        for artifact_id in ids:
+            count = stored.count(artifact_id)
+            if count > 1:
+                break
+            if count:
+                i = stored.index(artifact_id)
+                try:
+                    artifacts[artifact_id] = _artifact_from_dict(records[i])
+                except MalformedRecord as exc:
+                    raise MalformedRecord(f"artifacts[{i}]: {exc}") from None
+        else:
+            return artifacts, stored
+    _section("artifacts", records)  # raises: a non-object, or an id twice
+    raise AssertionError("unreachable")
 
 
 def _by_id(artifacts: list[Artifact]) -> dict[str, Artifact]:
@@ -731,17 +740,17 @@ def _spans(text: str) -> dict[str, tuple[int, int]]:
 def _log_lines(text: str, start: int, end: int) -> tuple[int, int]:
     """The offsets of the record lines of the edit log ``text[start:end]``; equal for "[]".
 
-    ``_OtherLayout`` unless the log holds one record per line: every line
-    break inside the list follows a comma, and the last line has none.
-    The lines are neither decoded nor checked.
+    ``_OtherLayout`` unless the log holds one record per line: the list
+    opens "[\\n{" and closes "}\\n]", and every line break inside it stands
+    in "},\\n{", so each line runs from "{" to "}".  The lines are neither
+    decoded nor checked.
     """
     if end - start == 2 and text.startswith("[]", start):
         return end, end
-    if not (text.startswith("[\n", start) and text.endswith("\n]", start, end)):
+    if not (text.startswith("[\n{", start) and text.endswith("}\n]", start, end)):
         raise _OtherLayout
     start, end = start + 2, end - 2
-    if (text.count("\n", start, end) != text.count(",\n", start, end)
-            or text.endswith(",", start, end)):
+    if text.count("\n", start, end) != text.count("},\n{", start, end):
         raise _OtherLayout
     return start, end
 
@@ -758,16 +767,16 @@ def _value(text: str, start: int, end: int):
 
 
 def _load_vouched(text: str, sections: tuple[str, ...],
-                  artifact_id: str | None = None) -> tuple[Repository, str] | None:
+                  ids: tuple[str, ...] | None = None) -> tuple[Repository, str] | None:
     """The repository of ``text``, a file its stamp vouches for, with only ``sections`` read.
 
     Each of the taxonomy, artifacts and assignments named is parsed in
     place (``_value``), then decoded and checked as
     ``deserialize_repository`` does, and so is the repository
-    (``check_integrity``).  With ``artifact_id`` given, the artifacts hold
-    that artifact alone, or none if it is absent: the section's other
-    records are parsed but neither built nor checked (``_one_artifact``),
-    so under a forged stamp a hand edit of one of them passes unchecked.
+    (``check_integrity``).  With ``ids`` given, the artifacts hold those
+    of them that are present: the section's other records are parsed but
+    neither built nor checked (``_one_artifact``), so under a forged
+    stamp a hand edit of one of them passes unchecked.
     Every other section is left empty and unchecked, but "edit_log" named
     returns the log's record lines as they stand in ``text``, unread.
     None unless ``text`` is laid out as a save writes it (``_spans``), a
@@ -784,8 +793,8 @@ def _load_vouched(text: str, sections: tuple[str, ...],
         for name in _LOAD_ORDER[:-1]:  # all but the log, which is never decoded here
             if name in sections:
                 value = _value(text, *span[name])
-                fields[name] = (_one_artifact(value, artifact_id)
-                                if name == "artifacts" and artifact_id is not None
+                fields[name] = (_one_artifact(value, ids)[0]
+                                if name == "artifacts" and ids is not None
                                 else _section(name, value))
                 del value  # a parsed section is dropped once decoded
     except _OtherLayout:
@@ -796,13 +805,13 @@ def _load_vouched(text: str, sections: tuple[str, ...],
 
 
 def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None,
-                  artifact_id: str | None = None) -> Repository:
+                  ids: tuple[str, ...] | None = None) -> Repository:
     """The repository at ``path``, with only ``sections`` read when its sidecar vouches for it.
 
     ``sections`` names some of "taxonomy", "artifacts" and "assignments".
     When the sidecar ``<path>.lock`` holds the stamp of the file's bytes,
-    only those are decoded and checked (``_load_vouched``); with
-    ``artifact_id`` given too, of the artifacts only that one is built and
+    only those are decoded and checked (``_load_vouched``); with the
+    artifact ``ids`` given too, of the artifacts only those are built and
     checked, so a hand edit of another artifact passes unchecked under a
     forged stamp.  Otherwise, and always with ``sections`` None, this is
     ``load_repository``: all are.
@@ -820,92 +829,131 @@ def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None,
     with _gc_paused():
         text = data.decode("utf-8")
         del data  # the file is held once, as text
-        kept = _load_vouched(text, sections, artifact_id) if vouched else None
+        kept = _load_vouched(text, sections, ids) if vouched else None
         return deserialize_repository(text) if kept is None else kept[0]
 
 
 # --- editing: one locked writer, keeping the edit log's lines ---
 
 
-def _load_one(text: str, artifact_id: str):
-    """The repository of ``text`` holding one artifact's records, and the save that splices them.
+def _load_one(text: str, ids: tuple[str, ...]):
+    """The repository of ``text`` holding the records of the artifacts ``ids``, and their save.
 
     ``text`` is a file its stamp vouches for, holding no backslash, so
     every string in it is written as a save writes it.  The repository
-    holds the taxonomy, decoded and checked as a load does; the artifact
-    ``artifact_id``, if present (``_one_artifact``); its assignments, each
-    found as a line that starts ``{"artifact_id": <its id>, `` and decoded
-    alone; and an empty log.  ``check_integrity`` checks them.  No other
-    record is decoded, built or checked, and the log is not read.
+    holds the taxonomy, decoded and checked as a load does; those of the
+    artifacts that are present, an absent id loading as absent
+    (``_one_artifact``); their assignments, each found as a line that
+    starts ``{"artifact_id": <its id>, `` and decoded alone, in file
+    order; and an empty log.  ``check_integrity`` checks them.  No other
+    record is checked, and the log is not read.  The only other record
+    built is, for each absent id, the stored artifact whose line a new
+    line of that id would precede: its line is found by encoding it, as a
+    present artifact's is, and the id's place is found by bisecting the
+    stored ids.  An id whose line would follow every other goes at the
+    section's end.
 
     Returns the repository and a function that, given it after the edit,
     returns the pieces of the file to write (``_spliced``).  Raises
     ``_OtherLayout`` unless ``text`` is laid out as a save writes it
-    (``_spans``, ``_log_lines``) and the artifact's line is exactly its
-    encoding; a fault in a record read raises as a load does.
+    (``_spans``, ``_log_lines``) and each artifact line looked for is
+    exactly its artifact's encoding; a fault in a record read raises as a
+    load does.
     """
+    ids = tuple(dict.fromkeys(ids))
     span = _spans(text)
     _log_lines(text, *span["edit_log"])
     taxonomy = _section("taxonomy", _value(text, *span["taxonomy"]))
     start, end = span["artifacts"]
-    artifacts = _one_artifact(_value(text, start, end), artifact_id)
-    line = None
-    if artifacts:
-        encoded = _artifact_line(artifacts[artifact_id])
+    records = _value(text, start, end)
+    artifacts, stored = _one_artifact(records, ids)
+
+    def line_of(artifact: Artifact) -> tuple[int, int]:
+        encoded = _artifact_line(artifact)
         pos = text.find(f"\n{encoded}", start, end) + 1
         if not pos:
             raise _OtherLayout
-        line = (pos, pos + len(encoded))
-    start, end = span["assignments"]
-    head = f'\n{{"artifact_id": {_text(artifact_id)}, '
-    assignments, places = [], []
-    pos = text.find(head, start, end)
-    while pos >= 0:
-        try:
-            doc, stop = _raw_decode(text, pos + 1)
-        except json.JSONDecodeError:
-            raise _OtherLayout from None
-        assignment = _assignment_from_dict(doc)
-        if assignment.artifact_id != artifact_id:  # a second "artifact_id" key
+        return pos, pos + len(encoded)
+
+    lines = {artifact_id: line_of(artifact) for artifact_id, artifact in artifacts.items()}
+    places: dict[str, int | None] = {}
+    for artifact_id in ids:
+        if artifact_id in artifacts:
+            continue
+        if not _STR.issuperset(map(type, stored)):  # bisect compares them with ``artifact_id``
             raise _OtherLayout
-        assignments.append(assignment)
-        places.append((pos + 1, stop))
-        pos = text.find(head, stop, end)
-    repo = Repository(taxonomy, artifacts, assignments)
+        i = bisect.bisect_left(stored, artifact_id)
+        if i == len(stored):
+            places[artifact_id] = None
+        else:
+            after = artifacts.get(stored[i]) or _artifact_from_dict(records[i])
+            places[artifact_id] = line_of(after)[0]
+    del records
+    start, end = span["assignments"]
+    found = []
+    for artifact_id in ids:
+        head = f'\n{{"artifact_id": {_text(artifact_id)}, '
+        pos = text.find(head, start, end)
+        while pos >= 0:
+            try:
+                doc, stop = _raw_decode(text, pos + 1)
+            except json.JSONDecodeError:
+                raise _OtherLayout from None
+            assignment = _assignment_from_dict(doc)
+            if assignment.artifact_id != artifact_id:  # a second "artifact_id" key
+                raise _OtherLayout
+            found.append((pos + 1, stop, assignment))
+            pos = text.find(head, stop, end)
+    found.sort(key=lambda record: record[0])
+    repo = Repository(taxonomy, artifacts, [assignment for *_, assignment in found])
     check_integrity(repo)
     codes = set(taxonomy.nodes)
-    return repo, lambda edited: _spliced(text, span, artifact_id, line, places, codes, edited)
+    links = [(pos, stop) for pos, stop, _ in found]
+    return repo, lambda edited: _spliced(text, span, ids, lines, places, links, codes, edited)
 
 
-def _spliced(text: str, span: dict[str, tuple[int, int]], artifact_id: str,
-             line: tuple[int, int] | None, places: list[tuple[int, int]], codes: set[str],
-             repo: Repository):
+def _spliced(text: str, span: dict[str, tuple[int, int]], ids: tuple[str, ...],
+             lines: dict[str, tuple[int, int]], places: dict[str, int | None],
+             links: list[tuple[int, int]], codes: set[str], repo: Repository):
     """The pieces of ``text`` with the records of ``repo``, loaded by ``_load_one``, put back.
 
-    The taxonomy, the artifact and each loaded assignment are encoded
-    again at their places, new assignments and new log entries are added
-    at the end of their sections, and every other character is copied.
-    ValueError, before anything is encoded, when the edit reached beyond
-    what was loaded: another artifact, fewer assignments, an assignment of
-    another artifact, or a class removed, which another artifact's
-    assignments may name.  Then the records are checked as a save checks
-    them (``_check_saved``).
+    The taxonomy, each loaded artifact (at ``lines``) and each loaded
+    assignment (at ``links``) are encoded again at their places.  A new
+    artifact goes in at its place in ``places``, before the line found
+    there or at the section's end, after any other new artifact of the
+    same place with a lower id.  New assignments and new log entries are
+    added at the end of their sections, and every other character is
+    copied.  ValueError, before anything is encoded, when the edit reached
+    beyond what was loaded: an artifact removed or added under an id not
+    in ``ids``, fewer assignments, an assignment of an artifact not in
+    ``ids``, or a class removed, which another artifact's assignments may
+    name.  Then the records are checked as a save checks them
+    (``_check_saved``).
     """
     artifacts, assignments = repo.artifacts, repo.assignments
-    if (artifacts.keys() != ({artifact_id} if line else set())
-            or len(assignments) < len(places)
-            or any(a.artifact_id != artifact_id for a in assignments)
+    named = set(ids)
+    if (not lines.keys() <= artifacts.keys() <= named
+            or len(assignments) < len(links)
+            or any(a.artifact_id not in named for a in assignments)
             or not repo.taxonomy.nodes.keys() >= codes):
-        raise ValueError(f"an edit of artifact {artifact_id!r} changed other records")
-    edits = [(*place, _assignment_line(a)) for place, a in zip(places, assignments)]
-    if line is not None:
-        edits.insert(0, (*line, _artifact_line(artifacts[artifact_id])))
+        raise ValueError(f"an edit of artifact {ids[0]!r} changed other records")
+    edits = [(*lines[i], _artifact_line(artifacts[i])) for i in lines]
+    edits += [(*link, _assignment_line(a)) for link, a in zip(links, assignments)]
+    last = []
+    for artifact_id in sorted(artifacts.keys() - lines.keys()):
+        line, place = _artifact_line(artifacts[artifact_id]), places[artifact_id]
+        if place is None:
+            last.append(line)
+        else:
+            edits.append((place, place, f"{line},\n"))
     edits += [
-        _appended(text, *span["assignments"], map(_assignment_line, assignments[len(places):])),
+        _appended(text, *span["artifacts"], last),
+        _appended(text, *span["assignments"], map(_assignment_line, assignments[len(links):])),
         _appended(text, *span["edit_log"], map(_edit_line, repo.edit_log)),
         (*span["taxonomy"], _structured_text(repo.taxonomy)),
     ]
     _check_saved(repo)
+    edits.sort(key=lambda edit: edit[:2])  # stable: new lines of one place stay in id order
     return _pieces(text, edits)
 
 
@@ -929,17 +977,17 @@ def _pieces(text: str, edits: list[tuple[int, int, str]]):
     yield text[pos:]
 
 
-def _load_for_edit(text: str, trusted: bool, artifact_id: str | None):
+def _load_for_edit(text: str, trusted: bool, ids: tuple[str, ...] | None):
     """The repository of ``text`` for ``editing``, and the function giving the pieces of its save.
 
-    With ``artifact_id`` given, a file the stamp vouches for, holding no
-    backslash, loads that artifact's records alone (``_load_one``).  A
+    With ``ids`` given, a file the stamp vouches for, holding no
+    backslash, loads those artifacts' records alone (``_load_one``).  A
     file in another layout, or one in which they fail a check, loads as
-    without ``artifact_id``, so a fault is reported as a load reports it.
+    without ``ids``, so a fault is reported as a load reports it.
     """
-    if trusted and artifact_id is not None and "\\" not in text:
+    if trusted and ids is not None and "\\" not in text:
         try:
-            return _load_one(text, artifact_id)
+            return _load_one(text, ids)
         except (_OtherLayout, TaxTraceError):
             pass
     kept = _load_vouched(text, _LOAD_ORDER) if trusted else None
@@ -952,7 +1000,7 @@ def _load_for_edit(text: str, trusted: bool, artifact_id: str | None):
 
 
 @contextlib.contextmanager
-def editing(path: str | os.PathLike, artifact_id: str | None = None):
+def editing(path: str | os.PathLike, ids: tuple[str, ...] | None = None):
     """Load the repository at ``path`` for one edit, and save it if the block succeeds.
 
     An exclusive ``flock`` on the sidecar ``<path>.lock`` (next to a
@@ -976,16 +1024,18 @@ def editing(path: str | os.PathLike, artifact_id: str | None = None):
     one record per line, a hand edit) the whole file loads with those
     checks, and its log is encoded to lines at once.
 
-    With ``artifact_id`` given, the block edits that artifact's records
-    alone.  While the stamp vouches for a file that holds no backslash,
-    the repository holds only the taxonomy, that artifact and its
-    assignments, and the save encodes those again and splices them, with
-    the new assignments and log entries, into the file's other bytes,
-    which are copied unread (``_load_one``).  So under a forged stamp a
-    hand edit of another artifact's records is copied unchecked.  The
-    file gets the bytes of a full load, the same edit and
-    ``serialize_repository``.  A block that changes any other record
-    raises ValueError, and nothing is written.
+    With the artifact ``ids`` given, the block edits those artifacts'
+    records alone, and may add an artifact under an id of them that is
+    absent, as ``split`` adds its parts.  While the stamp vouches for a
+    file that holds no backslash, the repository holds only the taxonomy,
+    those of the artifacts that are present and their assignments, and the
+    save encodes those again and splices them, with the new artifacts,
+    assignments and log entries, into the file's other bytes, which are
+    copied unread (``_load_one``).  So under a forged stamp a hand edit of
+    another artifact's records is copied unchecked.  The file gets the
+    bytes of a full load, the same edit and ``serialize_repository``.  A
+    block that changes any other record raises ValueError, and nothing is
+    written.
 
     The load and the encode run with the cyclic garbage collector paused
     (``_gc_paused``); the block runs with it as the caller left it.
@@ -1011,7 +1061,7 @@ def editing(path: str | os.PathLike, artifact_id: str | None = None):
         with _gc_paused():
             text = data.decode("utf-8")
             del data  # the file is held once, as text
-            repo, save = _load_for_edit(text, trusted, artifact_id)
+            repo, save = _load_for_edit(text, trusted, ids)
             del text
         yield repo
         with _gc_paused():

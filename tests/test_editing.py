@@ -689,18 +689,20 @@ class TestAppendOnlyLog:
         assert read(marked_path) == data
 
     @pytest.mark.parametrize("line, old, new", [
-        (0, b",\n", b"\n"), (-1, b"\n],\n", b",\n],\n"),
-    ], ids=["a line without its comma", "the last line with a comma"])
+        (0, b",\n", b"\n"), (-1, b"\n],\n", b",\n],\n"), (0, b",\n", b",\n,\n"),
+    ], ids=["a line without its comma", "the last line with a comma", "an empty line"])
     def test_a_trusted_stamp_over_misplaced_log_commas_is_not_believed(
             self, marked_path, capsys, line, old, new):
         # Kept as they are, the lines would stay a file that is not JSON.
         record = log_lines(read(marked_path))[line]
         forged = self.forge(marked_path, record + old, record + new, stamp=True)
         stamp = read(sidecar(marked_path))
-        assert cli.main(["--repo", marked_path, "assign", "R1", "63FH"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: repository file is not valid JSON: ")
-        assert (read(marked_path), read(sidecar(marked_path))) == (forged, stamp)
+        for argv in (["assign", "R1", "63FH"],
+                     ["split", "R2", "--part", "R2a:2", "--part", "R2b:3"]):
+            assert cli.main(["--repo", marked_path, *argv]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: repository file is not valid JSON: "), argv
+            assert (read(marked_path), read(sidecar(marked_path))) == (forged, stamp)
 
     @pytest.mark.parametrize("where, second", [
         ("after", '"edit_log": [{"cause": "c", "endpoints": ["R2", "1"], '
@@ -981,16 +983,18 @@ class TestVouchedReads:
         assert run(["unassign", "R1", "63FH"], NO_SIDECAR) == (
             {"taxonomy": 1, "assignments": len(repo.assignments),
              "edit_log": len(repo.edit_log)}, every)
-        # A split decodes every assignment; the stamp still vouches for the
-        # log's lines.  (``built_artifacts`` takes no keywords, which the
-        # split's parts are built with.)
-        repo = load_repository(marked_path)
+        # A split decodes the original's assignments alone: its parts are
+        # absent, so they have none.  (``built_artifacts`` takes no
+        # keywords, which the split's parts are built with.)
+        own = sum(a.artifact_id == "R2" for a in load_repository(marked_path).assignments)
+        assert own > 0
         monkeypatch.undo()
         decoded = count_decoded(monkeypatch)
         self.set_sidecar(marked_path, VOUCHING)
         assert run_cli(marked_path, ["split", "R2", "--part", "R2a:2", "--part", "R2b:3"],
                        capsys) == 0
-        assert decoded == {"taxonomy": 1, "assignments": len(repo.assignments), "edit_log": 0}
+        assert decoded == {"taxonomy": 1, "assignments": own, "edit_log": 0}
+        assert read(marked_path) == canonical(marked_path)
 
     def test_a_stamp_vouches_only_for_the_sections_a_command_skips(self, marked_path, capsys):
         # As with the edit log under an edit, a forged stamp is believed for
@@ -1114,13 +1118,26 @@ class TestVouchedReads:
 ODD_IDS = ['R"q', "R\\b", "R\x07", "Rü–1", "R\U0001F600"]
 JUDGED_IDS = st.sampled_from(["R1", "T5", "NOPE", *ODD_IDS])
 JUDGED_CODES = st.sampled_from(["63FH", "63fh -", "1", "18B", "99ZZ"])
-ONE_ARTIFACT_EDITS = st.one_of(
+# Part ids that sort before every stored artifact, between two, just
+# before the last, after all (two by two), that are stored already, or
+# whose JSON needs an escape or holds non-ASCII text; and parts without a
+# colon or without an id.
+PART_IDS = st.sampled_from(["A0", "R1a", "R1b", "R4x", "T4x", "Z8", "Z9", "R3", "T5",
+                            'P"q', "P\\b", "P\x07", "Pü–1", "P\U0001F600"])
+PARTS = st.one_of(
+    st.builds(lambda i, codes: f"{i}:{','.join(codes)}", PART_IDS,
+              st.lists(JUDGED_CODES, max_size=2)),
+    st.sampled_from(["R1c", ":1"]),
+)
+NAMED_EDITS = st.one_of(
     st.builds(lambda i, c: ["assign", i, c], JUDGED_IDS, JUDGED_CODES),
     st.builds(lambda i, c: ["unassign", i, c], JUDGED_IDS, JUDGED_CODES),
     st.builds(lambda i, category, note: ["mark-unclassifiable", i, category]
               + (["--note", note] if note else []),
               JUDGED_IDS, st.sampled_from(["vagueness", "compound"]),
               st.sampled_from([None, "why – ✓", 'a "quoted" note'])),
+    st.builds(lambda i, parts: ["split", i, *[arg for part in parts for arg in ("--part", part)]],
+              JUDGED_IDS, st.lists(PARTS, min_size=1, max_size=3)),
 )
 
 
@@ -1130,15 +1147,15 @@ def sidecar_bytes(path):
 
 
 class TestOneArtifactEdits:
-    """``assign``, ``unassign`` and ``mark-unclassifiable`` load one artifact's
-    records under a stamp that vouches for the file, and splice them back:
-    what they print and write is what a full load, the same edit and a full
-    encode give."""
+    """``assign``, ``unassign``, ``mark-unclassifiable`` and ``split`` load the
+    records of the artifacts they name under a stamp that vouches for the
+    file, and splice them back: what they print and write is what a full
+    load, the same edit and a full encode give."""
 
     @seed(26)
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.booleans(), st.sets(st.sampled_from(ODD_IDS)),
-           st.lists(ONE_ARTIFACT_EDITS, min_size=1, max_size=8))
+           st.lists(NAMED_EDITS, min_size=1, max_size=8))
     @example(False, set(), [["mark-unclassifiable", "T5", "vagueness"], ["assign", "R1", "1"]])
     @example(True, set(), [
         ["assign", "R1", "63FH"], ["assign", "R1", "63fh -"], ["assign", "NOPE", "1"],
@@ -1152,6 +1169,33 @@ class TestOneArtifactEdits:
     @example(True, set(ODD_IDS), [
         ["assign", 'R"q', "1"], ["mark-unclassifiable", "R\\b", "vagueness"],
         ["unassign", "R\x07", "1"], ["assign", "R\x07", "18B"]])
+    # Parts before the first artifact, between two, just before and after
+    # the last, and two or three at one place; a part stored already or
+    # named twice; a --part without a colon; an unknown code; a code left
+    # unallocated (a warning).
+    @example(True, set(), [
+        ["split", "R1", "--part", "A0:18B", "--part", "R1a:18B,1"],
+        ["split", "T4", "--part", "T4x:31B", "--part", "T4y:31B"],
+        ["split", "T5", "--part", "Z8:32GDC", "--part", "Z9:32GDC"],
+        ["split", "R2", "--part", "R2b:2", "--part", "R2a:2", "--part", "R2c:"],
+        ["split", "R3", "--part", "R3:3", "--part", "R3x:3"],
+        ["split", "R3", "--part", "R3x:3", "--part", "T5:3"],
+        ["split", "R4", "--part", "R4a:31", "--part", "R4a:31"],
+        ["split", "R4", "--part", "R4a", "--part", "R4b:31"],
+        ["split", "R4", "--part", "R4a:99ZZ", "--part", "R4b:31"],
+        ["split", "R4", "--part", "R4a:1", "--part", "R4b:"],
+        ["split", "NOPE", "--part", "N1:1", "--part", "N2:1"]])
+    @example(False, set(), [
+        ["split", "R1", "--part", "A0:1", "--part", "Z9:63fh -"],
+        ["split", "Z9", "--part", "Z9a:63FH", "--part", "Z9b:1"]])
+    # Part ids whose JSON needs an escape, or that hold non-ASCII text, and
+    # a split of such an id.
+    @example(True, {"Rü–1", "R\U0001F600"}, [
+        ["split", "R\U0001F600", "--part", "Pü–1:1", "--part", "P\U0001F600:1"],
+        ["split", "Rü–1", "--part", "Rü–1a:1", "--part", "Rü–1b:"]])
+    @example(True, set(ODD_IDS), [
+        ["split", "R1", "--part", 'P"q:18B', "--part", "P\\b:18B"],
+        ["split", 'R"q', "--part", "P\x07:1", "--part", "R\x07a:1"]])
     def test_every_sidecar_state_prints_and_writes_alike(self, linked, stored, commands):
         # Without links, the file's assignments and log are empty lists.
         repo = starting_repo()
@@ -1208,22 +1252,26 @@ class TestOneArtifactEdits:
     R1_LINK = (b'{"artifact_id": "R1", "code": "18B", "created_at": "2026-01-15T09:00:00+00:00", '
                b'"note": null, "provenance": "manual", "status": "confirmed"}')
 
-    @pytest.mark.parametrize("old, new", [
-        (b'"id": "R1", "kind": "requirement"', b'"id": "R1", "kind": "widget"'),
-        (R1_LINK, R1_LINK.replace(b'"confirmed"', b'"maybe"')),
-        (R1_LINK, R1_LINK.replace(b'"18B"', b'"99ZZ"')),
-        (R1_LINK, R1_LINK.replace(b'"confirmed"}', b'"confirmed", "artifact_id": "R2"}')),
+    ASSIGN = ["assign", "R1", "63FH"]
+
+    @pytest.mark.parametrize("old, new, argv", [
+        (b'"id": "R1", "kind": "requirement"', b'"id": "R1", "kind": "widget"', ASSIGN),
+        (R1_LINK, R1_LINK.replace(b'"confirmed"', b'"maybe"'), ASSIGN),
+        (R1_LINK, R1_LINK.replace(b'"18B"', b'"99ZZ"'), ASSIGN),
+        (R1_LINK, R1_LINK.replace(b'"confirmed"}', b'"confirmed", "artifact_id": "R2"}'), ASSIGN),
+        # A split's parts are placed by comparing their ids with the stored ones.
+        (b'"id": "R4"', b'"id": 4', ["split", "R1", "--part", "R1a:18B", "--part", "R1b:"]),
     ], ids=["its artifact", "its assignment", "its assignment's code",
-            "an assignment read back as another artifact's"])
+            "an assignment read back as another artifact's", "a stored id a part is placed by"])
     def test_a_fault_in_a_record_it_loads_is_reported_as_a_full_load_does(
-            self, marked_path, tmp_path, capsys, old, new):
+            self, marked_path, tmp_path, capsys, old, new, argv):
         self.forge(marked_path, old, new)
         control = str(tmp_path / "control.json")
         with open(control, "wb") as f:
             f.write(read(marked_path))
         start = read(marked_path), read(sidecar(marked_path))
-        seen = outcome(marked_path, ["assign", "R1", "63FH"], capsys)
-        assert seen == outcome(control, ["assign", "R1", "63FH"], capsys)
+        seen = outcome(marked_path, argv, capsys)
+        assert seen == outcome(control, argv, capsys)
         assert read(marked_path) == read(control)
         if seen[0][0] != 0:  # a second "artifact_id" key is read back, as JSON reads it
             assert (read(marked_path), read(sidecar(marked_path))) == start
@@ -1240,7 +1288,7 @@ class TestOneArtifactEdits:
 
     @pytest.mark.parametrize("change", ["artifact", "assignment"])
     def test_a_field_set_in_place_is_saved(self, marked_path, change):
-        with store.editing(marked_path, "R1") as repo:
+        with store.editing(marked_path, ("R1",)) as repo:
             assert list(repo.artifacts) == ["R1"]
             if change == "artifact":
                 repo.artifacts["R1"].title = "Set in place"
@@ -1253,19 +1301,26 @@ class TestOneArtifactEdits:
             assert [a.note for a in saved.assignments if a.artifact_id == "R1"] == ["set in place"]
         assert read(marked_path) == canonical(marked_path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda repo: add_artifact(repo, Artifact(id="Z9", kind="requirement", title="z")),
-        lambda repo: repo.artifacts.pop("R1"),
-        lambda repo: repo.assignments.pop(),
-        lambda repo: repo.assignments.append(dataclasses.replace(repo.assignments[0],
-                                                                 artifact_id="R2", code="3")),
-        lambda repo: repo.taxonomy.nodes.pop("63N"),
+    @pytest.mark.parametrize("ids, edit", [
+        (("R1",), lambda repo: add_artifact(repo, Artifact(id="Z9", kind="requirement",
+                                                           title="z"))),
+        (("R1",), lambda repo: repo.artifacts.pop("R1")),
+        (("R1",), lambda repo: repo.assignments.pop()),
+        (("R1",), lambda repo: repo.assignments.append(dataclasses.replace(
+            repo.assignments[0], artifact_id="R2", code="3"))),
+        (("R1",), lambda repo: repo.taxonomy.nodes.pop("63N")),
+        # R1a is named and absent, so it may be added; Z9 is not named.
+        (("R1", "R1a"), lambda repo: [add_artifact(repo, Artifact(id=i, kind="requirement",
+                                                                  title="z"))
+                                      for i in ("R1a", "Z9")]),
     ], ids=["another artifact", "its artifact removed", "an assignment removed",
-            "another artifact's assignment", "a class removed"])
-    def test_a_change_to_other_records_is_refused(self, marked_path, edit):
+            "another artifact's assignment", "a class removed",
+            "an artifact it did not name, beside one it did"])
+    def test_a_change_to_other_records_is_refused(self, marked_path, ids, edit):
         start = read(marked_path), read(sidecar(marked_path))
         with pytest.raises(ValueError) as caught:
-            with store.editing(marked_path, "R1") as repo:
+            with store.editing(marked_path, ids) as repo:
+                assert list(repo.artifacts) == ["R1"]
                 edit(repo)
         assert str(caught.value) == "an edit of artifact 'R1' changed other records"
         assert (read(marked_path), read(sidecar(marked_path))) == start

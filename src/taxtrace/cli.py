@@ -367,8 +367,9 @@ def cmd_diff(args, repo: store.Repository) -> Output:
 
 
 def cmd_cost(args) -> Output:
-    scenario = linkage.load_scenario(_read_file(args.scenario))
-    count = linkage.maintenance_cost(scenario, args.strategy)
+    from . import cost  # here, so no other command compiles the simulation
+    scenario = cost.load_scenario(_read_file(args.scenario))
+    count = cost.maintenance_cost(scenario, args.strategy)
     doc = dict(vars(count), touched=count.touched, strategy=args.strategy)
     return Output(
         doc,
@@ -467,7 +468,7 @@ _COMMANDS = {
     ]),
     "cost": ("compare link maintenance effort for a scenario", dict(access=None), [
         _arg("--scenario", required=True),
-        _arg("--strategy", choices=[linkage.DIRECT, linkage.TAXONOMIC], required=True),
+        _arg("--strategy", choices=[store.DIRECT, store.TAXONOMIC], required=True),
     ]),
 }
 

@@ -72,6 +72,10 @@ class UnknownAssignment(TaxTraceError):
     """No non-rejected assignment exists for the (artifact, code) pair."""
 
 
+class ArchivedArtifact(TaxTraceError):
+    """A split names an artifact that an earlier split archived."""
+
+
 class TooFewParts(TaxTraceError):
     """A split needs at least two replacement artifacts."""
 

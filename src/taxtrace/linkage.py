@@ -1,4 +1,4 @@
-"""Assignment edits, artifact splits, and maintenance-cost accounting.
+"""Assignment edits, artifact splits, and edit-log replay.
 
 An assignment is one half-link: it ties an artifact to a taxonomy class.
 ``store`` declares the assignment and edit-log records and owns their file
@@ -10,30 +10,25 @@ reconstruct the active assignment set exactly.
 
 Rejected assignments are kept with flipped status rather than deleted, so
 the history of who linked what (and why it was undone) stays auditable.
-
-``maintenance_cost`` compares the bookkeeping burden of the taxonomic
-strategy against classic direct artifact-to-artifact linking on small
-declarative scenarios.  The direct strategy exists only inside that
-simulation.
+A split archives the original, and an archived artifact is not split
+again.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 from .errors import (
+    ArchivedArtifact,
     DuplicateAssignment,
     DuplicateId,
-    EmptyCode,
     InvalidCategory,
-    MalformedScenario,
     TooFewParts,
     UnknownAssignment,
     UnknownId,
 )
-# IMPORTED is unused here, but importable from here with the other provenances.
+# IMPORTED and DIRECT are unused here, but importable from here with their kin.
 from .store import (ADD, CONFIRMED, DELETE, DIRECT, IMPORTED, MANUAL, PROPOSED, PROVENANCES,
                     REJECTED, SUGGESTED, TAXONOMIC, UNCLASSIFIABLE, Artifact, Assignment,
                     EditRecord, Repository, check_kind, get_artifact)
@@ -252,9 +247,11 @@ def split_artifact(
     it; every change lands in the edit log.  A warning (not an error) is
     returned when the parts do not jointly cover the original's codes.
     Every part is checked before any is added, so a rejected split
-    changes nothing.
+    changes nothing; so is a split of an archived artifact.
     """
     original = get_artifact(repo, artifact_id)
+    if original.archived:
+        raise ArchivedArtifact(f"artifact {artifact_id!r} is archived")
     if len(parts) < 2:
         raise TooFewParts(f"split of {artifact_id!r} needs at least 2 parts, got {len(parts)}")
     part_ids = [p.id for p in parts]
@@ -311,206 +308,3 @@ def replay_edit_log(edit_log: list[EditRecord]) -> set[tuple[str, str]]:
             state.remove(pair)
     return state
 
-
-# --- maintenance-cost scenarios ---
-
-ADD_ARTIFACT = "add-artifact"
-DELETE_ARTIFACT = "delete-artifact"
-SPLIT = "split"
-CHANGE_CODES = "change-codes"
-MUTATION_TYPES = (ADD_ARTIFACT, DELETE_ARTIFACT, SPLIT, CHANGE_CODES)
-
-
-@dataclass
-class ScenarioArtifact:
-    id: str
-    kind: str
-    codes: set[str] = field(default_factory=set)
-
-
-@dataclass
-class Mutation:
-    type: str
-    artifact: ScenarioArtifact | None = None
-    id: str | None = None
-    parts: list[ScenarioArtifact] = field(default_factory=list)
-    codes: set[str] | None = None
-
-
-@dataclass
-class Scenario:
-    """Declarative before-state plus one mutation, for cost comparison."""
-
-    artifacts: list[ScenarioArtifact]
-    mutation: Mutation
-    links: list[tuple[str, str]] | None = None
-
-
-@dataclass
-class EditCount:
-    adds: int
-    deletes: int
-
-    @property
-    def touched(self) -> int:
-        return self.adds + self.deletes
-
-
-def _scenario_artifact(doc, where: str, seen_ids: set[str]) -> ScenarioArtifact:
-    if not isinstance(doc, dict):
-        raise MalformedScenario(f"{where}: expected an object")
-    artifact_id = doc.get("id")
-    if not isinstance(artifact_id, str) or not artifact_id:
-        raise MalformedScenario(f"{where}: missing id")
-    if artifact_id in seen_ids:
-        raise MalformedScenario(f"{where}: duplicate id {artifact_id!r}")
-    seen_ids.add(artifact_id)
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or not kind:
-        raise MalformedScenario(f"{where}: missing kind for {artifact_id!r}")
-    raw_codes = doc.get("codes", [])
-    if not isinstance(raw_codes, list):
-        raise MalformedScenario(f"{where}: codes must be a list")
-    try:
-        codes = {normalize_code(str(c)) for c in raw_codes}
-    except EmptyCode as exc:
-        raise MalformedScenario(f"{where}: bad code ({exc})") from exc
-    return ScenarioArtifact(id=artifact_id, kind=kind, codes=codes)
-
-
-def load_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document from JSON text."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedScenario(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("artifacts"), list):
-        raise MalformedScenario("expected an object with an 'artifacts' list")
-    seen: set[str] = set()
-    artifacts = [
-        _scenario_artifact(item, f"artifacts[{i}]", seen)
-        for i, item in enumerate(doc["artifacts"])
-    ]
-    known = {a.id for a in artifacts}
-    links = None
-    if doc.get("links") is not None:
-        if not isinstance(doc["links"], list):
-            raise MalformedScenario("links must be a list of pairs")
-        links = []
-        for i, pair in enumerate(doc["links"]):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise MalformedScenario(f"links[{i}]: expected a pair")
-            a, b = str(pair[0]), str(pair[1])
-            if a == b or a not in known or b not in known:
-                raise MalformedScenario(f"links[{i}]: invalid endpoints {pair!r}")
-            links.append((a, b))
-    raw_mutation = doc.get("mutation")
-    if not isinstance(raw_mutation, dict):
-        raise MalformedScenario("expected a 'mutation' object")
-    mtype = raw_mutation.get("type")
-    if mtype not in MUTATION_TYPES:
-        raise MalformedScenario(f"unknown mutation type {mtype!r}")
-    mutation = Mutation(type=mtype)
-    if mtype == ADD_ARTIFACT:
-        mutation.artifact = _scenario_artifact(raw_mutation.get("artifact"), "mutation.artifact", seen)
-    elif mtype == DELETE_ARTIFACT:
-        mutation.id = raw_mutation.get("id")
-        if mutation.id not in known:
-            raise MalformedScenario(f"mutation deletes unknown artifact {mutation.id!r}")
-    elif mtype == SPLIT:
-        mutation.id = raw_mutation.get("id")
-        if mutation.id not in known:
-            raise MalformedScenario(f"mutation splits unknown artifact {mutation.id!r}")
-        raw_parts = raw_mutation.get("parts")
-        if not isinstance(raw_parts, list) or len(raw_parts) < 2:
-            raise MalformedScenario("split mutation needs at least 2 parts")
-        original_kind = next(a.kind for a in artifacts if a.id == mutation.id)
-        for i, item in enumerate(raw_parts):
-            if isinstance(item, dict) and "kind" not in item:
-                item = dict(item, kind=original_kind)
-            mutation.parts.append(_scenario_artifact(item, f"mutation.parts[{i}]", seen))
-    else:
-        mutation.id = raw_mutation.get("id")
-        if mutation.id not in known:
-            raise MalformedScenario(f"mutation recodes unknown artifact {mutation.id!r}")
-        raw_codes = raw_mutation.get("codes")
-        if not isinstance(raw_codes, list):
-            raise MalformedScenario("change-codes mutation needs a 'codes' list")
-        try:
-            mutation.codes = {normalize_code(str(c)) for c in raw_codes}
-        except EmptyCode as exc:
-            raise MalformedScenario(f"mutation codes: {exc}") from exc
-    return Scenario(artifacts=artifacts, mutation=mutation, links=links)
-
-
-def _apply_mutation(scenario: Scenario) -> tuple[list[ScenarioArtifact], set[str]]:
-    """Final artifact list plus the ids whose links the mutation touches."""
-    m = scenario.mutation
-    if m.type == ADD_ARTIFACT:
-        assert m.artifact is not None
-        return scenario.artifacts + [m.artifact], {m.artifact.id}
-    if m.type == DELETE_ARTIFACT:
-        return [a for a in scenario.artifacts if a.id != m.id], {m.id}
-    if m.type == SPLIT:
-        remaining = [a for a in scenario.artifacts if a.id != m.id]
-        affected = {m.id} | {p.id for p in m.parts}
-        return remaining + m.parts, affected
-    after = []
-    for a in scenario.artifacts:
-        if a.id == m.id:
-            assert m.codes is not None
-            after.append(ScenarioArtifact(a.id, a.kind, set(m.codes)))
-        else:
-            after.append(a)
-    return after, {m.id}
-
-
-def _taxonomic_pairs(artifacts: list[ScenarioArtifact], ids: set[str]) -> set[tuple[str, str]]:
-    return {(a.id, code) for a in artifacts if a.id in ids for code in a.codes}
-
-
-def _direct_pairs(artifacts: list[ScenarioArtifact], ids: set[str]) -> set[frozenset]:
-    """Required direct links touching ``ids``.
-
-    Two artifacts need a direct link when they concern shared domain
-    entities, which the scenario expresses as intersecting code sets, and
-    they are of different kinds (a requirement and its tests, not two
-    requirements).
-    """
-    pairs: set[frozenset] = set()
-    for i, a in enumerate(artifacts):
-        for b in artifacts[i + 1 :]:
-            if a.id not in ids and b.id not in ids:
-                continue
-            if a.kind != b.kind and a.codes & b.codes:
-                pairs.add(frozenset((a.id, b.id)))
-    return pairs
-
-
-def maintenance_cost(scenario: Scenario, strategy: str) -> EditCount:
-    """Edits needed to keep links correct after the scenario's mutation.
-
-    Under the taxonomic strategy only the mutated artifacts' class
-    assignments change, so the cost never depends on how many other
-    artifacts exist.  Under the direct strategy every related pair must
-    be linked, so the cost scales with the artifacts the change touches.
-    Explicit ``links`` in the scenario, when present, stand in for the
-    derived before-state of the direct strategy.
-    """
-    if strategy not in (TAXONOMIC, DIRECT):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    after_artifacts, affected = _apply_mutation(scenario)
-    if strategy == TAXONOMIC:
-        before = _taxonomic_pairs(scenario.artifacts, affected)
-        after = _taxonomic_pairs(after_artifacts, affected)
-    else:
-        if scenario.links is not None:
-            before = {
-                frozenset(pair)
-                for pair in scenario.links
-                if set(pair) & affected
-            }
-        else:
-            before = _direct_pairs(scenario.artifacts, affected)
-        after = _direct_pairs(after_artifacts, affected)
-    return EditCount(adds=len(after - before), deletes=len(before - after))

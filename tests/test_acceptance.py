@@ -24,8 +24,9 @@ from conftest import (
     tax_from_parents,
 )
 from taxtrace import audit, cli, linkage, query, store
+from taxtrace.cost import load_scenario, maintenance_cost
 from taxtrace.errors import DuplicateAssignment, EmptyClassification
-from taxtrace.linkage import assign, load_scenario, maintenance_cost, replay_edit_log
+from taxtrace.linkage import assign, replay_edit_log
 from taxtrace.query import RelationFilter, coverage, impact, trace
 from taxtrace.store import Artifact
 from taxtrace.taxonomy import ancestors, descendants, neighborhood, relation

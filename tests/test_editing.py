@@ -1325,6 +1325,20 @@ class TestOneArtifactEdits:
         assert str(caught.value) == "an edit of artifact 'R1' changed other records"
         assert (read(marked_path), read(sidecar(marked_path))) == start
 
+    set_sidecar = TestVouchedReads.set_sidecar
+
+    @pytest.mark.parametrize("state", [VOUCHING, STALE_STAMP, NO_SIDECAR])
+    def test_a_split_of_an_archived_artifact_is_refused(self, repo_path, capsys, state):
+        # The first split archives R1; a second, with other parts, is refused.
+        assert run_cli(repo_path, ["split", "R1", "--part", "R1a:18B", "--part", "R1b:"],
+                       capsys) == 0
+        self.set_sidecar(repo_path, state)
+        start = read(repo_path), sidecar_bytes(repo_path)
+        code = cli.main(["--repo", repo_path, "split", "R1", "--part", "R1c:18B",
+                         "--part", "R1d:"])
+        assert (code, capsys.readouterr().err) == (2, "error: artifact 'R1' is archived\n")
+        assert (read(repo_path), sidecar_bytes(repo_path)) == start
+
 
 HOLD_LOCK = """
 import fcntl, os, sys

@@ -9,7 +9,9 @@ import pytest
 import oracles
 from conftest import NOW, build_sampled_repo, random_repo, repo_model
 from taxtrace import linkage, store
+from taxtrace.cost import EditCount, ScenarioArtifact, load_scenario, maintenance_cost
 from taxtrace.errors import (
+    ArchivedArtifact,
     DuplicateAssignment,
     DuplicateId,
     InvalidCategory,
@@ -20,12 +22,8 @@ from taxtrace.errors import (
     UnknownId,
 )
 from taxtrace.linkage import (
-    EditCount,
-    ScenarioArtifact,
     active_codes,
     assign,
-    load_scenario,
-    maintenance_cost,
     mark_unclassifiable,
     replay_edit_log,
     split_artifact,
@@ -201,6 +199,17 @@ class TestSplit:
         assert active_codes(repo, "R1") == set()
         assert active_codes(repo, "R1A") == {"32QG"}
 
+    def test_an_archived_artifact_is_not_split_again(self, canon_tax):
+        repo = fresh_repo(canon_tax, ("R1", "requirement"))
+        assign(repo, "R1", "32QG", now=NOW)
+        self.two_part_split(repo)
+        before = serialize_repository(repo)
+        parts = [Artifact(id=f"R1{s}", kind="requirement", title=s) for s in "CD"]
+        with pytest.raises(ArchivedArtifact) as info:
+            split_artifact(repo, "R1", parts, {"R1C": {"32QG"}}, now=NOW)
+        assert str(info.value) == "artifact 'R1' is archived"
+        assert serialize_repository(repo) == before
+
     def test_fewer_than_two_parts(self, canon_tax):
         repo = fresh_repo(canon_tax, ("R1", "requirement"))
         assign(repo, "R1", "32QG", now=NOW)
@@ -355,7 +364,7 @@ class TestLinkIndex:
                     allocation = {p.id: {rng.choice(codes)} for p in parts}
                     try:
                         split_artifact(repo, artifact_id, parts, allocation, now=NOW)
-                    except DuplicateId:
+                    except (DuplicateId, ArchivedArtifact):
                         pass
                 elif step == 4:
                     # A batch of imports, as ``import model`` does.
@@ -454,10 +463,11 @@ class TestScenarioParsing:
     def test_canonical_scenario_parses(self):
         scenario = load_scenario(CANONICAL_SPLIT_SCENARIO)
         assert len(scenario.artifacts) == 5
-        assert scenario.mutation.type == "split"
-        assert [p.id for p in scenario.mutation.parts] == ["REQ1A", "REQ1B"]
+        parts = [a for a in scenario.after if a.id in ("REQ1A", "REQ1B")]
+        assert [p.id for p in parts] == ["REQ1A", "REQ1B"]
         # Parts inherit the original's kind when not stated.
-        assert {p.kind for p in scenario.mutation.parts} == {"requirement"}
+        assert {p.kind for p in parts} == {"requirement"}
+        assert scenario.affected == {"REQ1", "REQ1A", "REQ1B"}
 
     @pytest.mark.parametrize(
         "mangle",
@@ -589,11 +599,9 @@ class TestMaintenanceCost:
                                 for j in range(rng.randint(2, 3))
                             ]}
             scenario = load_scenario(json.dumps({"artifacts": artifacts, "mutation": mutation}))
-            from taxtrace.linkage import _apply_mutation
-            after, _ = _apply_mutation(scenario)
             for strategy in ("taxonomic", "direct"):
                 got = maintenance_cost(scenario, strategy)
-                adds, deletes = oracles.cost_oracle(scenario.artifacts, after, strategy)
+                adds, deletes = oracles.cost_oracle(scenario.artifacts, scenario.after, strategy)
                 assert (got.adds, got.deletes) == (adds, deletes), (strategy, artifacts, mutation)
 
     def test_taxonomic_cost_ignores_unrelated_artifact_count(self):

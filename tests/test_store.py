@@ -859,10 +859,13 @@ class TestBulkDecoding:
                 is None, field
 
 
-# Each module with the package modules it must not load: taxonomy <- store <- linkage.
+# Each module with the package modules it must not load: taxonomy <- store <- linkage;
+# the maintenance-cost simulation is loaded by the ``cost`` command alone.
 LAYERS = [
     ("taxtrace.store", ("taxtrace.linkage",)),
     ("taxtrace.taxonomy", ("taxtrace.store", "taxtrace.linkage")),
+    ("taxtrace.cli", ("taxtrace.cost",)),
+    ("taxtrace.linkage", ("taxtrace.cost",)),
 ]
 
 

@@ -427,3 +427,76 @@ def artifacts_section_oracle(records: list) -> list[dict]:
         seen.add(artifact["id"])
         artifacts.append(artifact)
     return artifacts
+
+
+PROVENANCES = {"manual", "suggested", "imported"}
+STATUSES = {"confirmed", "proposed", "rejected", "unclassifiable"}
+
+
+def assignment_oracle(doc) -> dict:
+    """The fields of one stored assignment record; a refusal's message has no location."""
+    def reject(message):
+        raise Rejected("MalformedRecord", message)
+
+    if not isinstance(doc, dict):
+        reject("expected an object")
+    if not isinstance(doc.get("artifact_id"), str):
+        reject("missing artifact_id")
+    for key, allowed in (("provenance", PROVENANCES), ("status", STATUSES)):
+        value = doc.get(key)
+        if not isinstance(value, str) or value not in allowed:
+            reject(f"unknown {key} {value!r}")
+    code = doc.get("code")
+    if code is not None and not isinstance(code, str):
+        reject("code must be a string or null")
+    if (code is None) != (doc["status"] == "unclassifiable"):
+        reject("code must be null exactly for unclassifiable status")
+    for key in ("note", "created_at"):
+        if doc.get(key) is not None and not isinstance(doc[key], str):
+            reject(f"{key} must be a string or null")
+    return {"artifact_id": doc["artifact_id"], "code": code, "provenance": doc["provenance"],
+            "status": doc["status"], "note": doc.get("note"),
+            "created_at": doc.get("created_at") or ""}
+
+
+def edit_oracle(doc) -> dict:
+    """The fields of one stored edit-log entry; a refusal's message has no location."""
+    def reject(message):
+        raise Rejected("MalformedRecord", message)
+
+    if not isinstance(doc, dict):
+        reject("expected an object")
+    if doc.get("op") not in ("add", "delete"):
+        reject(f"unknown op {doc.get('op')!r}")
+    if doc.get("link_kind") not in ("taxonomic", "direct"):
+        reject(f"unknown link_kind {doc.get('link_kind')!r}")
+    endpoints = doc.get("endpoints")
+    if not (isinstance(endpoints, list) and len(endpoints) == 2
+            and all(isinstance(end, str) for end in endpoints)):
+        reject("endpoints must be a pair of strings")
+    cause = doc.get("cause")
+    if cause is not None and not isinstance(cause, str):
+        reject("cause must be a string or null")
+    return {"op": doc["op"], "link_kind": doc["link_kind"], "endpoints": tuple(endpoints),
+            "cause": cause or ""}
+
+
+def _section_oracle(decode, section: str, records: list) -> list[dict]:
+    """``decode`` of each record, in order; the first refusal is located as ``section[i]``."""
+    decoded = []
+    for i, record in enumerate(records):
+        try:
+            decoded.append(decode(record))
+        except Rejected as exc:
+            raise Rejected(exc.error, f"{section}[{i}]: {exc}") from None
+    return decoded
+
+
+def assignments_section_oracle(records: list) -> list[dict]:
+    """The assignments of a stored section, in order: the first fault in record order is refused."""
+    return _section_oracle(assignment_oracle, "assignments", records)
+
+
+def edit_log_section_oracle(records: list) -> list[dict]:
+    """The edit-log entries of a stored section, in order: the first fault is refused."""
+    return _section_oracle(edit_oracle, "edit_log", records)

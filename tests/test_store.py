@@ -782,14 +782,55 @@ SAVED_ARTIFACTS = st.fixed_dictionaries(
      "archived": st.booleans()},
     optional={key: st.one_of(st.none(), st.sampled_from(SAVED_TEXTS))
               for key in ("body", "document", "version")})
+# Between them, the assignment and edit-log edges hold every value that
+# ``ASSIGNMENT_REJECTS`` and ``EDIT_LOG_REJECTS`` refuse, and the nulls a load
+# reads as a field's default; ``sections`` leaves a key out or inserts a
+# non-object.
+ASSIGNMENT_EDGES = {
+    "artifact_id": [None, 1, "", ["R1"]],
+    "code": [5, None, "A", "", ["A"]],
+    "provenance": ["robot", "", None, 1, [], {"a": 1}],
+    "status": ["maybe", "", None, 1, True, {"a": 1}, linkage.UNCLASSIFIABLE,
+               linkage.CONFIRMED],
+    "note": [None, "", ["x"], 5, False],
+    "created_at": [None, "", 0, False, {"t": 1}],
+}
+EDIT_EDGES = {
+    "op": ["move", "", None, 5, ["add"]],
+    "link_kind": ["x", "", None, 5, {}],
+    "endpoints": ["R1", None, [], ["R1"], ["R1", "A", "B"], ["R1", None], [5, "A"],
+                  {"R1": "A"}],
+    "cause": [None, "", ["x"], 0, True],
+}
+
+SAVED_ASSIGNMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"artifact_id": st.sampled_from(["R1", "R2", "G1"]),
+         "code": st.sampled_from(SAVED_CODES),
+         "provenance": st.sampled_from(sorted(linkage.PROVENANCES)),
+         "status": st.sampled_from([linkage.CONFIRMED, linkage.PROPOSED, linkage.REJECTED]),
+         "note": st.one_of(st.none(), st.sampled_from(SAVED_TEXTS)),
+         "created_at": st.sampled_from(["", NOW])}),
+    st.fixed_dictionaries(
+        {"artifact_id": st.sampled_from(["R1", "R2", "G1"]), "code": st.none(),
+         "provenance": st.sampled_from(sorted(linkage.PROVENANCES)),
+         "status": st.just(linkage.UNCLASSIFIABLE),
+         "note": st.one_of(st.none(), st.sampled_from(SAVED_TEXTS)),
+         "created_at": st.sampled_from(["", NOW])}))
+SAVED_EDITS = st.fixed_dictionaries(
+    {"op": st.sampled_from([linkage.ADD, linkage.DELETE]),
+     "link_kind": st.sampled_from([linkage.TAXONOMIC, linkage.DIRECT]),
+     "endpoints": st.lists(st.sampled_from(["R1", "G1", *SAVED_CODES]), min_size=2, max_size=2),
+     "cause": st.sampled_from(["assign", "split", *SAVED_TEXTS])})
 
 
 @st.composite
 def sections(draw, saved, edges, key):
-    """Records as a save writes them, with distinct ``key`` values, often with one
-    edge record inserted: a saved one with one or two fields set to edge
-    values and perhaps one left out, or not an object at all."""
-    records = draw(st.lists(saved, max_size=6, unique_by=lambda record: record[key]))
+    """Records as a save writes them, with distinct ``key`` values unless ``key`` is
+    None, often with one edge record inserted: a saved one with one or two
+    fields set to edge values and perhaps one left out, or not an object at all."""
+    records = draw(st.lists(saved, max_size=6,
+                            unique_by=None if key is None else lambda record: record[key]))
     if draw(st.booleans()):
         if draw(st.integers(0, 9)):
             record = dict(draw(saved))
@@ -839,6 +880,31 @@ class TestBulkDecoding:
         got = outcome(lambda value: list(map(vars, store._section("artifacts", value).values())),
                       records)
         assert got == outcome(oracles.artifacts_section_oracle, records)
+
+    @seed(29)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(sections(SAVED_ASSIGNMENTS, ASSIGNMENT_EDGES, None))
+    @example([{"artifact_id": "R1", "code": "A", "provenance": "manual", "status": "confirmed",
+               "note": None, "created_at": None}])
+    @example([{"artifact_id": "R1", "code": None, "provenance": "manual",
+               "status": "unclassifiable"}])
+    @example([{"artifact_id": "R1", "code": "A", "provenance": "manual", "status": 1}])
+    @example([{"artifact_id": "R1", "code": "A", "provenance": "manual", "status": "confirmed",
+               "note": False, "created_at": 0}])
+    def test_assignments_section_matches_the_reference(self, records):
+        got = outcome(lambda value: list(map(vars, store._section("assignments", value))),
+                      records)
+        assert got == outcome(oracles.assignments_section_oracle, records)
+
+    @seed(29)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(sections(SAVED_EDITS, EDIT_EDGES, None))
+    @example([{"op": "add", "link_kind": "taxonomic", "endpoints": ["R1", "A"], "cause": None},
+              {"op": "add", "link_kind": "direct", "endpoints": ["R1", "G1"]}])
+    @example([{"op": "add", "link_kind": "direct", "endpoints": ["R1", "G1"], "cause": True}])
+    def test_edit_log_section_matches_the_reference(self, records):
+        got = outcome(lambda value: list(map(vars, store._section("edit_log", value))), records)
+        assert got == outcome(oracles.edit_log_section_oracle, records)
 
     def test_saved_sections_take_the_bulk_path(self):
         # Each record of a saved file decodes in the one pass, and any edge

@@ -4,7 +4,7 @@ Instead of linking artifacts to each other directly, every artifact is
 classified against a shared domain taxonomy; traces, coverage, and
 impact queries then join those classifications through hierarchy
 relations.  Submodules: taxonomy, store, linkage, suggest, query, audit,
-cli, errors.
+cost, cli, errors.
 """
 
 from .errors import TaxTraceError

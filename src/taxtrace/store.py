@@ -4,8 +4,8 @@ Requirements, design objects, test cases, source units, and compliance
 clauses all live in a single repository file together with the taxonomy,
 the artifact-to-class assignments, and the edit log.  This module owns
 the records' stored format: it declares ``Artifact``, ``Assignment`` and
-``EditRecord`` with the values their fields may take, and holds each
-one's decoder next to its line encoder; ``taxonomy`` owns the node's.
+``EditRecord``, each with one table of the rules its stored fields obey
+(``_TABLES``) and a line encoder; ``taxonomy`` owns the node's.
 ``linkage`` edits the records and imports this module, never the reverse.
 
 Persistence is a canonical JSON document: sorted keys, stable ordering,
@@ -16,17 +16,16 @@ record is one line in a diff.  Each line is exactly what
 ``json.dumps(doc, sort_keys=True, ensure_ascii=False)`` writes for the
 record's stored document.  A save refuses what a load refuses, and
 writes nothing: a field of the wrong type raises TypeError, a value the
-decoder rejects raises ValueError, and an assignment to a missing
+table refuses raises ValueError, and an assignment to a missing
 artifact or code raises ReferentialIntegrityError.  Schema 1 files, the
 same document indented, still load and are rewritten as schema 2 by
 their next save.
 
-A load checks the artifacts section a field at a time and, when every
-record is as a save writes it, builds the artifacts in one pass
-(``_saved_artifacts``); any other section is decoded record by record,
-which normalizes hand-written values and names the first faulty record
-by index.  The taxonomy section is decoded alike (``taxonomy``), and the
-assignments and the edit log record by record.
+A load checks each section of records against its table a column at a
+time, converts what a hand-written file may hold (a number in attrs, a
+null time), and builds the records in one pass (``_decode``); only a
+fault sends it record by record, to name the first faulty record by
+index.  The taxonomy's nodes are decoded alike (``taxonomy``).
 
 Commands that change the repository go through ``editing``: one writer
 at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
@@ -76,14 +75,17 @@ import bisect
 import contextlib
 import csv
 import fcntl
+import functools
 import gc
 import io
 import itertools
 import json
+import operator
 import os
 import shutil
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import (
     DuplicateId,
@@ -95,7 +97,8 @@ from .errors import (
     TaxTraceError,
     UnknownId,
 )
-from .taxonomy import Taxonomy, _build, _record_lines, _structured_records, _structured_text
+from .taxonomy import (_STR, _STR_OR_NONE, Taxonomy, _build, _record_lines, _structured_records,
+                       _structured_text, _text)
 
 REQUIREMENT = "requirement"
 DESIGN_OBJECT = "design-object"
@@ -119,7 +122,7 @@ UNCLASSIFIABLE = "unclassifiable"
 STATUSES = frozenset({CONFIRMED, PROPOSED, REJECTED, UNCLASSIFIABLE})
 
 # Edit-log ops and link kinds.  A repository only ever logs taxonomic links;
-# direct ones exist in ``linkage``'s cost simulation.
+# direct ones exist in the maintenance-cost simulation (``cost``).
 ADD = "add"
 DELETE = "delete"
 TAXONOMIC = "taxonomic"
@@ -256,52 +259,168 @@ def check_integrity(repo: Repository) -> None:
             )
 
 
+# --- the stored records: one rule table per kind ---
+
+
+def _saved_attrs(column: list) -> bool:
+    """Whether every record's attrs are an object of strings, as a save writes them."""
+    return {dict}.issuperset(map(type, column)) and _STR.issuperset(
+        map(type, itertools.chain.from_iterable(map(dict.values, column))))
+
+
+def _attr_fault(column: list) -> str | None:
+    """Attrs, null or empty for none, map keys to strings, numbers or booleans."""
+    if not _saved_attrs(column):
+        for attrs in column:
+            if type(attrs or {}) is not dict:
+                return "attrs must be an object"
+            for k, v in (attrs or {}).items():
+                if v is None or type(v) in (list, dict):
+                    return f"attr {k!r} must be a string, number or boolean"
+
+
+def _code_fault(codes: list, statuses: list) -> str | None:
+    """A code is null exactly for an unclassifiable status."""
+    if list(map(operator.is_, codes, itertools.repeat(None))) != list(
+            map(UNCLASSIFIABLE.__eq__, statuses)):
+        return "code must be null exactly for unclassifiable status"
+
+
+def _pair_fault(column: list) -> str | None:
+    """Endpoints are a list of two strings."""
+    if not ({list}.issuperset(map(type, column)) and {2}.issuperset(map(len, column))
+            and _STR.issuperset(map(type, itertools.chain.from_iterable(column)))):
+        return "endpoints must be a pair of strings"
+
+
+class _Table(NamedTuple):
+    """A record kind: its class, its fields in order, the value an absent key
+    stands for where not None, and the rules, checked in this order.
+
+    A rule is a field, the types its values may take, the values it may
+    take (None: any) and the message for a record that breaks it, formatted
+    with its value.  A function rule is the fields it reads and a function
+    of their columns that returns the first faulty record's message or None.
+    """
+
+    cls: type
+    fields: tuple[str, ...]
+    absent: dict
+    rules: tuple
+
+
+def _table(cls: type, absent: dict, *rules) -> _Table:
+    return _Table(cls, tuple(f.name for f in fields(cls)), absent, rules)
+
+
+# The record kinds of the sections after the taxonomy; ``taxonomy`` declares the nodes.
+_TABLES = {
+    "artifacts": _table(
+        Artifact, {"archived": False},
+        ("id", _STR, None, "missing or non-string 'id'"),
+        ("kind", _STR, None, "missing or non-string 'kind'"),
+        ("title", _STR, None, "missing or non-string 'title'"),
+        ("kind", _STR, ARTIFACT_KINDS, "unknown artifact kind {!r}"),
+        (("attrs",), _attr_fault),
+        ("body", _STR_OR_NONE, None, "body must be a string or null"),
+        ("document", _STR_OR_NONE, None, "document must be a string or null"),
+        ("version", _STR_OR_NONE, None, "version must be a string or null"),
+        ("archived", frozenset({bool}), None, "archived must be true or false")),
+    "assignments": _table(
+        Assignment, {},
+        ("artifact_id", _STR, None, "missing artifact_id"),
+        ("provenance", _STR, PROVENANCES, "unknown provenance {!r}"),
+        ("status", _STR, STATUSES, "unknown status {!r}"),
+        ("code", _STR_OR_NONE, None, "code must be a string or null"),
+        (("code", "status"), _code_fault),
+        ("note", _STR_OR_NONE, None, "note must be a string or null"),
+        ("created_at", _STR_OR_NONE, None, "created_at must be a string or null")),
+    "edit_log": _table(
+        EditRecord, {},
+        ("op", _STR, frozenset({ADD, DELETE}), "unknown op {!r}"),
+        ("link_kind", _STR, frozenset({TAXONOMIC, DIRECT}), "unknown link_kind {!r}"),
+        (("endpoints",), _pair_fault),
+        ("cause", _STR_OR_NONE, None, "cause must be a string or null")),
+}
+
+
+def _fault(rules, values) -> str | None:
+    """The message of the first of ``rules`` that the columns ``values(field)`` break, or None.
+
+    For the values of one record, that is the record's message.
+    """
+    for rule in rules:
+        if len(rule) == 2:
+            names, check = rule
+            message = check(*map(values, names))
+        else:
+            name, types, allowed, message = rule
+            column = values(name)
+            # The types first: a list or an object is not hashable.
+            if types.issuperset(map(type, column)) and (
+                    allowed is None or allowed.issuperset(column)):
+                continue
+            message = message.format(column[0])
+        if message:
+            return message
+
+
+# How a load turns a value it accepts into the record's: a number or
+# boolean in attrs into the JSON that spelled it, null text into "".
+_CONVERTED = {
+    "attrs": lambda column: column if _saved_attrs(column) else [
+        {k: v if type(v) is str else json.dumps(v) for k, v in (attrs or {}).items()}
+        for attrs in column],
+    "created_at": lambda column: [value or "" for value in column],
+    "cause": lambda column: [value or "" for value in column],
+    "endpoints": lambda column: list(map(tuple, column)),
+}
+
+
+def _decode(table: _Table, records: list, where: str) -> list:
+    """``table``'s records in the parsed ``records``, checked and built a column at a time.
+
+    Only when a rule fails are the rules run record by record, to raise the
+    first faulty one's message at ``where.format(i)``, formatted only then;
+    an artifact id repeated before it is reported first.
+    """
+    absent = table.absent
+    if {dict}.issuperset(map(type, records)):
+        columns = {name: list(map(dict.get, records, itertools.repeat(name),
+                                  itertools.repeat(absent.get(name))))
+                   for name in table.fields}
+        if _fault(table.rules, columns.__getitem__) is None:
+            for name in columns.keys() & _CONVERTED.keys():
+                columns[name] = _CONVERTED[name](columns[name])
+            return list(map(table.cls, *columns.values()))
+    for i, record in enumerate(records):
+        fault = ("expected an object" if type(record) is not dict else _fault(
+            table.rules, lambda name: [record.get(name, absent.get(name))]))
+        if fault:
+            if table.cls is Artifact:
+                _by_id(_decode(table, records[:i], where))
+            raise MalformedRecord(f"{where.format(i)}: {fault}")
+    raise AssertionError("a column broke a rule that no record breaks")
+
+
+def _by_id(artifacts: list[Artifact]) -> dict[str, Artifact]:
+    """The artifacts keyed by id; the first one whose id came before is rejected."""
+    by_id = {a.id: a for a in artifacts}
+    if len(by_id) < len(artifacts):
+        seen = set()
+        for a in artifacts:
+            if a.id in seen:
+                raise ReferentialIntegrityError(f"artifact id {a.id!r} appears twice")
+            seen.add(a.id)
+    return by_id
+
+
 # --- canonical serialization ---
 
 
-# Each record kind has a decoder, which leaves a ``MalformedRecord``'s
-# location to its caller, and next to it a line encoder.  An encoder passes
-# every string through ``json``'s own ``encode_basestring``, which raises
-# TypeError for anything but a str, and then raises ValueError for a value
-# the decoder rejects.
-_text = json.encoder.encode_basestring
-_STR_OR_NONE = (str, type(None))
-_OPTIONAL_TEXT = ("body", "document", "version")
-
-
-def _artifact_from_dict(doc: dict) -> Artifact:
-    if not isinstance(doc, dict):
-        raise MalformedRecord("expected an object")
-    get = doc.get
-    artifact_id, kind, title = get("id"), get("kind"), get("title")
-    if not (isinstance(artifact_id, str) and isinstance(kind, str) and isinstance(title, str)):
-        key = next(k for k in ("id", "kind", "title") if not isinstance(get(k), str))
-        raise MalformedRecord(f"missing or non-string {key!r}")
-    if kind not in ARTIFACT_KINDS:
-        raise MalformedRecord(f"unknown artifact kind {kind!r}")
-    attrs = get("attrs") or {}
-    if not isinstance(attrs, dict):
-        raise MalformedRecord("attrs must be an object")
-    if attrs and not all(map(isinstance, attrs.values(), itertools.repeat(str))):
-        for k, v in attrs.items():
-            if v is None or isinstance(v, (list, dict)):
-                raise MalformedRecord(f"attr {k!r} must be a string, number or boolean")
-        # As the JSON spelled them: ``true``, not Python's ``True``.
-        attrs = {k: v if isinstance(v, str) else json.dumps(v) for k, v in attrs.items()}
-    body, document, version = get("body"), get("document"), get("version")
-    if not (
-        isinstance(body, _STR_OR_NONE)
-        and isinstance(document, _STR_OR_NONE)
-        and isinstance(version, _STR_OR_NONE)
-    ):
-        key = next(k for k in _OPTIONAL_TEXT if not isinstance(get(k), _STR_OR_NONE))
-        raise MalformedRecord(f"{key} must be a string or null")
-    archived = get("archived", False)
-    if not isinstance(archived, bool):
-        raise MalformedRecord("archived must be true or false")
-    return Artifact(artifact_id, kind, title, body, attrs, document, version, archived)
-
-
+# Each record kind's line encoder passes every string through ``_text``,
+# ``json``'s own ``encode_basestring``, which raises TypeError for anything
+# but a str; ``_check_saved`` then refuses a value that a load refuses.
 def _artifact_line(a: Artifact) -> str:
     archived, attrs = a.archived, a.attrs
     if archived is not True and archived is not False:
@@ -319,87 +438,25 @@ def _artifact_line(a: Artifact) -> str:
     line += f', "id": {_text(a.id)}, "kind": {_text(a.kind)}, "title": {_text(a.title)}'
     if a.version is not None:
         line += f', "version": {_text(a.version)}'
-    if a.kind not in ARTIFACT_KINDS:
-        raise ValueError(f"unknown artifact kind {a.kind!r}")
     return line + "}"
 
 
-def _assignment_from_dict(doc: dict) -> Assignment:
-    if not isinstance(doc, dict):
-        raise MalformedRecord("expected an object")
-    get = doc.get
-    artifact_id = get("artifact_id")
-    if not isinstance(artifact_id, str):
-        raise MalformedRecord("missing artifact_id")
-    # The str check first: a list or an object is not hashable.
-    provenance = get("provenance")
-    if not isinstance(provenance, str) or provenance not in PROVENANCES:
-        raise MalformedRecord(f"unknown provenance {provenance!r}")
-    status = get("status")
-    if not isinstance(status, str) or status not in STATUSES:
-        raise MalformedRecord(f"unknown status {status!r}")
-    code = get("code")
-    if code is not None and not isinstance(code, str):
-        raise MalformedRecord("code must be a string or null")
-    if (code is None) != (status == UNCLASSIFIABLE):
-        raise MalformedRecord("code must be null exactly for unclassifiable status")
-    note, created_at = get("note"), get("created_at")
-    if not (isinstance(note, _STR_OR_NONE) and isinstance(created_at, _STR_OR_NONE)):
-        key = "note" if not isinstance(note, _STR_OR_NONE) else "created_at"
-        raise MalformedRecord(f"{key} must be a string or null")
-    return Assignment(artifact_id, code, provenance, status, note, created_at or "")
-
-
 def _assignment_line(a: Assignment) -> str:
-    code, note, provenance, status = a.code, a.note, a.provenance, a.status
-    line = (f'{{"artifact_id": {_text(a.artifact_id)}, '
+    code, note = a.code, a.note
+    return (f'{{"artifact_id": {_text(a.artifact_id)}, '
             f'"code": {"null" if code is None else _text(code)}, '
             f'"created_at": {_text(a.created_at)}, '
             f'"note": {"null" if note is None else _text(note)}, '
-            f'"provenance": {_text(provenance)}, "status": {_text(status)}}}')
-    if provenance not in PROVENANCES:
-        raise ValueError(f"unknown provenance {provenance!r}")
-    if status not in STATUSES:
-        raise ValueError(f"unknown status {status!r}")
-    if (code is None) != (status == UNCLASSIFIABLE):
-        raise ValueError("code must be None exactly for unclassifiable status")
-    return line
-
-
-def _edit_from_dict(doc: dict) -> EditRecord:
-    if not isinstance(doc, dict):
-        raise MalformedRecord("expected an object")
-    get = doc.get
-    op, link_kind, endpoints = get("op"), get("link_kind"), get("endpoints")
-    if op not in (ADD, DELETE):
-        raise MalformedRecord(f"unknown op {op!r}")
-    if link_kind not in (TAXONOMIC, DIRECT):
-        raise MalformedRecord(f"unknown link_kind {link_kind!r}")
-    if not (
-        isinstance(endpoints, list)
-        and len(endpoints) == 2
-        and isinstance(endpoints[0], str)
-        and isinstance(endpoints[1], str)
-    ):
-        raise MalformedRecord("endpoints must be a pair of strings")
-    cause = get("cause")
-    if not isinstance(cause, _STR_OR_NONE):
-        raise MalformedRecord("cause must be a string or null")
-    return EditRecord(op, link_kind, tuple(endpoints), cause or "")
+            f'"provenance": {_text(a.provenance)}, "status": {_text(a.status)}}}')
 
 
 def _edit_line(e: EditRecord) -> str:
-    op, link_kind, endpoints = e.op, e.link_kind, e.endpoints
+    endpoints = e.endpoints
     if not isinstance(endpoints, (tuple, list)) or len(endpoints) != 2:
         raise TypeError(f"endpoints must be a pair of strings, not {endpoints!r}")
     source, target = endpoints
-    line = (f'{{"cause": {_text(e.cause)}, "endpoints": [{_text(source)}, {_text(target)}], '
-            f'"link_kind": {_text(link_kind)}, "op": {_text(op)}}}')
-    if op not in (ADD, DELETE):
-        raise ValueError(f"unknown op {op!r}")
-    if link_kind not in (TAXONOMIC, DIRECT):
-        raise ValueError(f"unknown link_kind {link_kind!r}")
-    return line
+    return (f'{{"cause": {_text(e.cause)}, "endpoints": [{_text(source)}, {_text(target)}], '
+            f'"link_kind": {_text(e.link_kind)}, "op": {_text(e.op)}}}')
 
 
 def _serialize(repo: Repository, log: str) -> str:
@@ -427,10 +484,24 @@ def _serialize(repo: Repository, log: str) -> str:
 
 
 def _check_saved(repo: Repository) -> None:
-    """ValueError for an artifact under a key that is not its id; then ``check_integrity``."""
+    """ValueError for a record that encodes but that a load refuses; then ``check_integrity``.
+
+    That is an artifact under a key that is not its id, and a value that
+    breaks an allowed-value rule or the code/status rule of its table.
+    """
     for key, artifact in repo.artifacts.items():
         if artifact.id != key:
             raise ValueError(f"artifact {artifact.id!r} is stored under key {key!r}")
+    for table, records in zip(_TABLES.values(), (repo.artifacts.values(), repo.assignments,
+                                                 repo.edit_log)):
+        rules = [rule for rule in table.rules
+                 if rule[-1] is _code_fault or len(rule) == 4 and rule[2] is not None]
+        values = functools.cache(lambda name: list(map(operator.attrgetter(name), records)))
+        if _fault(rules, values):
+            for record in records:
+                fault = _fault(rules, lambda name: [getattr(record, name)])
+                if fault:
+                    raise ValueError(fault)
     check_integrity(repo)
 
 
@@ -446,52 +517,6 @@ def _records(value, key: str) -> list:
     if not isinstance(value, list):
         raise MalformedRecord(f"{key} must be a list")
     return value
-
-
-def _decoded(records: list, decode, section: str, check=None) -> list:
-    """``decode`` of each record, in order.
-
-    The ``section[i]`` location of a record is formatted only once the
-    record has failed: formatting one for every record took about a fifth
-    of the decoding.  ``check``, when given, first sees the records
-    decoded before the failing one, so that a fault it finds among them
-    is reported first, as a record-by-record loop would.
-    """
-    decoded: list = []
-    try:
-        # ``extend`` appends each record as it decodes, so ``decoded`` ends
-        # at the failing record.
-        decoded.extend(map(decode, records))
-    except MalformedRecord as exc:
-        if check is not None:
-            check(decoded)
-        raise MalformedRecord(f"{section}[{len(decoded)}]: {exc}") from None
-    return decoded
-
-
-# ``Artifact``'s fields in order, and the types each takes in a file a save wrote.
-_ARTIFACT_COLUMNS = ("id", "kind", "title", "body", "attrs", "document", "version", "archived")
-_STR = frozenset({str})
-_SAVED_TYPES = (_STR, _STR, _STR, frozenset(_STR_OR_NONE), frozenset({dict}),
-                frozenset(_STR_OR_NONE), frozenset(_STR_OR_NONE), frozenset({bool}))
-
-
-def _saved_artifacts(records: list) -> list[Artifact] | None:
-    """The artifacts of ``records`` if every one is in the form a save writes, else None.
-
-    Each field is checked once for the whole list, column by column: its
-    type, a known kind, and attrs that hold strings only.  From such
-    records ``_artifact_from_dict`` builds exactly these artifacts.
-    """
-    if not {dict}.issuperset(map(type, records)):
-        return None
-    columns = [list(map(dict.get, records, itertools.repeat(key))) for key in _ARTIFACT_COLUMNS]
-    if not (all(types.issuperset(map(type, column)) for types, column in zip(_SAVED_TYPES, columns))
-            and ARTIFACT_KINDS.issuperset(columns[1])
-            and _STR.issuperset(map(type, itertools.chain.from_iterable(
-                map(dict.values, columns[4]))))):
-        return None
-    return list(map(Artifact, *columns))
 
 
 def _one_artifact(value, ids: tuple[str, ...]) -> tuple[dict[str, Artifact], list]:
@@ -514,26 +539,12 @@ def _one_artifact(value, ids: tuple[str, ...]) -> tuple[dict[str, Artifact], lis
                 break
             if count:
                 i = stored.index(artifact_id)
-                try:
-                    artifacts[artifact_id] = _artifact_from_dict(records[i])
-                except MalformedRecord as exc:
-                    raise MalformedRecord(f"artifacts[{i}]: {exc}") from None
+                [artifacts[artifact_id]] = _decode(_TABLES["artifacts"], [records[i]],
+                                                   f"artifacts[{i}]")
         else:
             return artifacts, stored
     _section("artifacts", records)  # raises: a non-object, or an id twice
     raise AssertionError("unreachable")
-
-
-def _by_id(artifacts: list[Artifact]) -> dict[str, Artifact]:
-    """The artifacts keyed by id; the first one whose id came before is rejected."""
-    by_id = {a.id: a for a in artifacts}
-    if len(by_id) < len(artifacts):
-        seen = set()
-        for a in artifacts:
-            if a.id in seen:
-                raise ReferentialIntegrityError(f"artifact id {a.id!r} appears twice")
-            seen.add(a.id)
-    return by_id
 
 
 # The order in which a load decodes the sections, which is also the order
@@ -545,14 +556,8 @@ def _section(name: str, value):
     """The records of section ``name`` from its parsed JSON ``value``, checked as a load does."""
     if name == "taxonomy":
         return _build(_structured_records(value or {"nodes": []}))
-    records = _records(value, name)
-    if name == "artifacts":
-        saved = _saved_artifacts(records)
-        if saved is None:
-            saved = _decoded(records, _artifact_from_dict, name, _by_id)
-        return _by_id(saved)
-    decode = _assignment_from_dict if name == "assignments" else _edit_from_dict
-    return _decoded(records, decode, name)
+    records = _decode(_TABLES[name], _records(value, name), f"{name}[{{}}]")
+    return _by_id(records) if name == "artifacts" else records
 
 
 @contextlib.contextmanager
@@ -844,7 +849,7 @@ def _load_one(text: str, ids: tuple[str, ...]):
     holds the taxonomy, decoded and checked as a load does; those of the
     artifacts that are present, an absent id loading as absent
     (``_one_artifact``); their assignments, each found as a line that
-    starts ``{"artifact_id": <its id>, `` and decoded alone, in file
+    starts ``{"artifact_id": <its id>, ``, decoded together in file
     order; and an empty log.  ``check_integrity`` checks them.  No other
     record is checked, and the log is not read.  The only other record
     built is, for each absent id, the stored artifact whose line a new
@@ -857,8 +862,8 @@ def _load_one(text: str, ids: tuple[str, ...]):
     returns the pieces of the file to write (``_spliced``).  Raises
     ``_OtherLayout`` unless ``text`` is laid out as a save writes it
     (``_spans``, ``_log_lines``) and each artifact line looked for is
-    exactly its artifact's encoding; a fault in a record read raises as a
-    load does.
+    exactly its artifact's encoding; a fault in a record read raises a
+    ``TaxTraceError``, as a load does.
     """
     ids = tuple(dict.fromkeys(ids))
     span = _spans(text)
@@ -886,7 +891,8 @@ def _load_one(text: str, ids: tuple[str, ...]):
         if i == len(stored):
             places[artifact_id] = None
         else:
-            after = artifacts.get(stored[i]) or _artifact_from_dict(records[i])
+            after = artifacts.get(stored[i]) or _decode(_TABLES["artifacts"], [records[i]],
+                                                        f"artifacts[{i}]")[0]
             places[artifact_id] = line_of(after)[0]
     del records
     start, end = span["assignments"]
@@ -899,13 +905,13 @@ def _load_one(text: str, ids: tuple[str, ...]):
                 doc, stop = _raw_decode(text, pos + 1)
             except json.JSONDecodeError:
                 raise _OtherLayout from None
-            assignment = _assignment_from_dict(doc)
-            if assignment.artifact_id != artifact_id:  # a second "artifact_id" key
+            if doc.get("artifact_id") != artifact_id:  # a second "artifact_id" key
                 raise _OtherLayout
-            found.append((pos + 1, stop, assignment))
+            found.append((pos + 1, stop, doc))
             pos = text.find(head, stop, end)
     found.sort(key=lambda record: record[0])
-    repo = Repository(taxonomy, artifacts, [assignment for *_, assignment in found])
+    assignments = _decode(_TABLES["assignments"], [doc for *_, doc in found], "assignments[{}]")
+    repo = Repository(taxonomy, artifacts, assignments)
     check_integrity(repo)
     codes = set(taxonomy.nodes)
     links = [(pos, stop) for pos, stop, _ in found]
@@ -1077,17 +1083,15 @@ def editing(path: str | os.PathLike, ids: tuple[str, ...] | None = None):
 def read_artifacts_jsonl(text: str) -> list[Artifact]:
     """Parse artifacts from JSON-Lines text, one object per line."""
     artifacts = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Not ``splitlines``: a string may hold U+0085, U+2028 or U+2029 as it is.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"line {lineno}: invalid JSON: {exc}") from exc
-        try:
-            artifacts.append(_artifact_from_dict(doc))
-        except MalformedRecord as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}") from None
+        artifacts += _decode(_TABLES["artifacts"], [doc], f"line {lineno}")
     return artifacts
 
 
@@ -1117,9 +1121,7 @@ def read_design_objects_csv(text: str) -> list[Artifact]:
         if not row:
             continue
         if len(row) != len(header):
-            raise MalformedRecord(
-                f"row {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+            raise MalformedRecord(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
         object_id = row[0].strip()
         if not object_id:
             raise MalformedRecord(f"row {lineno}: empty object_id")
@@ -1127,13 +1129,6 @@ def read_design_objects_csv(text: str) -> list[Artifact]:
         code = row[1].strip()
         if code:
             attrs[CODE_ATTR] = code
-        artifacts.append(
-            Artifact(
-                id=object_id,
-                kind=DESIGN_OBJECT,
-                title=object_id,
-                attrs=attrs,
-                version=row[2].strip() or None,
-            )
-        )
+        artifacts.append(Artifact(id=object_id, kind=DESIGN_OBJECT, title=object_id,
+                                  attrs=attrs, version=row[2].strip() or None))
     return artifacts

@@ -441,7 +441,8 @@ def _check_nodes(nodes: dict[str, TaxonomyNode]) -> None:
     That is a node under a key other than its code (it would parse back
     under its code), a code not in normal form, and a title, description
     or synonym that is blank or padded (the parsers strip each one, drop a
-    blank description or synonym and refuse a blank title).
+    blank description or synonym and refuse a blank title).  Then, as a
+    ``Taxonomy`` is checked when built, an unknown parent or a cycle.
     """
     for code, node in nodes.items():
         if node.code != code:
@@ -462,6 +463,7 @@ def _check_nodes(nodes: dict[str, TaxonomyNode]) -> None:
             if not synonym or synonym.strip() != synonym:
                 raise ValueError(
                     f"taxonomy node {code!r} has a blank or padded synonym {synonym!r}")
+    Taxonomy(nodes)  # a parent set after the build is not checked otherwise
 
 
 def _structured_text(t: Taxonomy) -> str:

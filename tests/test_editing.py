@@ -633,9 +633,14 @@ class TestAppendOnlyLog:
     def test_a_trusted_edit_neither_decodes_nor_encodes_the_files_log(
             self, marked_path, capsys, monkeypatch):
         decoded = []
-        real = store._edit_from_dict
-        monkeypatch.setattr(store, "_edit_from_dict",
-                            lambda doc: decoded.append(doc) or real(doc))
+        real = store._decode
+
+        def decode(table, records, where):
+            if table.cls is store.EditRecord:
+                decoded.extend(records)
+            return real(table, records, where)
+
+        monkeypatch.setattr(store, "_decode", decode)
         encoded = encoded_log_entries(monkeypatch)
         assert run_cli(marked_path, ["assign", "R0", "63FH"], capsys) == 0
         assert decoded == []
@@ -874,21 +879,35 @@ def outcome(path, argv, capsys):
 def count_decoded(monkeypatch):
     """The taxonomies, assignments and edit-log entries decoded from now on, by section."""
     decoded = {"taxonomy": 0, "assignments": 0, "edit_log": 0}
-    for name, section in (("_structured_records", "taxonomy"),
-                          ("_assignment_from_dict", "assignments"),
-                          ("_edit_from_dict", "edit_log")):
-        def spy(doc, real=getattr(store, name), section=section):
-            decoded[section] += 1
-            return real(doc)
-        monkeypatch.setattr(store, name, spy)
+    sections = {store.Assignment: "assignments", store.EditRecord: "edit_log"}
+    real_nodes, real_decode = store._structured_records, store._decode
+
+    def nodes(doc):
+        decoded["taxonomy"] += 1
+        return real_nodes(doc)
+
+    def decode(table, records, where):
+        if table.cls in sections:
+            decoded[sections[table.cls]] += len(records)
+        return real_decode(table, records, where)
+
+    monkeypatch.setattr(store, "_structured_records", nodes)
+    monkeypatch.setattr(store, "_decode", decode)
     return decoded
 
 
 def built_artifacts(monkeypatch):
-    """The ids of the artifacts ``store`` builds from now on, in order."""
+    """The ids of the artifacts ``store`` decodes from now on, in order."""
     built = []
-    real = store.Artifact
-    monkeypatch.setattr(store, "Artifact", lambda *args: built.append(args[0]) or real(*args))
+    real = store._decode
+
+    def decode(table, records, where):
+        decoded = real(table, records, where)
+        if table.cls is store.Artifact:
+            built.extend(a.id for a in decoded)
+        return decoded
+
+    monkeypatch.setattr(store, "_decode", decode)
     return built
 
 
@@ -984,8 +1003,7 @@ class TestVouchedReads:
             {"taxonomy": 1, "assignments": len(repo.assignments),
              "edit_log": len(repo.edit_log)}, every)
         # A split decodes the original's assignments alone: its parts are
-        # absent, so they have none.  (``built_artifacts`` takes no
-        # keywords, which the split's parts are built with.)
+        # absent, so they have none.
         own = sum(a.artifact_id == "R2" for a in load_repository(marked_path).assignments)
         assert own > 0
         monkeypatch.undo()

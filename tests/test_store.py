@@ -7,6 +7,7 @@ import random
 import stat
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import CANONICAL_TAXONOMY_CSV, NOW, random_repo, tax_from_parents
+from test_editing import REFUSED_VALUES, WRONG_TYPES
 from taxtrace import cli, linkage, store, taxonomy
 from taxtrace.errors import (
     CycleDetected,
@@ -693,6 +695,11 @@ def edge_records(repo):
     return repo
 
 
+def decoder(section):
+    """The decoder of one stored record of ``section``, as a load decodes it."""
+    return lambda doc: store._decode(store._TABLES[section], [doc], section)[0]
+
+
 class TestLineEncoders:
     """Each record kind's line is ``json.dumps`` of its stored document."""
 
@@ -702,9 +709,9 @@ class TestLineEncoders:
             if seed % 2:
                 repo = edge_records(repo)
             kinds = [
-                (repo.artifacts.values(), store._artifact_line, store._artifact_from_dict),
-                (repo.assignments, store._assignment_line, store._assignment_from_dict),
-                (repo.edit_log, store._edit_line, store._edit_from_dict),
+                (repo.artifacts.values(), store._artifact_line, decoder("artifacts")),
+                (repo.assignments, store._assignment_line, decoder("assignments")),
+                (repo.edit_log, store._edit_line, decoder("edit_log")),
                 (repo.taxonomy.nodes.values(), taxonomy._node_line,
                  lambda doc: taxonomy._structured_records({"nodes": [doc]})[0]),
             ]
@@ -906,23 +913,144 @@ class TestBulkDecoding:
         got = outcome(lambda value: list(map(vars, store._section("edit_log", value))), records)
         assert got == outcome(oracles.edit_log_section_oracle, records)
 
-    def test_saved_sections_take_the_bulk_path(self):
+    def test_saved_sections_take_the_bulk_path(self, monkeypatch):
         # Each record of a saved file decodes in the one pass, and any edge
         # value sends its section to the record-by-record decoding.
         repo = edge_records(tricky_repo(random.Random(3)))
         doc = json.loads(serialize_repository(repo))
         nodes, artifacts = doc["taxonomy"]["nodes"], doc["artifacts"]
         assert taxonomy._saved_nodes(nodes) == list(repo.taxonomy.nodes.values())
-        assert store._saved_artifacts(artifacts) == sorted(repo.artifacts.values(),
-                                                          key=lambda a: a.id)
+        # A record kind of ``store`` is checked in one pass of its rules over
+        # the columns, and a value a load accepts is converted in it too; only
+        # a value it refuses is looked for record by record.
+        checked = []
+        real = store._fault
+        monkeypatch.setattr(store, "_fault", lambda rules, values: checked.append(
+            len(values(rules[0][0]))) or real(rules, values))
+        for name, records in [("artifacts", artifacts), ("assignments", doc["assignments"]),
+                              ("edit_log", doc["edit_log"])]:
+            checked.clear()
+            assert store._decode(store._TABLES[name], records, name) == (
+                sorted(repo.artifacts.values(), key=lambda a: a.id) if name == "artifacts"
+                else getattr(repo, name)), name
+            assert checked == [len(records)], name
+        for field, value, fault in [("attrs", {"n": 2}, None),
+                                    ("archived", 0, "archived must be true or false"),
+                                    ("kind", "requirment", "unknown artifact kind 'requirment'"),
+                                    ("body", 5, "body must be a string or null")]:
+            checked.clear()
+            records = [*artifacts, {**artifacts[0], "id": "new", field: value}]
+            if fault is None:
+                assert store._decode(store._TABLES["artifacts"], records, "")[-1].attrs == {
+                    "n": "2"}
+                assert checked == [len(records)], field
+                continue
+            with pytest.raises(MalformedRecord) as caught:
+                store._decode(store._TABLES["artifacts"], records, "artifacts[{}]")
+            assert str(caught.value) == f"artifacts[{len(artifacts)}]: {fault}"
+            assert checked[:2] == [len(records), 1], field
         for field, value in [("code", "a"), ("parent", " A"), ("title", " Alpha"),
                              ("description", ""), ("synonyms", [" x"]), ("extra", 1)]:
             assert taxonomy._saved_nodes([*nodes, {"code": "ZZ", "title": "Z", field: value}]) \
                 is None, field
-        for field, value in [("attrs", {"n": 2}), ("archived", 0), ("kind", "requirment"),
-                             ("body", 5)]:
-            assert store._saved_artifacts([*artifacts, {**artifacts[0], field: value}]) \
-                is None, field
+
+
+def law_values():
+    """Per record kind and field, the values a save may be given by mistake.
+
+    Those are the values of the wrong type, the values a load refuses, and
+    the edge values of a hand-written file, refused values first.
+    """
+    values = {(cls, name): list(wrong) for cls, fields in WRONG_TYPES.items()
+              for name, wrong in fields.items()}
+    for cls, name, value, _ in REFUSED_VALUES:
+        values[cls, name].insert(0, value)
+    for cls, edges in [(Artifact, ARTIFACT_EDGES), (linkage.Assignment, ASSIGNMENT_EDGES),
+                       (linkage.EditRecord, EDIT_EDGES), (TaxonomyNode, NODE_EDGES)]:
+        for name, edge in edges.items():
+            if (cls, name) in values:  # not a node's unknown field
+                values[cls, name] += edge
+    return values
+
+
+LAW_VALUES = law_values()
+
+
+def with_value(repo, cls, name, value, pick):
+    """``repo`` with field ``name`` of one record of kind ``cls`` set to ``value``.
+
+    ``pick`` chooses the artifact, assignment or node.  An edit-log entry is
+    appended instead, since inside ``store.editing`` the log starts empty.
+    """
+    change = {name: value}
+    if cls is Artifact:
+        key = sorted(repo.artifacts)[pick % len(repo.artifacts)]
+        repo.artifacts[key] = dataclasses.replace(repo.artifacts[key], **change)
+    elif cls is linkage.Assignment:
+        i = pick % len(repo.assignments)
+        repo.assignments[i] = dataclasses.replace(repo.assignments[i], **change)
+    elif cls is linkage.EditRecord:
+        repo.edit_log.append(dataclasses.replace(
+            linkage.EditRecord(linkage.ADD, linkage.TAXONOMIC, ("R1", "A"), "assign"), **change))
+    else:
+        nodes = repo.taxonomy.nodes
+        code = sorted(nodes)[pick % len(nodes)]
+        nodes[code] = dataclasses.replace(nodes[code], **change)
+    return repo
+
+
+def file_bytes(path):
+    """The bytes of the repository file and of its sidecar."""
+    with open(path, "rb") as f, open(f"{path}.lock", "rb") as sidecar:
+        return f.read(), sidecar.read()
+
+
+def assert_saved_or_untouched(path, save, expected):
+    """``save()`` raises and leaves the file and its sidecar as they were, or the
+    file loads as ``expected``."""
+    before = file_bytes(path)
+    try:
+        save()
+    except (TypeError, ValueError, TaxTraceError):
+        assert file_bytes(path) == before
+    else:
+        assert load_repository(path) == expected
+
+
+class TestSaveLoadLaw:
+    """For any repository the library can build, a save raises and writes
+    nothing, or the next load returns an equal repository; so does an edit,
+    under a stamp that vouches for the file and under a stale one."""
+
+    @pytest.mark.parametrize("cls, name", list(LAW_VALUES),
+                             ids=[f"{cls.__name__}.{name}" for cls, name in LAW_VALUES])
+    @seed(12)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(data=st.data(), repo_seed=st.integers(0, 30), edge=st.booleans(),
+           pick=st.integers(0, 99))
+    def test_one_field_of_one_record(self, cls, name, data, repo_seed, edge, pick):
+        value = data.draw(st.sampled_from(LAW_VALUES[cls, name]), label="value")
+
+        def built():
+            repo = tricky_repo(random.Random(repo_seed))
+            return edge_records(repo) if edge else repo
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "repo.json")
+            save_repository(built(), path)
+            changed = with_value(built(), cls, name, value, pick)
+            assert_saved_or_untouched(path, lambda: save_repository(changed, path), changed)
+            for trusted in (True, False):
+                save_repository(built(), path)
+                if not trusted:
+                    with open(f"{path}.lock", "wb") as f:
+                        f.write(b"0\n")
+
+                def edit():
+                    with store.editing(path) as repo:
+                        with_value(repo, cls, name, value, pick)
+
+                assert_saved_or_untouched(path, edit, changed)
 
 
 # Each module with the package modules it must not load: taxonomy <- store <- linkage;
@@ -969,6 +1097,34 @@ class TestJsonlIngestion:
             read_artifacts_jsonl("\n".join(lines) + "\n")
         lineno = lines.index(bad) + 1
         assert str(info.value) == f"line {lineno}: unknown artifact kind 'poem'"
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"],
+                             ids=["U+0085", "U+2028", "U+2029"])
+    def test_a_line_separator_inside_a_string_stays_in_its_line(self, char, tmp_path, capsys):
+        # ``json.dumps(..., ensure_ascii=False)`` writes these characters as
+        # they are; only "\n" ends a line.
+        lines = [json.dumps({"id": "R1", "kind": "requirement", "title": f"Gate{char}Bridge"},
+                            ensure_ascii=False),
+                 "",
+                 json.dumps({"id": f"R{char}2", "kind": "test-case", "title": "x"},
+                            ensure_ascii=False)]
+        text = "\n".join(lines) + "\n"
+        artifacts = read_artifacts_jsonl(text)
+        assert [(a.id, a.title) for a in artifacts] == [("R1", f"Gate{char}Bridge"),
+                                                        (f"R{char}2", "x")]
+        bad = text + json.dumps({"id": "B", "kind": "poem", "title": char}, ensure_ascii=False)
+        with pytest.raises(MalformedRecord) as info:
+            read_artifacts_jsonl(bad)
+        assert str(info.value) == "line 4: unknown artifact kind 'poem'"
+        path, source = str(tmp_path / "r.json"), tmp_path / "a.jsonl"
+        source.write_text(text, encoding="utf-8")
+        assert cli.main(["init", path]) == 0
+        assert cli.main(["--repo", path, "import", "artifacts", str(source)]) == 0
+        capsys.readouterr()
+        assert load_repository(path).artifacts["R1"].title == f"Gate{char}Bridge"
+        source.write_text(bad, encoding="utf-8")
+        assert cli.main(["--repo", path, "import", "artifacts", str(source)]) == 2
+        assert capsys.readouterr().err == "error: line 4: unknown artifact kind 'poem'\n"
 
     def test_invalid_json_names_line(self):
         with pytest.raises(MalformedRecord, match="line 2"):

@@ -5,27 +5,31 @@ clauses all live in a single repository file together with the taxonomy,
 the artifact-to-class assignments, and the edit log.  This module owns
 the records' stored format: it declares ``Artifact``, ``Assignment`` and
 ``EditRecord``, each with one table of the rules its stored fields obey
-(``_TABLES``) and a line encoder; ``taxonomy`` owns the node's.
+(``_TABLES``) and a row encoder; ``taxonomy`` owns the node's.
 ``linkage`` edits the records and imports this module, never the reverse.
 
 Persistence is a canonical JSON document: sorted keys, stable ordering,
 trailing newline, so that saving the same repository twice yields
-byte-identical files.  Schema 2 writes each artifact, assignment,
-edit-log entry and taxonomy node as one compact line, so a change to one
-record is one line in a diff.  Each line is exactly what
-``json.dumps(doc, sort_keys=True, ensure_ascii=False)`` writes for the
-record's stored document.  A save refuses what a load refuses, and
+byte-identical files.  Schema 3 stores each of the four sections as a
+list whose first line is a header row naming its columns, followed by
+one positional array per artifact, assignment, edit-log entry or
+taxonomy node, in its table's field order with the key first, one per
+line, so a change to one record is one line in a diff.  Each line is
+exactly what ``json.dumps(row, ensure_ascii=False)`` writes for the
+row, every null written out.  A save refuses what a load refuses, and
 writes nothing: a field of the wrong type raises TypeError, a value the
 table refuses raises ValueError, and an assignment to a missing
-artifact or code raises ReferentialIntegrityError.  Schema 1 files, the
-same document indented, still load and are rewritten as schema 2 by
-their next save.
+artifact or code raises ReferentialIntegrityError.  Schema 1 and 2
+files, which store one keyed object per record (indented in schema 1),
+still load: their records are turned into rows and decoded alike, a
+key that is no field refused, and their next save writes schema 3.
 
-A load checks each section of records against its table a column at a
-time, converts what a hand-written file may hold (a number in attrs, a
-null time), and builds the records in one pass (``_decode``); only a
-fault sends it record by record, to name the first faulty record by
-index.  The taxonomy's nodes are decoded alike (``taxonomy``).
+A load checks each section's header, then its records against their
+table a column at a time, converts what a hand-written file may hold (a
+number in attrs, a null time), and builds the records in one pass
+(``_decode``); only a fault sends it record by record, to name the
+first faulty record by index, the header not counted.  The taxonomy's
+nodes are decoded alike (``taxonomy``).
 
 Commands that change the repository go through ``editing``: one writer
 at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
@@ -97,8 +101,9 @@ from .errors import (
     TaxTraceError,
     UnknownId,
 )
-from .taxonomy import (_STR, _STR_OR_NONE, Taxonomy, _build, _record_lines, _structured_records,
-                       _structured_text, _text)
+from .taxonomy import (_NODE_COLUMNS, _NODE_HEADER, _STR, _STR_OR_NONE, Taxonomy, _build,
+                       _keyed_as_rows, _node_rows, _record_lines, _stored_text,
+                       _structured_records, _text)
 
 REQUIREMENT = "requirement"
 DESIGN_OBJECT = "design-object"
@@ -128,7 +133,7 @@ DELETE = "delete"
 TAXONOMIC = "taxonomic"
 DIRECT = "direct"
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CODE_ATTR = "sb11_code"
 
@@ -262,21 +267,24 @@ def check_integrity(repo: Repository) -> None:
 # --- the stored records: one rule table per kind ---
 
 
-def _saved_attrs(column: list) -> bool:
-    """Whether every record's attrs are an object of strings, as a save writes them."""
-    return {dict}.issuperset(map(type, column)) and _STR.issuperset(
-        map(type, itertools.chain.from_iterable(map(dict.values, column))))
+def _attr_fault(column) -> str | list | None:
+    """Attrs, null or empty for none, map keys to strings, numbers or booleans.
 
-
-def _attr_fault(column: list) -> str | None:
-    """Attrs, null or empty for none, map keys to strings, numbers or booleans."""
-    if not _saved_attrs(column):
-        for attrs in column:
-            if type(attrs or {}) is not dict:
-                return "attrs must be an object"
-            for k, v in (attrs or {}).items():
-                if v is None or type(v) in (list, dict):
-                    return f"attr {k!r} must be a string, number or boolean"
+    Objects of strings, as a save writes them, pass as they are; any other
+    column that passes is returned converted, null as no attrs and a number
+    or boolean as the JSON that spelled it.
+    """
+    if {dict}.issuperset(map(type, column)) and _STR.issuperset(
+            map(type, itertools.chain.from_iterable(map(dict.values, column)))):
+        return None
+    for attrs in column:
+        if type(attrs or {}) is not dict:
+            return "attrs must be an object"
+        for k, v in (attrs or {}).items():
+            if v is None or type(v) in (list, dict):
+                return f"attr {k!r} must be a string, number or boolean"
+    return [{k: v if type(v) is str else json.dumps(v) for k, v in (attrs or {}).items()}
+            for attrs in column]
 
 
 def _code_fault(codes: list, statuses: list) -> str | None:
@@ -300,7 +308,9 @@ class _Table(NamedTuple):
     A rule is a field, the types its values may take, the values it may
     take (None: any) and the message for a record that breaks it, formatted
     with its value.  A function rule is the fields it reads and a function
-    of their columns that returns the first faulty record's message or None.
+    of their columns that returns the first faulty record's message, or
+    None, or its one field's column as a load converts it.  The fields'
+    order is the order of a stored row's values.
     """
 
     cls: type
@@ -343,16 +353,25 @@ _TABLES = {
         ("cause", _STR_OR_NONE, None, "cause must be a string or null")),
 }
 
+# Each section's header row, which names its columns in row order.
+_HEADERS = {name: json.dumps(table.fields) for name, table in _TABLES.items()} | {
+    "taxonomy": _NODE_HEADER}
 
-def _fault(rules, values) -> str | None:
+
+def _fault(rules, values, converted: dict | None = None) -> str | None:
     """The message of the first of ``rules`` that the columns ``values(field)`` break, or None.
 
-    For the values of one record, that is the record's message.
+    For the values of one record, that is the record's message.  A column
+    a function rule converts is put in ``converted`` under its field.
     """
     for rule in rules:
         if len(rule) == 2:
             names, check = rule
             message = check(*map(values, names))
+            if type(message) is list:
+                if converted is not None:
+                    converted[names[0]] = message
+                continue
         else:
             name, types, allowed, message = rule
             column = values(name)
@@ -365,42 +384,65 @@ def _fault(rules, values) -> str | None:
             return message
 
 
-# How a load turns a value it accepts into the record's: a number or
-# boolean in attrs into the JSON that spelled it, null text into "".
+# How a load turns a value it accepts into the record's: null text into "".
 _CONVERTED = {
-    "attrs": lambda column: column if _saved_attrs(column) else [
-        {k: v if type(v) is str else json.dumps(v) for k, v in (attrs or {}).items()}
-        for attrs in column],
     "created_at": lambda column: [value or "" for value in column],
     "cause": lambda column: [value or "" for value in column],
     "endpoints": lambda column: list(map(tuple, column)),
 }
 
 
-def _decode(table: _Table, records: list, where: str) -> list:
-    """``table``'s records in the parsed ``records``, checked and built a column at a time.
+def _decode(table: _Table, rows: list, where: str) -> list:
+    """``table``'s records in the parsed ``rows``, checked and built a column at a time.
 
-    Only when a rule fails are the rules run record by record, to raise the
-    first faulty one's message at ``where.format(i)``, formatted only then;
-    an artifact id repeated before it is reported first.
+    A row holds one value per field, in the table's order.  Only when a row
+    is not such a list, or a rule fails, are the rows looked at one by one,
+    to raise the first faulty one's message at ``where.format(i)``
+    (``_refuse``).
     """
-    absent = table.absent
-    if {dict}.issuperset(map(type, records)):
-        columns = {name: list(map(dict.get, records, itertools.repeat(name),
-                                  itertools.repeat(absent.get(name))))
-                   for name in table.fields}
-        if _fault(table.rules, columns.__getitem__) is None:
+    width = len(table.fields)
+    if {list}.issuperset(map(type, rows)) and {width}.issuperset(map(len, rows)):
+        if not rows:
+            return []
+        columns = dict(zip(table.fields, zip(*rows)))
+        converted: dict = {}
+        if _fault(table.rules, columns.__getitem__, converted) is None:
             for name in columns.keys() & _CONVERTED.keys():
                 columns[name] = _CONVERTED[name](columns[name])
+            columns.update(converted)
             return list(map(table.cls, *columns.values()))
-    for i, record in enumerate(records):
-        fault = ("expected an object" if type(record) is not dict else _fault(
-            table.rules, lambda name: [record.get(name, absent.get(name))]))
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != width:
+            _refuse(table, rows[:i], where, f"expected a list of {width} values")
+        record = dict(zip(table.fields, row))
+        fault = _fault(table.rules, lambda name: [record[name]])
         if fault:
-            if table.cls is Artifact:
-                _by_id(_decode(table, records[:i], where))
-            raise MalformedRecord(f"{where.format(i)}: {fault}")
+            _refuse(table, rows[:i], where, fault)
     raise AssertionError("a column broke a rule that no record breaks")
+
+
+def _refuse(table: _Table, rows: list, where: str, fault: str):
+    """Raise ``fault`` for the record after ``rows``, unless one of ``rows`` comes first.
+
+    That is a fault of one of them, or an artifact id repeated among them.
+    """
+    records = _decode(table, rows, where)
+    if table.cls is Artifact:
+        _by_id(records)
+    raise MalformedRecord(f"{where.format(len(rows))}: {fault}")
+
+
+def _keyed_rows(table: _Table, records: list, where: str) -> list:
+    """Schema 1 and 2's ``records``, one object per record keyed by field, as rows.
+
+    An absent key stands for null, or for ``table.absent``'s value.  A
+    record that is not an object, or holds a key that is no field, is
+    refused (``_refuse``), so that no value of the file is dropped.
+    """
+    rows, fault = _keyed_as_rows(records, table.fields, tuple(map(table.absent.get, table.fields)))
+    if fault:
+        _refuse(table, rows, where, fault)
+    return rows
 
 
 def _by_id(artifacts: list[Artifact]) -> dict[str, Artifact]:
@@ -418,45 +460,45 @@ def _by_id(artifacts: list[Artifact]) -> dict[str, Artifact]:
 # --- canonical serialization ---
 
 
-# Each record kind's line encoder passes every string through ``_text``,
+# Each record kind's row encoder writes its fields in its table's order,
+# every null written out, and passes every string through ``_text``,
 # ``json``'s own ``encode_basestring``, which raises TypeError for anything
 # but a str; ``_check_saved`` then refuses a value that a load refuses.
-def _artifact_line(a: Artifact) -> str:
+def _artifact_row(a: Artifact) -> str:
     archived, attrs = a.archived, a.attrs
     if archived is not True and archived is not False:
         raise TypeError(f"archived must be True or False, not {archived!r}")
     if not isinstance(attrs, dict):
         raise TypeError(f"attrs must be a dict of strings, not {attrs!r}")
-    # In key order, as ``sort_keys`` writes them; ``_text`` checks each key and value.
+    # In key order; ``_text`` checks each key and value.
     pairs = (", ".join([f"{_text(k)}: {_text(v)}" for k, v in sorted(attrs.items())])
              if attrs else "")
-    line = f'{{"archived": {"true" if archived else "false"}, "attrs": {{{pairs}}}'
-    if a.body is not None:
-        line += f', "body": {_text(a.body)}'
-    if a.document is not None:
-        line += f', "document": {_text(a.document)}'
-    line += f', "id": {_text(a.id)}, "kind": {_text(a.kind)}, "title": {_text(a.title)}'
-    if a.version is not None:
-        line += f', "version": {_text(a.version)}'
-    return line + "}"
+    body, document, version = a.body, a.document, a.version
+    return (f"[{_text(a.id)}, {_text(a.kind)}, {_text(a.title)}, "
+            f"{'null' if body is None else _text(body)}, {{{pairs}}}, "
+            f"{'null' if document is None else _text(document)}, "
+            f"{'null' if version is None else _text(version)}, {'true' if archived else 'false'}]")
 
 
-def _assignment_line(a: Assignment) -> str:
+def _assignment_row(a: Assignment) -> str:
     code, note = a.code, a.note
-    return (f'{{"artifact_id": {_text(a.artifact_id)}, '
-            f'"code": {"null" if code is None else _text(code)}, '
-            f'"created_at": {_text(a.created_at)}, '
-            f'"note": {"null" if note is None else _text(note)}, '
-            f'"provenance": {_text(a.provenance)}, "status": {_text(a.status)}}}')
+    return (f"[{_text(a.artifact_id)}, {'null' if code is None else _text(code)}, "
+            f"{_text(a.provenance)}, {_text(a.status)}, {'null' if note is None else _text(note)}, "
+            f"{_text(a.created_at)}]")
 
 
-def _edit_line(e: EditRecord) -> str:
+def _edit_row(e: EditRecord) -> str:
     endpoints = e.endpoints
     if not isinstance(endpoints, (tuple, list)) or len(endpoints) != 2:
         raise TypeError(f"endpoints must be a pair of strings, not {endpoints!r}")
     source, target = endpoints
-    return (f'{{"cause": {_text(e.cause)}, "endpoints": [{_text(source)}, {_text(target)}], '
-            f'"link_kind": {_text(e.link_kind)}, "op": {_text(e.op)}}}')
+    return (f"[{_text(e.op)}, {_text(e.link_kind)}, [{_text(source)}, {_text(target)}], "
+            f"{_text(e.cause)}]")
+
+
+def _section_text(name: str, rows) -> str:
+    """Section ``name``'s list: its header row, then the record ``rows``, one per line."""
+    return _record_lines(itertools.chain([_HEADERS[name]], rows))
 
 
 def _serialize(repo: Repository, log: str) -> str:
@@ -471,13 +513,13 @@ def _serialize(repo: Repository, log: str) -> str:
     """
     artifacts = repo.artifacts
     by_id = map(artifacts.__getitem__, sorted(artifacts))
-    logged = itertools.chain([log] if log else [], map(_edit_line, repo.edit_log))
+    logged = itertools.chain([log] if log else [], map(_edit_row, repo.edit_log))
     text = (
-        f'{{\n"artifacts": {_record_lines(map(_artifact_line, by_id))},\n'
-        f'"assignments": {_record_lines(map(_assignment_line, repo.assignments))},\n'
-        f'"edit_log": {_record_lines(logged)},\n'
+        f'{{\n"artifacts": {_section_text("artifacts", map(_artifact_row, by_id))},\n'
+        f'"assignments": {_section_text("assignments", map(_assignment_row, repo.assignments))},\n'
+        f'"edit_log": {_section_text("edit_log", logged)},\n'
         f'"schema_version": {SCHEMA_VERSION},\n'
-        f'"taxonomy": {_structured_text(repo.taxonomy)}\n}}\n'
+        f'"taxonomy": {_stored_text(repo.taxonomy)}\n}}\n'
     )
     _check_saved(repo)
     return text
@@ -519,19 +561,30 @@ def _records(value, key: str) -> list:
     return value
 
 
-def _one_artifact(value, ids: tuple[str, ...]) -> tuple[dict[str, Artifact], list]:
-    """The artifacts section of parsed ``value``, holding at most the artifacts ``ids``.
+def _rows(value, key: str, columns: tuple[str, ...]) -> list:
+    """The record rows stored under ``key``, after the header row that names ``columns``.
+
+    A missing key or null means none.
+    """
+    records = _records(value, key)
+    if value is not None and records[:1] != [list(columns)]:
+        raise MalformedRecord(f"{key}: the first row must be the header {list(columns)}")
+    return records[1:]
+
+
+def _one_artifact(rows: list, ids: tuple[str, ...]) -> tuple[dict[str, Artifact], list]:
+    """The artifacts of the stored ``rows``, holding at most the artifacts ``ids``.
 
     Only those records are decoded and checked, as a load does and under
     the same ``artifacts[i]`` location; an absent id is left out.  Of the
-    others only the id is looked at: the list of every record's id, in
-    file order, is returned too.  A list that holds a non-object, or holds
-    one of ``ids`` twice, is decoded in full (``_section``), which raises
-    what a load raises.
+    others only the id, the first value, is looked at: the list of every
+    record's id, in file order, is returned too.  Rows that are not all
+    lists of one value per field, or that hold one of ``ids`` twice, are
+    decoded in full, which raises what a load raises.
     """
-    records = _records(value, "artifacts")
-    if {dict}.issuperset(map(type, records)):
-        stored = list(map(dict.get, records, itertools.repeat("id")))
+    table = _TABLES["artifacts"]
+    if {list}.issuperset(map(type, rows)) and {len(table.fields)}.issuperset(map(len, rows)):
+        stored = list(map(operator.itemgetter(0), rows))
         artifacts = {}
         for artifact_id in ids:
             count = stored.count(artifact_id)
@@ -539,11 +592,10 @@ def _one_artifact(value, ids: tuple[str, ...]) -> tuple[dict[str, Artifact], lis
                 break
             if count:
                 i = stored.index(artifact_id)
-                [artifacts[artifact_id]] = _decode(_TABLES["artifacts"], [records[i]],
-                                                   f"artifacts[{i}]")
+                [artifacts[artifact_id]] = _decode(table, [rows[i]], f"artifacts[{i}]")
         else:
             return artifacts, stored
-    _section("artifacts", records)  # raises: a non-object, or an id twice
+    _by_id(_decode(table, rows, "artifacts[{}]"))  # raises: a faulty row, or an id twice
     raise AssertionError("unreachable")
 
 
@@ -552,11 +604,19 @@ def _one_artifact(value, ids: tuple[str, ...]) -> tuple[dict[str, Artifact], lis
 _LOAD_ORDER = ("taxonomy", "artifacts", "assignments", "edit_log")
 
 
-def _section(name: str, value):
-    """The records of section ``name`` from its parsed JSON ``value``, checked as a load does."""
+def _section(name: str, value, keyed: bool = False):
+    """The records of section ``name`` from its parsed JSON ``value``, checked as a load does.
+
+    ``keyed``: a schema 1 or 2 section, one object per record, which goes
+    through the same decoding once its records are rows.
+    """
     if name == "taxonomy":
-        return _build(_structured_records(value or {"nodes": []}))
-    records = _decode(_TABLES[name], _records(value, name), f"{name}[{{}}]")
+        return _build(_structured_records(value or {"nodes": []}) if keyed
+                      else _node_rows(_rows(value, name, _NODE_COLUMNS)))
+    table, where = _TABLES[name], f"{name}[{{}}]"
+    rows = (_keyed_rows(table, _records(value, name), where) if keyed
+            else _rows(value, name, table.fields))
+    records = _decode(table, rows, where)
     return _by_id(records) if name == "artifacts" else records
 
 
@@ -583,7 +643,8 @@ def deserialize_repository(text: str) -> Repository:
 
     The stored taxonomy is validated from the decoded document with the
     same checks as a structured taxonomy file, without re-encoding it.
-    The cyclic garbage collector is paused meanwhile.
+    Schema 1 and 2 files, whose records are keyed objects, decode alike
+    (``_section``).  The cyclic garbage collector is paused meanwhile.
     """
     try:
         doc = json.loads(text)
@@ -592,13 +653,13 @@ def deserialize_repository(text: str) -> Repository:
     if not isinstance(doc, dict):
         raise RepositoryIOError("repository file must hold a JSON object")
     version = doc.get("schema_version")
-    # Schema 1 is the same document indented, so both decode alike.
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+    # Schemas 1 and 2 store keyed records, the one indented, the other not.
+    if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
         raise SchemaVersionMismatch(
-            f"repository schema version {version!r}, expected 1 or {SCHEMA_VERSION}"
+            f"repository schema version {version!r}, expected 1, 2 or {SCHEMA_VERSION}"
         )
     taxonomy, artifacts, assignments, edit_log = (
-        _section(name, doc.get(name)) for name in _LOAD_ORDER)
+        _section(name, doc.get(name), version < SCHEMA_VERSION) for name in _LOAD_ORDER)
     repo = Repository(taxonomy, artifacts, assignments, edit_log)
     check_integrity(repo)
     return repo
@@ -682,10 +743,11 @@ def load_repository(path: str | os.PathLike) -> Repository:
 # --- the sidecar's stamp, and the sections of a file it vouches for ---
 
 
-# The revision of the bytes this module writes, in every stamp.  Stamps of
-# an older revision do not vouch for their file, whose edit-log lines an
-# edit would keep.  Revision 2 writes every stored taxonomy code in normal
-# form; before it, a code padded as "AC " could be stored.
+# The revision of the bytes this module writes, in every stamp beside the
+# schema version.  Stamps of an older schema or revision do not vouch for
+# their file, whose edit-log lines an edit would keep.  Revision 2 writes
+# every stored taxonomy code in normal form; before it, a code padded as
+# "AC " could be stored.
 _CODEC_REVISION = 2
 
 
@@ -706,7 +768,7 @@ def _put_stamp(sidecar: int, stamp: bytes) -> None:
 
 
 # The sections in the order a save writes them.  Each starts a line of its
-# own, as ``"name": value``; a record line starts with "{" and holds no raw
+# own, as ``"name": value``; a row starts with "[" and holds no raw
 # newline, so in a file this module wrote no other line starts so.
 _SECTIONS = ("artifacts", "assignments", "edit_log", "schema_version", "taxonomy")
 _raw_decode = json.JSONDecoder().raw_decode
@@ -721,7 +783,8 @@ def _spans(text: str) -> dict[str, tuple[int, int]]:
 
     A value runs from its header to the comma before the next header, the
     last one to the closing "\\n}\\n".  ``_OtherLayout`` unless the headers
-    are in order, each value but the last is followed by a comma, and the
+    are in order, each value but the last is followed by a comma, each
+    record section's header row stands on a line of its own, and the
     schema version is the current one.
     """
     if not (text.startswith("{") and text.endswith("\n}\n")):
@@ -739,25 +802,28 @@ def _spans(text: str) -> dict[str, tuple[int, int]]:
             for name, head, end in zip(_SECTIONS, heads, ends)}
     if text[slice(*span["schema_version"])] != str(SCHEMA_VERSION):
         raise _OtherLayout
+    for name, header in _HEADERS.items():
+        start = span[name][0]
+        if not (text.startswith(f"[\n{header}", start)
+                and text.startswith(("\n]", ",\n["), start + 2 + len(header))):
+            raise _OtherLayout
     return span
 
 
 def _log_lines(text: str, start: int, end: int) -> tuple[int, int]:
-    """The offsets of the record lines of the edit log ``text[start:end]``; equal for "[]".
+    """The offsets of the record lines of the edit log ``text[start:end]``; equal for none.
 
-    ``_OtherLayout`` unless the log holds one record per line: the list
-    opens "[\\n{" and closes "}\\n]", and every line break inside it stands
-    in "},\\n{", so each line runs from "{" to "}".  The lines are neither
+    ``_spans`` has checked that its header row stands on a line of its
+    own.  ``_OtherLayout`` unless the log holds one row per line: the list
+    closes "]\\n]", and every line break after the header stands in
+    "],\\n[", so each line runs from "[" to "]".  The lines are neither
     decoded nor checked.
     """
-    if end - start == 2 and text.startswith("[]", start):
-        return end, end
-    if not (text.startswith("[\n{", start) and text.endswith("}\n]", start, end)):
+    start, end = start + 2 + len(_HEADERS["edit_log"]), end - 2
+    if not (text.startswith("]\n]", end - 1)
+            and text.count("\n", start, end) == text.count("],\n[", start - 1, end)):
         raise _OtherLayout
-    start, end = start + 2, end - 2
-    if text.count("\n", start, end) != text.count("},\n{", start, end):
-        raise _OtherLayout
-    return start, end
+    return (start + 2, end) if start < end else (end, end)
 
 
 def _value(text: str, start: int, end: int):
@@ -798,7 +864,7 @@ def _load_vouched(text: str, sections: tuple[str, ...],
         for name in _LOAD_ORDER[:-1]:  # all but the log, which is never decoded here
             if name in sections:
                 value = _value(text, *span[name])
-                fields[name] = (_one_artifact(value, ids)[0]
+                fields[name] = (_one_artifact(_rows(value, name, _TABLES[name].fields), ids)[0]
                                 if name == "artifacts" and ids is not None
                                 else _section(name, value))
                 del value  # a parsed section is dropped once decoded
@@ -848,8 +914,8 @@ def _load_one(text: str, ids: tuple[str, ...]):
     every string in it is written as a save writes it.  The repository
     holds the taxonomy, decoded and checked as a load does; those of the
     artifacts that are present, an absent id loading as absent
-    (``_one_artifact``); their assignments, each found as a line that
-    starts ``{"artifact_id": <its id>, ``, decoded together in file
+    (``_one_artifact``); their assignments, each found as a line after
+    the header that starts ``[<its id>, ``, decoded together in file
     order; and an empty log.  ``check_integrity`` checks them.  No other
     record is checked, and the log is not read.  The only other record
     built is, for each absent id, the stored artifact whose line a new
@@ -870,11 +936,12 @@ def _load_one(text: str, ids: tuple[str, ...]):
     _log_lines(text, *span["edit_log"])
     taxonomy = _section("taxonomy", _value(text, *span["taxonomy"]))
     start, end = span["artifacts"]
-    records = _value(text, start, end)
-    artifacts, stored = _one_artifact(records, ids)
+    table = _TABLES["artifacts"]
+    rows = _rows(_value(text, start, end), "artifacts", table.fields)
+    artifacts, stored = _one_artifact(rows, ids)
 
     def line_of(artifact: Artifact) -> tuple[int, int]:
-        encoded = _artifact_line(artifact)
+        encoded = _artifact_row(artifact)
         pos = text.find(f"\n{encoded}", start, end) + 1
         if not pos:
             raise _OtherLayout
@@ -891,26 +958,24 @@ def _load_one(text: str, ids: tuple[str, ...]):
         if i == len(stored):
             places[artifact_id] = None
         else:
-            after = artifacts.get(stored[i]) or _decode(_TABLES["artifacts"], [records[i]],
-                                                        f"artifacts[{i}]")[0]
+            after = artifacts.get(stored[i]) or _decode(table, [rows[i]], f"artifacts[{i}]")[0]
             places[artifact_id] = line_of(after)[0]
-    del records
+    del rows
     start, end = span["assignments"]
+    start += 2  # past the header row's line break, so that its line is not found
     found = []
     for artifact_id in ids:
-        head = f'\n{{"artifact_id": {_text(artifact_id)}, '
+        head = f"\n[{_text(artifact_id)}, "
         pos = text.find(head, start, end)
         while pos >= 0:
             try:
-                doc, stop = _raw_decode(text, pos + 1)
+                row, stop = _raw_decode(text, pos + 1)
             except json.JSONDecodeError:
                 raise _OtherLayout from None
-            if doc.get("artifact_id") != artifact_id:  # a second "artifact_id" key
-                raise _OtherLayout
-            found.append((pos + 1, stop, doc))
+            found.append((pos + 1, stop, row))
             pos = text.find(head, stop, end)
     found.sort(key=lambda record: record[0])
-    assignments = _decode(_TABLES["assignments"], [doc for *_, doc in found], "assignments[{}]")
+    assignments = _decode(_TABLES["assignments"], [row for *_, row in found], "assignments[{}]")
     repo = Repository(taxonomy, artifacts, assignments)
     check_integrity(repo)
     codes = set(taxonomy.nodes)
@@ -943,34 +1008,30 @@ def _spliced(text: str, span: dict[str, tuple[int, int]], ids: tuple[str, ...],
             or any(a.artifact_id not in named for a in assignments)
             or not repo.taxonomy.nodes.keys() >= codes):
         raise ValueError(f"an edit of artifact {ids[0]!r} changed other records")
-    edits = [(*lines[i], _artifact_line(artifacts[i])) for i in lines]
-    edits += [(*link, _assignment_line(a)) for link, a in zip(links, assignments)]
+    edits = [(*lines[i], _artifact_row(artifacts[i])) for i in lines]
+    edits += [(*link, _assignment_row(a)) for link, a in zip(links, assignments)]
     last = []
     for artifact_id in sorted(artifacts.keys() - lines.keys()):
-        line, place = _artifact_line(artifacts[artifact_id]), places[artifact_id]
+        line, place = _artifact_row(artifacts[artifact_id]), places[artifact_id]
         if place is None:
             last.append(line)
         else:
             edits.append((place, place, f"{line},\n"))
     edits += [
-        _appended(text, *span["artifacts"], last),
-        _appended(text, *span["assignments"], map(_assignment_line, assignments[len(links):])),
-        _appended(text, *span["edit_log"], map(_edit_line, repo.edit_log)),
-        (*span["taxonomy"], _structured_text(repo.taxonomy)),
+        _appended(span["artifacts"], last),
+        _appended(span["assignments"], map(_assignment_row, assignments[len(links):])),
+        _appended(span["edit_log"], map(_edit_row, repo.edit_log)),
+        (*span["taxonomy"], _stored_text(repo.taxonomy)),
     ]
     _check_saved(repo)
     edits.sort(key=lambda edit: edit[:2])  # stable: new lines of one place stay in id order
     return _pieces(text, edits)
 
 
-def _appended(text: str, start: int, end: int, lines) -> tuple[int, int, str]:
-    """The edit of the record list ``text[start:end]`` that adds record ``lines`` at its end."""
-    added = ",\n".join(lines)
-    if not added:
-        return end, end, ""
-    if end - start == 2:  # the empty "[]"
-        return start, end, f"[\n{added}\n]"
-    return end - 2, end - 2, f",\n{added}"
+def _appended(span: tuple[int, int], lines) -> tuple[int, int, str]:
+    """The edit of the section at ``span`` that adds record ``lines`` before its closing "\\n]"."""
+    end = span[1] - 2
+    return end, end, "".join([f",\n{line}" for line in lines])
 
 
 def _pieces(text: str, edits: list[tuple[int, int, str]]):
@@ -999,7 +1060,7 @@ def _load_for_edit(text: str, trusted: bool, ids: tuple[str, ...] | None):
     kept = _load_vouched(text, _LOAD_ORDER) if trusted else None
     if kept is None:
         repo = deserialize_repository(text)
-        log, repo.edit_log = ",\n".join(map(_edit_line, repo.edit_log)), []
+        log, repo.edit_log = ",\n".join(map(_edit_row, repo.edit_log)), []
     else:
         repo, log = kept
     return repo, lambda edited: [_serialize(edited, log)]
@@ -1026,8 +1087,8 @@ def editing(path: str | os.PathLike, ids: tuple[str, ...] | None = None):
     lock.  When the file still holds exactly those bytes, the log's lines
     are kept as text, neither decoded nor checked, and every other section
     loads with every check ``load_repository`` makes (``_load_vouched``).
-    Otherwise (no sidecar, a stamp of an older codec revision, a log not
-    one record per line, a hand edit) the whole file loads with those
+    Otherwise (no sidecar, a stamp of an older schema or codec revision, a
+    log not one row per line, a hand edit) the whole file loads with those
     checks, and its log is encoded to lines at once.
 
     With the artifact ``ids`` given, the block edits those artifacts'
@@ -1081,8 +1142,8 @@ def editing(path: str | os.PathLike, ids: tuple[str, ...] | None = None):
 
 
 def read_artifacts_jsonl(text: str) -> list[Artifact]:
-    """Parse artifacts from JSON-Lines text, one object per line."""
-    artifacts = []
+    """Parse artifacts from JSON-Lines text, one keyed object per line, as schema 2 stores them."""
+    table, artifacts = _TABLES["artifacts"], []
     # Not ``splitlines``: a string may hold U+0085, U+2028 or U+2029 as it is.
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -1091,7 +1152,8 @@ def read_artifacts_jsonl(text: str) -> list[Artifact]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"line {lineno}: invalid JSON: {exc}") from exc
-        artifacts += _decode(_TABLES["artifacts"], [doc], f"line {lineno}")
+        where = f"line {lineno}"
+        artifacts += _decode(table, _keyed_rows(table, [doc], where), where)
     return artifacts
 
 

@@ -12,15 +12,18 @@ each other (they share the absent parent).  Root pairs report the
 conventional sibling distance 2 even though no path connects their trees;
 breadth-first operations (``neighborhood``) never cross trees.
 
-This module owns the stored node format.  The structured format is a
-``{"nodes": [...]}`` document with one node per line, by code, and a
-repository file stores the same text under "taxonomy": both are decoded
-by ``_structured_records`` and encoded by ``_node_line``.  The decoder
-checks the node list a field at a time; when every node is as a save
-writes it, it builds them in one pass, and otherwise it decodes node by
-node, normalizing hand-written values and naming the first faulty node
-by index.  ``_build`` and ``Taxonomy`` likewise check all codes and
-parents at once and look for the offending node only when a check fails.
+This module owns the stored node formats.  The structured format is a
+``{"nodes": [...]}`` document with one keyed object per node and line, by
+code (``_node_line``); people write it by hand.  A repository file
+stores its nodes as rows instead: a header row naming ``_NODE_COLUMNS``,
+then one positional array per node and line, by code (``_node_row``).
+Both are decoded as rows (``_node_rows``, which ``_structured_records``
+feeds each node's fields).  The decoder checks the nodes a column at a
+time (``_saved_nodes``); when every node is as a save writes it, it
+builds them in one pass, and otherwise it decodes node by node,
+normalizing hand-written values and naming the first faulty node by
+index.  ``_build`` and ``Taxonomy`` likewise check all codes and parents
+at once and look for the offending node only when a check fails.
 """
 
 from __future__ import annotations
@@ -296,26 +299,22 @@ def _parse_structured(text: str) -> list[TaxonomyNode]:
     return _structured_records(doc)
 
 
-_NODE_FIELDS = frozenset({"code", "parent", "title", "description", "synonyms"})
 _NODE_COLUMNS = ("code", "title", "description", "synonyms", "parent")  # ``TaxonomyNode``'s order
+_NODE_HEADER = json.dumps(_NODE_COLUMNS)
 _STR = frozenset({str})
 _STR_OR_NONE = frozenset({str, type(None)})
 _LIST_OR_NONE = frozenset({list, type(None)})
 _given = partial(is_not, None)
 
 
-def _saved_nodes(items: list) -> list[TaxonomyNode] | None:
-    """The nodes of ``items`` if every one is in the form a save writes, else None.
+def _saved_nodes(columns) -> list[TaxonomyNode] | None:
+    """The nodes of ``columns``, in ``_NODE_COLUMNS`` order, if every one is as a save writes it.
 
-    Each field is checked once for the whole list, column by column: no
-    unknown field, codes and parents in normal form, and titles, present
-    descriptions and synonyms non-blank and stripped.  From such items the
-    node-by-node decoding builds exactly these nodes.
+    Each field is checked once for the whole list: codes and parents in
+    normal form, and titles, present descriptions and synonyms non-blank
+    and stripped.  From such nodes the node-by-node decoding builds
+    exactly these nodes.  Else None.
     """
-    if not ({dict}.issuperset(map(type, items))
-            and _NODE_FIELDS.issuperset(chain.from_iterable(items))):
-        return None
-    columns = [list(map(dict.get, items, repeat(key))) for key in _NODE_COLUMNS]
     _, titles, descriptions, synonyms, parents = columns
     if not (_LIST_OR_NONE.issuperset(map(type, synonyms))
             and _STR_OR_NONE.issuperset(map(type, descriptions))
@@ -347,42 +346,75 @@ def _spelled(value, i: int, what: str) -> str:
     return json.dumps(value)
 
 
+def _keyed_as_rows(records: list, columns: tuple[str, ...],
+                   absent: tuple) -> tuple[list, str | None]:
+    """The rows of ``records``, objects keyed by ``columns``, up to the first that is none.
+
+    An absent key stands for its column's value in ``absent``.  Returns
+    the rows and, when a record is not an object or holds a key that is
+    no column, that record's fault; it is the record after the rows.
+    """
+    known, rows = frozenset(columns), []
+    for record in records:
+        if type(record) is not dict:
+            return rows, "expected an object"
+        if not known.issuperset(record):
+            return rows, f"unknown fields {sorted(record.keys() - known)}"
+        rows.append(list(map(record.get, columns, absent)))
+    return rows, None
+
+
 def _structured_records(doc) -> list[TaxonomyNode]:
     """Validated node records from a decoded ``{"nodes": [...]}`` document.
 
-    Built in one pass when ``_saved_nodes`` takes them, else node by node.
+    Each node's fields become its row (``_node_rows``); a node that is not
+    an object, or holds an unknown field, is refused after any fault of
+    the nodes before it.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MalformedRecord("expected an object with a 'nodes' list")
-    saved = _saved_nodes(doc["nodes"])
-    if saved is not None:
-        return saved
+    rows, fault = _keyed_as_rows(doc["nodes"], _NODE_COLUMNS, (None,) * len(_NODE_COLUMNS))
+    nodes = _node_rows(rows)
+    if fault:
+        raise MalformedRecord(f"nodes[{len(rows)}]: {fault}")
+    return nodes
+
+
+def _node_rows(rows: list) -> list[TaxonomyNode]:
+    """Validated node records from node rows, each its values in ``_NODE_COLUMNS`` order.
+
+    Built in one pass when every row holds one value per column and
+    ``_saved_nodes`` takes them, else node by node, a null standing for
+    no value.
+    """
+    width = len(_NODE_COLUMNS)
+    if rows and {list}.issuperset(map(type, rows)) and {width}.issuperset(map(len, rows)):
+        saved = _saved_nodes(list(zip(*rows)))
+        if saved is not None:
+            return saved
     records = []
-    for i, item in enumerate(doc["nodes"]):
-        if not isinstance(item, dict):
-            raise MalformedRecord(f"nodes[{i}]: expected an object")
-        if not _NODE_FIELDS.issuperset(item):
-            raise MalformedRecord(f"nodes[{i}]: unknown fields {sorted(set(item) - _NODE_FIELDS)}")
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != width:
+            raise MalformedRecord(f"nodes[{i}]: expected a list of {width} values")
+        code, title, description, synonyms, parent = row
         # A null stands for no value; ``str`` would make it the text "None".
-        if item.get("code") is None or item.get("title") is None:
+        if code is None or title is None:
             raise MalformedRecord(f"nodes[{i}]: 'code' and 'title' are required")
         try:
-            code = normalize_code(_spelled(item["code"], i, "code"))
+            code = normalize_code(_spelled(code, i, "code"))
         except EmptyCode as exc:
             raise MalformedRecord(f"nodes[{i}]: empty code") from exc
-        title = _spelled(item["title"], i, "title").strip()
+        title = _spelled(title, i, "title").strip()
         if not title:
             raise MalformedRecord(f"nodes[{i}]: empty title for code {code!r}")
-        parent = item.get("parent")
         if parent is not None:
             try:
                 parent = normalize_code(_spelled(parent, i, "parent"))
             except EmptyCode as exc:
                 raise MalformedRecord(f"nodes[{i}]: unusable parent") from exc
-        description = item.get("description")
         if description is not None:
             description = _spelled(description, i, "description").strip() or None
-        synonyms = item.get("synonyms") or []
+        synonyms = synonyms or []
         if not isinstance(synonyms, list):
             raise MalformedRecord(f"nodes[{i}]: synonyms must be a list")
         if synonyms:
@@ -408,17 +440,24 @@ def parse_taxonomy(text: str, format: str = TABULAR) -> Taxonomy:
     return _build(records)
 
 
-# A node's line is what ``json.dumps(doc, sort_keys=True, ensure_ascii=False)``
-# writes for its record, with the optional keys left out when empty.
+# A node's line in the structured format is what ``json.dumps(doc,
+# sort_keys=True, ensure_ascii=False)`` writes for its record, with the
+# optional keys left out when empty; its row in a repository is what
+# ``json.dumps(row, ensure_ascii=False)`` writes, every null written out.
 # ``encode_basestring`` raises TypeError for anything but a str, so a field
 # of the wrong type fails before anything is written.
 _text = json.encoder.encode_basestring
 
 
-def _node_line(node: TaxonomyNode) -> str:
+def _synonyms_of(node: TaxonomyNode) -> list[str]:
     synonyms = node.synonyms
     if not isinstance(synonyms, (list, tuple)):
         raise TypeError(f"synonyms must be a list of strings, not {synonyms!r}")
+    return synonyms
+
+
+def _node_line(node: TaxonomyNode) -> str:
+    synonyms = _synonyms_of(node)
     line = f'{{"code": {_text(node.code)}'
     if node.description is not None:
         line += f', "description": {_text(node.description)}'
@@ -427,6 +466,13 @@ def _node_line(node: TaxonomyNode) -> str:
     if synonyms:
         line += f', "synonyms": [{", ".join(map(_text, synonyms))}]'
     return f'{line}, "title": {_text(node.title)}}}'
+
+
+def _node_row(node: TaxonomyNode) -> str:
+    synonyms, description, parent = _synonyms_of(node), node.description, node.parent
+    return (f"[{_text(node.code)}, {_text(node.title)}, "
+            f"{'null' if description is None else _text(description)}, "
+            f"[{', '.join(map(_text, synonyms))}], {'null' if parent is None else _text(parent)}]")
 
 
 def _record_lines(lines) -> str:
@@ -473,6 +519,17 @@ def _structured_text(t: Taxonomy) -> str:
     """
     nodes = t.nodes
     text = f'{{"nodes": {_record_lines([_node_line(nodes[code]) for code in sorted(nodes)])}}}'
+    _check_nodes(nodes)
+    return text
+
+
+def _stored_text(t: Taxonomy) -> str:
+    """A repository's taxonomy section: the header row, then one node row per line, by code.
+
+    ValueError for a node that would parse back changed (``_check_nodes``).
+    """
+    nodes = t.nodes
+    text = _record_lines([_NODE_HEADER, *[_node_row(nodes[code]) for code in sorted(nodes)]])
     _check_nodes(nodes)
     return text
 

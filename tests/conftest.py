@@ -2,6 +2,7 @@
 seeded random generators used by the oracle-comparison tests."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -199,3 +200,57 @@ def repo_model(repo: store.Repository, include_proposed: bool = False):
         if a.status in wanted and a.code is not None:
             codes_by_artifact.setdefault(a.artifact_id, set()).add(a.code)
     return parents, artifacts, codes_by_artifact
+
+
+def _without_empty(record: dict, *optional: str) -> dict:
+    """``record`` with each ``optional`` key left out whose value is None or empty."""
+    return {k: v for k, v in record.items() if k not in optional or v not in (None, [])}
+
+
+def keyed_document(repo: store.Repository, version: int = 2) -> dict:
+    """The document a schema 1 or 2 file stored for ``repo``: one keyed object per record.
+
+    An artifact's empty body, document and version, and a node's empty
+    description, parent and synonyms, are left out, as those writers left
+    them out.
+    """
+    nodes = repo.taxonomy.nodes
+    return {
+        "artifacts": [_without_empty({"archived": a.archived, "attrs": a.attrs, "body": a.body,
+                                      "document": a.document, "id": a.id, "kind": a.kind,
+                                      "title": a.title, "version": a.version},
+                                     "body", "document", "version")
+                      for _, a in sorted(repo.artifacts.items())],
+        "assignments": [{"artifact_id": a.artifact_id, "code": a.code,
+                         "created_at": a.created_at, "note": a.note,
+                         "provenance": a.provenance, "status": a.status}
+                        for a in repo.assignments],
+        "edit_log": [{"cause": e.cause, "endpoints": list(e.endpoints),
+                      "link_kind": e.link_kind, "op": e.op} for e in repo.edit_log],
+        "schema_version": version,
+        "taxonomy": {"nodes": [
+            _without_empty({"code": n.code, "description": n.description, "parent": n.parent,
+                            "synonyms": n.synonyms, "title": n.title},
+                           "description", "parent", "synonyms")
+            for _, n in sorted(nodes.items())]},
+    }
+
+
+def schema_1_text(repo: store.Repository) -> str:
+    """The file the schema-1 writer made: the keyed document, indented."""
+    return json.dumps(keyed_document(repo, 1), sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+def schema_2_text(repo: store.Repository) -> str:
+    """The file the schema-2 writer made: the keyed document, one record per line."""
+    doc = keyed_document(repo, 2)
+
+    def lines(records):
+        text = ",\n".join(json.dumps(r, sort_keys=True, ensure_ascii=False) for r in records)
+        return f"[\n{text}\n]" if text else "[]"
+
+    return (f'{{\n"artifacts": {lines(doc["artifacts"])},\n'
+            f'"assignments": {lines(doc["assignments"])},\n'
+            f'"edit_log": {lines(doc["edit_log"])},\n"schema_version": 2,\n'
+            f'"taxonomy": {{"nodes": {lines(doc["taxonomy"]["nodes"])}}}\n}}\n')

@@ -378,6 +378,16 @@ def taxonomy_section_oracle(doc) -> list[dict]:
 
 
 ARTIFACT_KINDS = {"requirement", "design-object", "test-case", "source-unit", "compliance-clause"}
+ARTIFACT_FIELDS = {"id", "kind", "title", "body", "attrs", "document", "version", "archived"}
+ASSIGNMENT_FIELDS = {"artifact_id", "code", "provenance", "status", "note", "created_at"}
+EDIT_FIELDS = {"op", "link_kind", "endpoints", "cause"}
+
+
+def refuse_unknown_fields(doc, fields, reject) -> None:
+    """Refuse a stored record that holds a key other than ``fields``: a load would drop it."""
+    unknown = sorted(set(doc) - fields)
+    if unknown:
+        reject(f"unknown fields {unknown}")
 
 
 def artifact_oracle(doc) -> dict:
@@ -387,6 +397,7 @@ def artifact_oracle(doc) -> dict:
 
     if not isinstance(doc, dict):
         reject("expected an object")
+    refuse_unknown_fields(doc, ARTIFACT_FIELDS, reject)
     for key in ("id", "kind", "title"):
         if not isinstance(doc.get(key), str):
             reject(f"missing or non-string {key!r}")
@@ -440,6 +451,7 @@ def assignment_oracle(doc) -> dict:
 
     if not isinstance(doc, dict):
         reject("expected an object")
+    refuse_unknown_fields(doc, ASSIGNMENT_FIELDS, reject)
     if not isinstance(doc.get("artifact_id"), str):
         reject("missing artifact_id")
     for key, allowed in (("provenance", PROVENANCES), ("status", STATUSES)):
@@ -466,6 +478,7 @@ def edit_oracle(doc) -> dict:
 
     if not isinstance(doc, dict):
         reject("expected an object")
+    refuse_unknown_fields(doc, EDIT_FIELDS, reject)
     if doc.get("op") not in ("add", "delete"):
         reject(f"unknown op {doc.get('op')!r}")
     if doc.get("link_kind") not in ("taxonomic", "direct"):

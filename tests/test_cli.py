@@ -388,10 +388,7 @@ class TestOutputContract:
         run(capsys, "init")
         path = workspace / "repo.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["taxonomy"] = {"nodes": [
-            {"code": "A", "title": "Alpha", "parent": "B"},
-            {"code": "B", "title": "Beta", "parent": "A"},
-        ]}
+        doc["taxonomy"][1:] = [["A", "Alpha", None, [], "B"], ["B", "Beta", None, [], "A"]]
         path.write_text(json.dumps(doc), encoding="utf-8")
         before = path.read_bytes()
         code, out, err = run(capsys, "--strict", "validate")
@@ -1135,7 +1132,7 @@ warning: code-changed D2,D5: classification changed from '32Q' to '3'
 """,
      "warning: codes ['31'] of 'R4A' are not allocated to any part\n"),
 ]
-TRANSCRIPT_REPO_SHA256 = "d414e67bed6806da74c4e8ecbfdcb338a548c7f100e70bd9713c2f554b8457ea"
+TRANSCRIPT_REPO_SHA256 = "aa23ad8deeff1105eec6c6690e45d00a4ffae35cfbf1723461aa5b4834df0cda"
 
 
 def parse_outcome(parse, argv, capsys):

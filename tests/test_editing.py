@@ -29,6 +29,8 @@ from conftest import (
     clone_object,
     make_object,
     random_repo,
+    schema_1_text,
+    schema_2_text,
 )
 from taxtrace import cli, linkage, store, taxonomy
 from taxtrace.errors import (
@@ -119,10 +121,10 @@ def label(entry):
 
 
 def encoded_log_entries(monkeypatch):
-    """The edit-log entries encoded from now on, in order, as ``store._edit_line`` sees them."""
+    """The edit-log entries encoded from now on, in order, as ``store._edit_row`` sees them."""
     encoded = []
-    real = store._edit_line
-    monkeypatch.setattr(store, "_edit_line", lambda e: encoded.append(e) or real(e))
+    real = store._edit_row
+    monkeypatch.setattr(store, "_edit_row", lambda e: encoded.append(e) or real(e))
     return encoded
 
 
@@ -178,9 +180,10 @@ class Commands:
 
 
 def log_lines(data):
-    """The record lines of the file's edit-log section, without separating commas."""
+    """The record lines of the file's edit-log section, after its header row, without
+    separating commas."""
     section = data.partition(b'\n"edit_log": [')[2].partition(b'\n"schema_version"')[0]
-    return [line.rstrip(b",") for line in section.split(b"\n")[1:-1]]
+    return [line.rstrip(b",") for line in section.split(b"\n")[2:-1]]
 
 
 def live_pairs(repo):
@@ -258,7 +261,8 @@ class TestCanonicalBytes:
         # store a taxonomy code padded, as "63FH " from a row "63FH -"; an
         # edit ignores them and loads the file in full.
         monkeypatch.setenv("TTL_NOW", NOW)
-        data = read(repo_path).replace(b'{"code": "63FH", ', b'{"code": "63FH ", ')
+        data = read(repo_path).replace(b'["63FH", ', b'["63FH ", ')
+        assert data != read(repo_path)
         with open(repo_path, "wb") as f:
             f.write(data)
         with open(sidecar(repo_path), "wb") as f:
@@ -626,8 +630,7 @@ class TestAppendOnlyLog:
                 linkage.ADD, linkage.TAXONOMIC, ("R0", "63FH"), "assign")]
         after = read(marked_path)
         assert log_lines(after) == log_lines(before) + [
-            b'{"cause": "assign", "endpoints": ["R0", "63FH"], "link_kind": "taxonomic", '
-            b'"op": "add"}']
+            b'["add", "taxonomic", ["R0", "63FH"], "assign"]']
         assert after == canonical(marked_path)
 
     def test_a_trusted_edit_neither_decodes_nor_encodes_the_files_log(
@@ -670,8 +673,9 @@ class TestAppendOnlyLog:
         # The stamp is a CRC-32 of bytes this module wrote: a forged one is
         # believed, and the edit neither reads nor checks the log.
         first = log_lines(read(marked_path))[0]
-        before = log_lines(self.forge(marked_path, first, b'{"op": "move"}', stamp=True))
-        assert before[0] == b'{"op": "move"}'
+        moved = b'["move", "taxonomic", ["R0", "1"], ""]'
+        before = log_lines(self.forge(marked_path, first, moved, stamp=True))
+        assert before[0] == moved
         assert run_cli(marked_path, ["assign", "R1", "63FH"], capsys) == 0
         assert log_lines(read(marked_path))[:len(before)] == before
         # A full load still rejects it.
@@ -710,11 +714,11 @@ class TestAppendOnlyLog:
             assert (read(marked_path), read(sidecar(marked_path))) == (forged, stamp)
 
     @pytest.mark.parametrize("where, second", [
-        ("after", '"edit_log": [{"cause": "c", "endpoints": ["R2", "1"], '
-                  '"link_kind": "taxonomic", "op": "add"}],'),
-        ("after", '"edit_log": [],'),
-        ("before", '"edit_log": [{"cause": "c", "endpoints": ["R2", "1"], '
-                   '"link_kind": "taxonomic", "op": "add"}],'),
+        ("after", '"edit_log": [["op", "link_kind", "endpoints", "cause"], '
+                  '["add", "taxonomic", ["R2", "1"], "c"]],'),
+        ("after", '"edit_log": [["op", "link_kind", "endpoints", "cause"]],'),
+        ("before", '"edit_log": [["op", "link_kind", "endpoints", "cause"], '
+                   '["add", "taxonomic", ["R2", "1"], "c"]],'),
     ], ids=["later, with an entry", "later, empty", "earlier, with an entry"])
     def test_a_trusted_stamp_over_a_second_log_key_is_not_believed(
             self, marked_path, tmp_path, capsys, where, second):
@@ -734,7 +738,7 @@ class TestAppendOnlyLog:
 
     def test_a_stamp_over_other_bytes_is_not_trusted(self, marked_path, capsys):
         first = log_lines(read(marked_path))[0]
-        assert b'"op": "add"' in first
+        assert first.startswith(b'["add", ')
         forged = self.forge(marked_path, first, first.replace(b'"add"', b'"adc"'), stamp=False)
         assert cli.main(["--repo", marked_path, "assign", "R1", "63FH"]) == 2
         assert capsys.readouterr().err == "error: edit_log[0]: unknown op 'adc'\n"
@@ -747,8 +751,8 @@ def spaced(text):
 
 
 def schema_1(text):
-    return json.dumps(dict(json.loads(text), schema_version=1), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+    """The same repository as the schema-1 writer wrote it: keyed records, indented."""
+    return schema_1_text(store.deserialize_repository(text))
 
 
 def joined_records(text):
@@ -763,7 +767,7 @@ def shifted_lines(text):
 
 def inner_spacing(text):
     """Canonical layout, but one record line spaced differently."""
-    return text.replace('"title": "Req 1"', '"title":"Req 1"', 1)
+    return text.replace('"requirement", "Req 1"', '"requirement","Req 1"', 1)
 
 
 def ascii_escapes(text):
@@ -880,18 +884,18 @@ def count_decoded(monkeypatch):
     """The taxonomies, assignments and edit-log entries decoded from now on, by section."""
     decoded = {"taxonomy": 0, "assignments": 0, "edit_log": 0}
     sections = {store.Assignment: "assignments", store.EditRecord: "edit_log"}
-    real_nodes, real_decode = store._structured_records, store._decode
+    real_nodes, real_decode = store._node_rows, store._decode
 
-    def nodes(doc):
+    def nodes(rows):
         decoded["taxonomy"] += 1
-        return real_nodes(doc)
+        return real_nodes(rows)
 
     def decode(table, records, where):
         if table.cls in sections:
             decoded[sections[table.cls]] += len(records)
         return real_decode(table, records, where)
 
-    monkeypatch.setattr(store, "_structured_records", nodes)
+    monkeypatch.setattr(store, "_node_rows", nodes)
     monkeypatch.setattr(store, "_decode", decode)
     return decoded
 
@@ -1018,7 +1022,7 @@ class TestVouchedReads:
         # As with the edit log under an edit, a forged stamp is believed for
         # what a command does not read; what it reads is checked as a load does.
         data = read(marked_path)
-        first = data.partition(b'\n"assignments": [\n')[2].partition(b"\n")[0]
+        first = data.partition(b'\n"assignments": [\n')[2].split(b"\n")[1]  # after the header
         forged = data.replace(first, first.replace(b'"confirmed"', b'"maybe"'), 1)
         assert forged != data
         with open(marked_path, "wb") as f:
@@ -1060,12 +1064,11 @@ class TestVouchedReads:
         assert seen[VOUCHING] == seen[STALE_STAMP] == seen[NO_SIDECAR]
         assert seen[VOUCHING][0] == (2, "", "error: no artifact with id 'NOPE'\n")
 
-    R1_LINE = (b'{"archived": false, "attrs": {"k": "v", "n": "1"}, "id": "R1", '
-               b'"kind": "requirement", "title": "Req 1"},\n')
+    R1_LINE = b'["R1", "requirement", "Req 1", null, {"k": "v", "n": "1"}, null, null, false],\n'
 
     @pytest.mark.parametrize("extra, message", [
         (R1_LINE, "artifact id 'R1' appears twice"),
-        (b"5,\n", "artifacts[2]: expected an object"),
+        (b"5,\n", "artifacts[2]: expected a list of 8 values"),
     ], ids=["id stored twice", "non-object"])
     def test_an_untrusted_artifacts_list_fails_as_a_full_load_does(self, marked_path, capsys,
                                                                     extra, message):
@@ -1079,8 +1082,7 @@ class TestVouchedReads:
 
     def test_a_malformed_requested_artifact_fails_as_a_full_load_does(self, marked_path,
                                                                       capsys):
-        self.forge(marked_path, b'"id": "R1", "kind": "requirement"',
-                   b'"id": "R1", "kind": "widget"')
+        self.forge(marked_path, b'["R1", "requirement"', b'["R1", "widget"')
         message = "error: artifacts[1]: unknown artifact kind 'widget'\n"
         for argv in (["suggest", "R1"], ["validate"]):
             assert cli.main(["--repo", marked_path, *argv]) == 2
@@ -1094,8 +1096,7 @@ class TestVouchedReads:
         # A forged stamp is believed for every artifact but the one ranked;
         # a command that reads them all checks them all.
         ranked = outcome(marked_path, ["suggest", "R1"], capsys)
-        self.forge(marked_path, b'"id": "R2", "kind": "requirement"',
-                   b'"id": "R2", "kind": "widget"')
+        self.forge(marked_path, b'["R2", "requirement"', b'["R2", "widget"')
         assert outcome(marked_path, ["suggest", "R1"], capsys) == ranked
         message = "error: artifacts[2]: unknown artifact kind 'widget'\n"
         for argv in (["diff", "--from", "v1", "--to", "v2"], ["validate"]):
@@ -1129,6 +1130,65 @@ class TestVouchedReads:
         assert seen[VOUCHING] == seen[STALE_STAMP] == seen[NO_SIDECAR]
         code, out, err = seen[VOUCHING][1]
         assert (code, err) == (0, "") and json.loads(out)["artifact"] == odd
+
+
+# A schema-2 file, written by that schema's writer from ``model_repo(1)``.
+SCHEMA_2_FILE = os.path.join(os.path.dirname(__file__), "data", "schema2.json")
+
+
+class TestSchema2File:
+    """A file an earlier release wrote loads as it was, and its next edit writes schema 3."""
+
+    @pytest.fixture
+    def old_path(self, tmp_path):
+        path = str(tmp_path / "repo.json")
+        with open(SCHEMA_2_FILE, "rb") as src, open(path, "wb") as dst:
+            dst.write(src.read())
+        return path
+
+    def test_it_loads_equal_to_the_repository_it_was_written_from(self, old_path):
+        assert json.loads(read(old_path))["schema_version"] == 2
+        assert load_repository(old_path) == model_repo(1)
+        # The helpers that rebuild older files write what that writer wrote.
+        assert read(old_path).decode("utf-8") == schema_2_text(model_repo(1))
+
+    def test_a_schema_2_stamp_does_not_vouch_for_it(self, old_path, capsys, monkeypatch):
+        data = read(old_path)
+        # The stamp a schema-2 release wrote beside the bytes it saved.
+        old_stamp = b"2 %d %d %d\n" % (store._CODEC_REVISION, len(data), zlib.crc32(data))
+        assert store._stamp(data) != old_stamp
+        with open(sidecar(old_path), "wb") as f:
+            f.write(old_stamp)
+        repo = load_repository(old_path)
+        linked = next(a.artifact_id for a in repo.assignments if a.status == linkage.CONFIRMED)
+        decoded = count_decoded(monkeypatch)
+        # A read the stamp vouched for would decode neither the log nor the
+        # artifacts; this one loads the whole file.
+        assert run_cli(old_path, ["trace", linked], capsys) == 0
+        assert decoded["edit_log"] == len(repo.edit_log) > 0
+
+    @pytest.mark.parametrize("stamp", ["schema 2", "none"])
+    def test_assign_rewrites_it_as_schema_3_with_a_log_that_replays(
+            self, old_path, capsys, monkeypatch, stamp):
+        monkeypatch.setenv("TTL_NOW", NOW)
+        before = load_repository(old_path)
+        if stamp == "schema 2":
+            data = read(old_path)
+            with open(sidecar(old_path), "wb") as f:
+                f.write(b"2 %d %d %d\n" % (store._CODEC_REVISION, len(data), zlib.crc32(data)))
+        held = {a.code for a in before.assignments if a.artifact_id == "R1"}
+        code = min(set(before.taxonomy.nodes) - held)
+        assert cli.main(["--repo", old_path, "assign", "R1", code]) == 0
+        assert capsys.readouterr().err == ""
+        after = load_repository(old_path)
+        assert json.loads(read(old_path))["schema_version"] == 3
+        assert read(old_path) == canonical(old_path)
+        assert read(sidecar(old_path)) == store._stamp(read(old_path))
+        assert after.edit_log[:len(before.edit_log)] == before.edit_log
+        assert after.edit_log[len(before.edit_log):] == [
+            linkage.EditRecord(linkage.ADD, linkage.TAXONOMIC, ("R1", code), "assign")]
+        assert linkage.replay_edit_log(after.edit_log) == live_pairs(after)
+        assert (after.artifacts, after.taxonomy) == (before.artifacts, before.taxonomy)
 
 
 # Artifact ids whose JSON needs an escape (a quote, a backslash, a control
@@ -1259,28 +1319,26 @@ class TestOneArtifactEdits:
     def test_a_stamp_vouches_for_the_records_of_other_artifacts(self, marked_path, capsys):
         # A forged stamp is believed for every record the edit does not
         # load: they are copied, and covered by the new stamp.
-        self.forge(marked_path, b'"id": "R2", "kind": "requirement"',
-                   b'"id": "R2", "kind": "widget"')
+        self.forge(marked_path, b'["R2", "requirement"', b'["R2", "widget"')
         assert run_cli(marked_path, ["assign", "R1", "63FH"], capsys) == 0
-        assert b'"kind": "widget"' in read(marked_path)
+        assert b'["R2", "widget"' in read(marked_path)
         assert read(sidecar(marked_path)) == store._stamp(read(marked_path))
         assert cli.main(["--repo", marked_path, "validate"]) == 2
         assert capsys.readouterr().err == "error: artifacts[2]: unknown artifact kind 'widget'\n"
 
-    R1_LINK = (b'{"artifact_id": "R1", "code": "18B", "created_at": "2026-01-15T09:00:00+00:00", '
-               b'"note": null, "provenance": "manual", "status": "confirmed"}')
+    R1_LINK = b'["R1", "18B", "manual", "confirmed", null, "2026-01-15T09:00:00+00:00"]'
 
     ASSIGN = ["assign", "R1", "63FH"]
 
     @pytest.mark.parametrize("old, new, argv", [
-        (b'"id": "R1", "kind": "requirement"', b'"id": "R1", "kind": "widget"', ASSIGN),
+        (b'["R1", "requirement"', b'["R1", "widget"', ASSIGN),
         (R1_LINK, R1_LINK.replace(b'"confirmed"', b'"maybe"'), ASSIGN),
         (R1_LINK, R1_LINK.replace(b'"18B"', b'"99ZZ"'), ASSIGN),
-        (R1_LINK, R1_LINK.replace(b'"confirmed"}', b'"confirmed", "artifact_id": "R2"}'), ASSIGN),
+        (R1_LINK, R1_LINK.replace(b'00:00"]', b'00:00", "R2"]'), ASSIGN),
         # A split's parts are placed by comparing their ids with the stored ones.
-        (b'"id": "R4"', b'"id": 4', ["split", "R1", "--part", "R1a:18B", "--part", "R1b:"]),
+        (b'["R4", "requirement"', b'[4, "requirement"', ["split", "R1", "--part", "R1a:18B", "--part", "R1b:"]),
     ], ids=["its artifact", "its assignment", "its assignment's code",
-            "an assignment read back as another artifact's", "a stored id a part is placed by"])
+            "an assignment with a value past its last column", "a stored id a part is placed by"])
     def test_a_fault_in_a_record_it_loads_is_reported_as_a_full_load_does(
             self, marked_path, tmp_path, capsys, old, new, argv):
         self.forge(marked_path, old, new)
@@ -1291,16 +1349,17 @@ class TestOneArtifactEdits:
         seen = outcome(marked_path, argv, capsys)
         assert seen == outcome(control, argv, capsys)
         assert read(marked_path) == read(control)
-        if seen[0][0] != 0:  # a second "artifact_id" key is read back, as JSON reads it
+        if seen[0][0] != 0:
             assert (read(marked_path), read(sidecar(marked_path))) == start
 
-    @pytest.mark.parametrize("title", [b"Unlinked", b"Emergency lighting"],
+    @pytest.mark.parametrize("line", [b'["Z0", "requirement", "Unlinked"',
+                                      b'["63FH", "Emergency lighting"'],
                              ids=["its artifact", "a class"])
-    def test_a_hand_spaced_line_it_loads_is_encoded_again(self, marked_path, capsys, title):
+    def test_a_hand_spaced_line_it_loads_is_encoded_again(self, marked_path, capsys, line):
         # Z0 has no links, so only the check of its own line sees the spacing.
         with store.editing(marked_path) as repo:
             add_artifact(repo, Artifact(id="Z0", kind="requirement", title="Unlinked"))
-        self.forge(marked_path, b'"title": "%s"' % title, b'"title":"%s"' % title)
+        self.forge(marked_path, line, line.replace(b", ", b",", 1))
         assert run_cli(marked_path, ["assign", "Z0", "63FH"], capsys) == 0
         assert read(marked_path) == canonical(marked_path)
 
@@ -1525,7 +1584,7 @@ class TestCollectorState:
 
     def test_load_of_a_malformed_file(self, repo_path, collector):
         doc = json.loads(read(repo_path))
-        doc["assignments"][0]["status"] = "maybe"
+        doc["assignments"][1][3] = "maybe"  # the status of the first row after the header
         with open(repo_path, "w", encoding="utf-8") as f:
             json.dump(doc, f)
         with pytest.raises(MalformedRecord):

@@ -14,7 +14,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import CANONICAL_TAXONOMY_CSV, NOW, random_repo, tax_from_parents
+from conftest import (CANONICAL_TAXONOMY_CSV, NOW, keyed_document, random_repo, schema_1_text,
+                      tax_from_parents)
 from test_editing import REFUSED_VALUES, WRONG_TYPES
 from taxtrace import cli, linkage, store, taxonomy
 from taxtrace.errors import (
@@ -126,25 +127,19 @@ def tricky_repo(rng):
     return repo
 
 
-def schema_1_text(repo):
-    """The file the schema-1 writer made: the same document, indented."""
-    doc = dict(json.loads(serialize_repository(repo)), schema_version=1)
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
 SECTIONS = {'"artifacts": [': "artifacts", '"assignments": [': "assignments",
-            '"edit_log": [': "edit_log", '"taxonomy": {"nodes": [': "nodes"}
+            '"edit_log": [': "edit_log", '"taxonomy": [': "taxonomy"}
 
 
 def record_lines(text):
-    """The lines between each record list's opening and closing line."""
+    """The lines between each section's opening and closing line: its header row, then its records."""
     found, current = {}, None
     for line in text.split("\n"):
         if current is None:
             current = SECTIONS.get(line)
             if current is not None:
                 found[current] = []
-        elif line in ("],", "]}"):
+        elif line in ("],", "]"):
             current = None
         else:
             found[current].append(line)
@@ -187,14 +182,14 @@ class TestPersistence:
         with pytest.raises(SchemaVersionMismatch):
             deserialize_repository(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [0, 3, True, "2", None])
+    @pytest.mark.parametrize("version", [0, 4, True, "2", None])
     def test_unsupported_schema_versions_are_rejected(self, sampled_repo, version):
         doc = json.loads(serialize_repository(sampled_repo))
         doc["schema_version"] = version
         with pytest.raises(SchemaVersionMismatch):
             deserialize_repository(json.dumps(doc))
 
-    def test_schema_1_file_loads_and_is_saved_as_schema_2(self, sampled_repo, tmp_path):
+    def test_schema_1_file_loads_and_is_saved_as_schema_3(self, sampled_repo, tmp_path):
         rng = random.Random(12)
         repos = [sampled_repo, new_repository()]
         repos += [tricky_repo(rng) for _ in range(5)]
@@ -206,7 +201,7 @@ class TestPersistence:
             save_repository(load_repository(path), path)
             saved = path.read_text(encoding="utf-8")
             assert saved == serialize_repository(repo)
-            assert json.loads(saved) == dict(json.loads(old), schema_version=2)
+            assert keyed_document(load_repository(path), 1) == json.loads(old)
 
     def test_each_record_is_one_line(self):
         rng = random.Random(21)
@@ -214,21 +209,27 @@ class TestPersistence:
             repo = tricky_repo(rng)
             text = serialize_repository(repo)
             doc = json.loads(text)
-            expected = {"artifacts": doc["artifacts"], "assignments": doc["assignments"],
-                        "edit_log": doc["edit_log"], "nodes": doc["taxonomy"]["nodes"]}
             found = record_lines(text)
-            assert set(found) == set(expected)
-            for name, records in expected.items():
-                lines = found[name]
-                assert [json.loads(line.removesuffix(",")) for line in lines] == records
-                assert all(line.endswith("},") for line in lines[:-1])
-                assert lines[-1].endswith("}")
+            assert set(found) == {"artifacts", "assignments", "edit_log", "taxonomy"}
+            for name, lines in found.items():
+                header, *records = doc[name]
+                assert lines[0] == json.dumps(header) + ("," if records else "")
+                assert [json.loads(line.removesuffix(",")) for line in lines] == doc[name]
+                assert [line.removesuffix(",") for line in lines] == [
+                    json.dumps(row, ensure_ascii=False) for row in doc[name]]
+                assert all(line.endswith("],") for line in lines[:-1])
+                assert lines[-1].endswith("]") and not lines[-1].endswith("],")
             assert serialize_repository(deserialize_repository(text)) == text
 
-    def test_empty_lists_are_written_inline(self):
+    def test_an_empty_section_is_its_header_row_alone(self):
         assert serialize_repository(new_repository()) == (
-            '{\n"artifacts": [],\n"assignments": [],\n"edit_log": [],\n'
-            '"schema_version": 2,\n"taxonomy": {"nodes": []}\n}\n'
+            '{\n"artifacts": [\n["id", "kind", "title", "body", "attrs", "document", "version", '
+            '"archived"]\n],\n'
+            '"assignments": [\n["artifact_id", "code", "provenance", "status", "note", '
+            '"created_at"]\n],\n'
+            '"edit_log": [\n["op", "link_kind", "endpoints", "cause"]\n],\n'
+            '"schema_version": 3,\n'
+            '"taxonomy": [\n["code", "title", "description", "synonyms", "parent"]\n]\n}\n'
         )
 
     @pytest.mark.parametrize("failure, raised", [
@@ -304,7 +305,7 @@ class TestPersistence:
         add_artifact(repo, Artifact(id="R1", kind="requirement", title="R1"))
         linkage.assign(repo, "R1", "18B", now=NOW)
         doc = json.loads(serialize_repository(repo))
-        doc["artifacts"] = []
+        doc["artifacts"] = doc["artifacts"][:1]  # the header row alone
         with pytest.raises(ReferentialIntegrityError, match="R1"):
             deserialize_repository(json.dumps(doc))
 
@@ -313,7 +314,7 @@ class TestPersistence:
         add_artifact(repo, Artifact(id="R1", kind="requirement", title="R1"))
         linkage.assign(repo, "R1", "18B", now=NOW)
         doc = json.loads(serialize_repository(repo))
-        doc["taxonomy"] = {"nodes": []}
+        doc["taxonomy"] = doc["taxonomy"][:1]  # the header row alone
         with pytest.raises(ReferentialIntegrityError, match="18B"):
             deserialize_repository(json.dumps(doc))
 
@@ -328,7 +329,7 @@ class TestPersistence:
                     {"code": "a--", "title": "Alpha too"}]}, DuplicateCode),
     ])
     def test_stored_taxonomy_is_validated(self, canon_tax, taxonomy, error):
-        doc = json.loads(serialize_repository(new_repository(canon_tax)))
+        doc = keyed_document(new_repository(canon_tax))
         doc["taxonomy"] = taxonomy
         with pytest.raises(error):
             deserialize_repository(json.dumps(doc))
@@ -340,8 +341,8 @@ class TestPersistence:
         assert list(doc) == sorted(doc)
 
 
-def base_doc():
-    """A small valid document: three artifacts, two links, one marker, two log entries."""
+def base_repo():
+    """A small valid repository: three artifacts, two links, one marker, two log entries."""
     repo = new_repository(taxonomy.parse_taxonomy(
         "code,parent,title,description,synonyms\nA,,Alpha,,\nB,A,Beta,,\n"))
     add_artifact(repo, Artifact(id="R1", kind="requirement", title="One"))
@@ -350,7 +351,16 @@ def base_doc():
     linkage.assign(repo, "R1", "A", now=NOW)
     linkage.assign(repo, "R2", "B", now=NOW)
     linkage.mark_unclassifiable(repo, "R3", "vagueness", now=NOW)
-    return json.loads(serialize_repository(repo))
+    return repo
+
+
+def base_doc():
+    """``base_repo``'s schema-2 document.
+
+    Its records are keyed objects, which a load turns into rows and
+    decodes as it decodes a schema-3 file's rows.
+    """
+    return keyed_document(base_repo())
 
 
 def load_error(doc):
@@ -399,6 +409,8 @@ ARTIFACT_REJECTS = [
     ({"attrs": {"a": "x", "b": [1]}},
      "artifacts[1]: attr 'b' must be a string, number or boolean"),
     ({"attrs": {"a": {"c": "d"}}}, "artifacts[1]: attr 'a' must be a string, number or boolean"),
+    ({"colour": "red"}, "artifacts[1]: unknown fields ['colour']"),
+    ({"kind": "poem", "z": 1, "a": 2}, "artifacts[1]: unknown fields ['a', 'z']"),
 ]
 
 ASSIGNMENT_REJECTS = [
@@ -421,6 +433,7 @@ ASSIGNMENT_REJECTS = [
     ({"note": False, "created_at": 0}, "assignments[1]: note must be a string or null"),
     ({"created_at": 0}, "assignments[1]: created_at must be a string or null"),
     ({"created_at": {"t": 1}}, "assignments[1]: created_at must be a string or null"),
+    ({"artifact": "R1"}, "assignments[1]: unknown fields ['artifact']"),
 ]
 
 EDIT_LOG_REJECTS = [
@@ -439,6 +452,7 @@ EDIT_LOG_REJECTS = [
     ({"cause": ["x"]}, "edit_log[1]: cause must be a string or null"),
     ({"cause": 0}, "edit_log[1]: cause must be a string or null"),
     ({"cause": True}, "edit_log[1]: cause must be a string or null"),
+    ({"op": "move", "at": NOW}, "edit_log[1]: unknown fields ['at']"),
 ]
 
 NODE_REJECTS = [
@@ -604,6 +618,27 @@ class TestRecordRejects:
         assert [(a.note, a.created_at) for a in repo.assignments[:2]] == [(None, "")] * 2
         assert [e.cause for e in repo.edit_log[:2]] == ["", ""]
 
+    @pytest.mark.parametrize("section, width", [("artifacts", 8), ("assignments", 6),
+                                                ("edit_log", 4), ("taxonomy", 5)])
+    @pytest.mark.parametrize("fault", ["short", "long", "object", "null"])
+    def test_a_row_that_is_not_one_value_per_column(self, section, width, fault):
+        doc = json.loads(serialize_repository(base_repo()))
+        header, _, row, *_ = doc[section]
+        doc[section][2] = {"short": row[:-1], "long": [*row, None],
+                           "object": dict(zip(header, row)), "null": None}[fault]
+        where = "nodes" if section == "taxonomy" else section
+        assert load_error(doc) == (MalformedRecord, f"{where}[1]: expected a list of {width} values")
+
+    @pytest.mark.parametrize("section", ["artifacts", "assignments", "edit_log", "taxonomy"])
+    @pytest.mark.parametrize("change", ["missing", "reordered", "one column short", "empty"])
+    def test_a_section_without_its_header_row(self, section, change):
+        doc = json.loads(serialize_repository(base_repo()))
+        header, *rows = doc[section]
+        doc[section] = {"missing": rows, "reordered": [header[::-1], *rows],
+                        "one column short": [header[:-1], *rows], "empty": []}[change]
+        assert load_error(doc) == (
+            MalformedRecord, f"{section}: the first row must be the header {header}")
+
     def test_taxonomy_is_checked_before_the_records(self):
         doc = _reject("artifacts", 0, "x")
         doc["taxonomy"]["nodes"][1]["title"] = ""
@@ -696,12 +731,15 @@ def edge_records(repo):
 
 
 def decoder(section):
-    """The decoder of one stored record of ``section``, as a load decodes it."""
-    return lambda doc: store._decode(store._TABLES[section], [doc], section)[0]
+    """The decoder of one stored row of ``section``, as a load decodes it."""
+    if section == "taxonomy":
+        return lambda row: taxonomy._node_rows([row])[0]
+    return lambda row: store._decode(store._TABLES[section], [row], section)[0]
 
 
 class TestLineEncoders:
-    """Each record kind's line is ``json.dumps`` of its stored document."""
+    """Each record kind's line is ``json.dumps`` of its stored row; a node's
+    line in the structured format is ``json.dumps`` of its keyed document."""
 
     def test_lines_are_json_dumps_and_decode_to_equal_records(self):
         for seed in range(12):
@@ -709,32 +747,36 @@ class TestLineEncoders:
             if seed % 2:
                 repo = edge_records(repo)
             kinds = [
-                (repo.artifacts.values(), store._artifact_line, decoder("artifacts")),
-                (repo.assignments, store._assignment_line, decoder("assignments")),
-                (repo.edit_log, store._edit_line, decoder("edit_log")),
-                (repo.taxonomy.nodes.values(), taxonomy._node_line,
-                 lambda doc: taxonomy._structured_records({"nodes": [doc]})[0]),
+                (repo.artifacts.values(), store._artifact_row, decoder("artifacts")),
+                (repo.assignments, store._assignment_row, decoder("assignments")),
+                (repo.edit_log, store._edit_row, decoder("edit_log")),
+                (repo.taxonomy.nodes.values(), taxonomy._node_row, decoder("taxonomy")),
             ]
-            for records, line_of, decode in kinds:
+            for records, row_of, decode in kinds:
                 for record in records:
-                    line = line_of(record)
-                    doc = json.loads(line)
-                    assert line == json.dumps(doc, sort_keys=True, ensure_ascii=False)
-                    assert decode(doc) == record
+                    line = row_of(record)
+                    row = json.loads(line)
+                    assert line == json.dumps(row, ensure_ascii=False)
+                    assert decode(row) == record
+            for node in repo.taxonomy.nodes.values():
+                line = taxonomy._node_line(node)
+                doc = json.loads(line)
+                assert line == json.dumps(doc, sort_keys=True, ensure_ascii=False)
+                assert taxonomy._structured_records({"nodes": [doc]}) == [node]
 
     def test_empty_optional_fields_are_null_or_left_out(self):
         artifact = Artifact(id="R1", kind="requirement", title="One")
-        assert store._artifact_line(artifact) == (
-            '{"archived": false, "attrs": {}, "id": "R1", "kind": "requirement", "title": "One"}')
+        assert store._artifact_row(artifact) == (
+            '["R1", "requirement", "One", null, {}, null, null, false]')
         mark = linkage.Assignment("R1", None, linkage.MANUAL, linkage.UNCLASSIFIABLE)
-        assert store._assignment_line(mark) == (
-            '{"artifact_id": "R1", "code": null, "created_at": "", "note": null, '
-            '"provenance": "manual", "status": "unclassifiable"}')
+        assert store._assignment_row(mark) == (
+            '["R1", null, "manual", "unclassifiable", null, ""]')
+        assert taxonomy._node_row(TaxonomyNode("A", "Alpha")) == '["A", "Alpha", null, [], null]'
         assert taxonomy._node_line(TaxonomyNode("A", "Alpha")) == '{"code": "A", "title": "Alpha"}'
 
 
 class TestOneNodeEncoder:
-    """The structured taxonomy format is the text a repository stores under "taxonomy"."""
+    """A repository's node rows and the structured format hold the same nodes."""
 
     @pytest.mark.parametrize("edge", [False, True], ids=["canonical", "edge records"])
     def test_write_taxonomy_writes_the_stored_taxonomy(self, tmp_path, edge):
@@ -743,9 +785,12 @@ class TestOneNodeEncoder:
             repo = edge_records(repo)
         path = tmp_path / "repo.json"
         save_repository(repo, path)
-        stored = path.read_text(encoding="utf-8").partition('\n"taxonomy": ')[2]
-        assert stored.endswith("\n}\n")
-        assert taxonomy.write_taxonomy(repo.taxonomy, "structured") == stored[:-3] + "\n"
+        header, *rows = json.loads(path.read_text(encoding="utf-8"))["taxonomy"]
+        structured = json.loads(taxonomy.write_taxonomy(repo.taxonomy, "structured"))["nodes"]
+        assert [{k: v for k, v in zip(header, row) if v not in (None, [])} for row in rows] == (
+            structured)
+        assert taxonomy.parse_taxonomy(taxonomy.write_taxonomy(repo.taxonomy, "structured"),
+                                       "structured") == load_repository(path).taxonomy
 
 
 # Values as a save writes them, and per field the edge values that only a
@@ -773,6 +818,7 @@ ARTIFACT_EDGES = {
     "attrs": [None, {}, "x", [], {"n": 2}, {"f": 2.5}, {"t": True}, {"z": None}, {"l": [1]},
               {"d": {}}, {"a": "x", "n": 0}],
     "archived": [0, 1, "false", None],
+    "extra": [1],
 }
 
 SAVED_NODES = st.fixed_dictionaries(
@@ -801,6 +847,7 @@ ASSIGNMENT_EDGES = {
                linkage.CONFIRMED],
     "note": [None, "", ["x"], 5, False],
     "created_at": [None, "", 0, False, {"t": 1}],
+    "extra": [1],
 }
 EDIT_EDGES = {
     "op": ["move", "", None, 5, ["add"]],
@@ -808,6 +855,7 @@ EDIT_EDGES = {
     "endpoints": ["R1", None, [], ["R1"], ["R1", "A", "B"], ["R1", None], [5, "A"],
                   {"R1": "A"}],
     "cause": [None, "", ["x"], 0, True],
+    "extra": [1],
 }
 
 SAVED_ASSIGNMENTS = st.one_of(
@@ -862,97 +910,167 @@ def outcome(decode, value):
         return type(exc).__name__, str(exc)
 
 
+# A row of a schema-3 section to cut short or lengthen by one value: its
+# index, modulo the number of rows, and how.
+ROW_SHAPES = st.one_of(st.none(), st.tuples(st.integers(0, 6), st.sampled_from(["short", "long"])))
+
+
+def as_rows(records, columns, absent, shape):
+    """``records`` as rows of ``columns``, as a schema-3 file stores them, reshaped by ``shape``.
+
+    An object's fields go in column order, an absent one as ``absent``'s
+    value or null, and a key that is no column is dropped; any other
+    record stays as it is.
+    """
+    rows = [[record.get(c, absent.get(c)) for c in columns] if type(record) is dict else record
+            for record in records]
+    if shape is not None and rows and type(rows[shape[0] % len(rows)]) is list:
+        i = shape[0] % len(rows)
+        rows[i] = rows[i][:-1] if shape[1] == "short" else [*rows[i], None]
+    return rows
+
+
+def as_row_refusal(result, width):
+    """``result`` with a record refused as not an object refused as not a row of ``width`` values."""
+    kind, value = result
+    if kind == "MalformedRecord" and value.endswith(": expected an object"):
+        return kind, value.replace("expected an object", f"expected a list of {width} values")
+    return result
+
+
+def row_reference(oracle, rows, columns):
+    """The reference's outcome for ``rows``: each row of one value per column is the
+    object of its fields; a row of another length is refused where a non-object is."""
+    docs = [dict(zip(columns, row)) if type(row) is list and len(row) == len(columns) else None
+            for row in rows]
+    return as_row_refusal(outcome(oracle, docs), len(columns))
+
+
+def assert_both_forms_match_the_reference(decode, oracle, records, columns, absent, shape):
+    """``decode`` of ``records`` keyed, as schema 2 stores them, and as schema-3 rows
+    with their header row, each against the record-by-record ``oracle``.
+
+    When every record has a row that holds all of it, the two forms decode
+    to the same records, or are refused with the same message at the same
+    index.
+    """
+    keyed = outcome(lambda value: decode(value, True), records)
+    assert keyed == outcome(oracle, records)
+    rows = as_rows(records, columns, absent, shape)
+    got = outcome(lambda value: decode([list(columns), *value], False), rows)
+    assert got == row_reference(oracle, rows, columns)
+    if shape is None and all(set(r) <= set(columns) for r in records if type(r) is dict):
+        assert got == as_row_refusal(keyed, len(columns))
+
+
 class TestBulkDecoding:
-    """A load builds a taxonomy or artifacts section in one pass when every record
-    is as a save writes it; whatever the records, it decodes them as the
-    record-by-record reference does, or refuses them with its error."""
+    """A load builds a section in one pass when every record is as a save
+    writes it; whatever the records, keyed (schemas 1 and 2) or rows
+    (schema 3), it decodes them as the record-by-record reference does, or
+    refuses them with its error."""
 
     @seed(24)
     @settings(max_examples=400, deadline=None, database=None)
-    @given(sections(SAVED_NODES, NODE_EDGES, "code"))
+    @given(sections(SAVED_NODES, NODE_EDGES, "code"), ROW_SHAPES)
     @example([{"code": "A", "title": "Alpha"},
-              {"code": "ab -", "parent": " a", "title": " Alpha beta "}])
-    @example([{"code": "A", "title": "Alpha", "synonyms": []}])
-    def test_taxonomy_section_matches_the_reference(self, nodes):
-        got = outcome(lambda doc: [vars(node) for node in store._section("taxonomy", doc).nodes
-                                   .values()], {"nodes": nodes})
-        assert got == outcome(oracles.taxonomy_section_oracle, {"nodes": nodes})
+              {"code": "ab -", "parent": " a", "title": " Alpha beta "}], None)
+    @example([{"code": "A", "title": "Alpha", "synonyms": []}], None)
+    @example([{"code": "A", "title": "Alpha"}, {"code": "B", "title": " "}], (0, "long"))
+    def test_taxonomy_section_matches_the_reference(self, nodes, shape):
+        def decode(value, keyed):
+            stored = store._section("taxonomy", {"nodes": value} if keyed else value, keyed)
+            return [vars(node) for node in stored.nodes.values()]
+
+        assert_both_forms_match_the_reference(
+            decode, lambda value: oracles.taxonomy_section_oracle({"nodes": value}), nodes,
+            taxonomy._NODE_COLUMNS, {}, shape)
 
     @seed(24)
     @settings(max_examples=400, deadline=None, database=None)
-    @given(sections(SAVED_ARTIFACTS, ARTIFACT_EDGES, "id"))
+    @given(sections(SAVED_ARTIFACTS, ARTIFACT_EDGES, "id"), ROW_SHAPES)
     @example([{"id": "R1", "kind": "requirement", "title": "One", "attrs": {"n": 2},
-               "archived": False}])
-    def test_artifacts_section_matches_the_reference(self, records):
-        got = outcome(lambda value: list(map(vars, store._section("artifacts", value).values())),
-                      records)
-        assert got == outcome(oracles.artifacts_section_oracle, records)
+               "archived": False}], None)
+    @example([{"id": "R1", "kind": "requirement", "title": "One"},
+              {"id": "R1", "kind": "requirement", "title": "Two"}], (1, "short"))
+    def test_artifacts_section_matches_the_reference(self, records, shape):
+        assert_both_forms_match_the_reference(
+            lambda value, keyed: list(map(vars, store._section("artifacts", value,
+                                                               keyed).values())),
+            oracles.artifacts_section_oracle, records, store._TABLES["artifacts"].fields,
+            store._TABLES["artifacts"].absent, shape)
 
     @seed(29)
     @settings(max_examples=400, deadline=None, database=None)
-    @given(sections(SAVED_ASSIGNMENTS, ASSIGNMENT_EDGES, None))
+    @given(sections(SAVED_ASSIGNMENTS, ASSIGNMENT_EDGES, None), ROW_SHAPES)
     @example([{"artifact_id": "R1", "code": "A", "provenance": "manual", "status": "confirmed",
-               "note": None, "created_at": None}])
+               "note": None, "created_at": None}], None)
     @example([{"artifact_id": "R1", "code": None, "provenance": "manual",
-               "status": "unclassifiable"}])
-    @example([{"artifact_id": "R1", "code": "A", "provenance": "manual", "status": 1}])
+               "status": "unclassifiable"}], None)
+    @example([{"artifact_id": "R1", "code": "A", "provenance": "manual", "status": 1}], None)
     @example([{"artifact_id": "R1", "code": "A", "provenance": "manual", "status": "confirmed",
-               "note": False, "created_at": 0}])
-    def test_assignments_section_matches_the_reference(self, records):
-        got = outcome(lambda value: list(map(vars, store._section("assignments", value))),
-                      records)
-        assert got == outcome(oracles.assignments_section_oracle, records)
+               "note": False, "created_at": 0}], None)
+    def test_assignments_section_matches_the_reference(self, records, shape):
+        assert_both_forms_match_the_reference(
+            lambda value, keyed: list(map(vars, store._section("assignments", value, keyed))),
+            oracles.assignments_section_oracle, records, store._TABLES["assignments"].fields,
+            {}, shape)
 
     @seed(29)
     @settings(max_examples=400, deadline=None, database=None)
-    @given(sections(SAVED_EDITS, EDIT_EDGES, None))
+    @given(sections(SAVED_EDITS, EDIT_EDGES, None), ROW_SHAPES)
     @example([{"op": "add", "link_kind": "taxonomic", "endpoints": ["R1", "A"], "cause": None},
-              {"op": "add", "link_kind": "direct", "endpoints": ["R1", "G1"]}])
-    @example([{"op": "add", "link_kind": "direct", "endpoints": ["R1", "G1"], "cause": True}])
-    def test_edit_log_section_matches_the_reference(self, records):
-        got = outcome(lambda value: list(map(vars, store._section("edit_log", value))), records)
-        assert got == outcome(oracles.edit_log_section_oracle, records)
+              {"op": "add", "link_kind": "direct", "endpoints": ["R1", "G1"]}], None)
+    @example([{"op": "add", "link_kind": "direct", "endpoints": ["R1", "G1"], "cause": True}],
+             None)
+    def test_edit_log_section_matches_the_reference(self, records, shape):
+        assert_both_forms_match_the_reference(
+            lambda value, keyed: list(map(vars, store._section("edit_log", value, keyed))),
+            oracles.edit_log_section_oracle, records, store._TABLES["edit_log"].fields, {},
+            shape)
 
     def test_saved_sections_take_the_bulk_path(self, monkeypatch):
         # Each record of a saved file decodes in the one pass, and any edge
         # value sends its section to the record-by-record decoding.
         repo = edge_records(tricky_repo(random.Random(3)))
         doc = json.loads(serialize_repository(repo))
-        nodes, artifacts = doc["taxonomy"]["nodes"], doc["artifacts"]
-        assert taxonomy._saved_nodes(nodes) == list(repo.taxonomy.nodes.values())
+        nodes, artifacts = doc["taxonomy"][1:], doc["artifacts"][1:]
+        assert taxonomy._saved_nodes(list(zip(*nodes))) == list(repo.taxonomy.nodes.values())
         # A record kind of ``store`` is checked in one pass of its rules over
         # the columns, and a value a load accepts is converted in it too; only
         # a value it refuses is looked for record by record.
         checked = []
         real = store._fault
-        monkeypatch.setattr(store, "_fault", lambda rules, values: checked.append(
-            len(values(rules[0][0]))) or real(rules, values))
-        for name, records in [("artifacts", artifacts), ("assignments", doc["assignments"]),
-                              ("edit_log", doc["edit_log"])]:
+        monkeypatch.setattr(store, "_fault", lambda rules, values, converted=None: checked.append(
+            len(values(rules[0][0]))) or real(rules, values, converted))
+        for name in ("artifacts", "assignments", "edit_log"):
+            rows = doc[name][1:]
             checked.clear()
-            assert store._decode(store._TABLES[name], records, name) == (
+            assert store._decode(store._TABLES[name], rows, name) == (
                 sorted(repo.artifacts.values(), key=lambda a: a.id) if name == "artifacts"
                 else getattr(repo, name)), name
-            assert checked == [len(records)], name
+            assert checked == [len(rows)], name
+        columns = store._TABLES["artifacts"].fields
         for field, value, fault in [("attrs", {"n": 2}, None),
                                     ("archived", 0, "archived must be true or false"),
                                     ("kind", "requirment", "unknown artifact kind 'requirment'"),
                                     ("body", 5, "body must be a string or null")]:
             checked.clear()
-            records = [*artifacts, {**artifacts[0], "id": "new", field: value}]
+            changed = {**dict(zip(columns, artifacts[0])), "id": "new", field: value}
+            rows = [*artifacts, [changed[c] for c in columns]]
             if fault is None:
-                assert store._decode(store._TABLES["artifacts"], records, "")[-1].attrs == {
+                assert store._decode(store._TABLES["artifacts"], rows, "")[-1].attrs == {
                     "n": "2"}
-                assert checked == [len(records)], field
+                assert checked == [len(rows)], field
                 continue
             with pytest.raises(MalformedRecord) as caught:
-                store._decode(store._TABLES["artifacts"], records, "artifacts[{}]")
+                store._decode(store._TABLES["artifacts"], rows, "artifacts[{}]")
             assert str(caught.value) == f"artifacts[{len(artifacts)}]: {fault}"
-            assert checked[:2] == [len(records), 1], field
+            assert checked[:2] == [len(rows), 1], field
         for field, value in [("code", "a"), ("parent", " A"), ("title", " Alpha"),
-                             ("description", ""), ("synonyms", [" x"]), ("extra", 1)]:
-            assert taxonomy._saved_nodes([*nodes, {"code": "ZZ", "title": "Z", field: value}]) \
-                is None, field
+                             ("description", ""), ("synonyms", [" x"])]:
+            node = {**dict(zip(taxonomy._NODE_COLUMNS, ["ZZ", "Z", None, [], None])), field: value}
+            assert taxonomy._saved_nodes(list(zip(
+                *nodes, [node[c] for c in taxonomy._NODE_COLUMNS]))) is None, field
 
 
 def law_values():
@@ -968,7 +1086,7 @@ def law_values():
     for cls, edges in [(Artifact, ARTIFACT_EDGES), (linkage.Assignment, ASSIGNMENT_EDGES),
                        (linkage.EditRecord, EDIT_EDGES), (TaxonomyNode, NODE_EDGES)]:
         for name, edge in edges.items():
-            if (cls, name) in values:  # not a node's unknown field
+            if (cls, name) in values:  # not an unknown field
                 values[cls, name] += edge
     return values
 
@@ -1125,6 +1243,14 @@ class TestJsonlIngestion:
         source.write_text(bad, encoding="utf-8")
         assert cli.main(["--repo", path, "import", "artifacts", str(source)]) == 2
         assert capsys.readouterr().err == "error: line 4: unknown artifact kind 'poem'\n"
+
+    def test_an_unknown_key_is_refused(self):
+        # As in a schema 1 or 2 file, a key the record has no field for is
+        # refused, not dropped.
+        with pytest.raises(MalformedRecord) as info:
+            read_artifacts_jsonl('{"id": "A", "kind": "requirement", "title": "x"}\n'
+                                 '{"id": "B", "kind": "requirement", "title": "y", "codes": []}\n')
+        assert str(info.value) == "line 2: unknown fields ['codes']"
 
     def test_invalid_json_names_line(self):
         with pytest.raises(MalformedRecord, match="line 2"):

@@ -10,12 +10,14 @@ anything, warnings included, is printed; ``init`` and ``cost`` (access
 None) open no repository.
 ``assign``, ``unassign``, ``mark-unclassifiable`` and ``split`` declare
 ``touches``, the ids of the artifacts they edit: their artifact, and for
-``split`` the original and each ``--part``'s id.  When the sidecar's
-stamp vouches for the file, they decode the taxonomy, those artifacts
-and their assignments alone, and the save splices those, with the new
-artifacts, assignments and log entries, into the file's other bytes,
-which it copies unread.  ``import`` loads and encodes every record but
-the log's.
+``split`` the original and each ``--part``'s id; ``assign`` and
+``split`` declare ``codes`` too, the classes they assign.  When the
+sidecar's stamp vouches for the file, they decode only those artifacts,
+their assignments, and the classes that the command assigns or those
+assignments name, with their ancestors; the save splices the artifacts
+and assignments, with the new ones and the new log entries, into the
+file's other bytes, which it copies unread.  ``import`` loads and
+encodes every record but the log's.
 A ``READ`` handler also declares the ``sections`` of the file it reads:
 ``diff`` the artifacts (``ARTIFACTS``), ``suggest`` and ``audit`` the
 taxonomy too (``MODELS``), ``trace``, ``coverage`` and ``impact`` the
@@ -24,7 +26,8 @@ the file, only those are decoded and checked, and the others are left
 empty (``store.read_sections``).  ``suggest`` also declares
 ``touches``: of the artifacts it builds and checks only the one it
 ranks.  So under a forged stamp a hand edit of another artifact passes
-``suggest`` and those four edits unchecked.  ``validate`` declares
+``suggest`` and those four edits unchecked, and so does a hand edit of
+a class the edits do not decode.  ``validate`` declares
 None: it loads and checks the whole file, whatever the stamp says.
 ``main`` builds the parser of the subcommand that its arguments name
 (``parse_args``); help and usage errors are printed by the full parser.
@@ -143,6 +146,16 @@ def _artifact(args) -> tuple[str, ...]:
 def _split_ids(args) -> tuple[str, ...]:
     """The original and each part's id, as ``cmd_split`` reads them from ``--part``."""
     return (args.artifact_id, *(spec.partition(":")[0] for spec in args.part))
+
+
+def _code(args) -> tuple[str, ...]:
+    """The one class a command assigns."""
+    return (args.code,)
+
+
+def _part_codes(args) -> tuple[str, ...]:
+    """Each part's classes, as ``cmd_split`` reads them from ``--part``."""
+    return tuple(c for spec in args.part for c in spec.partition(":")[2].split(",") if c.strip())
 
 
 def _model_objects(repo: store.Repository, label: str) -> list[store.Artifact]:
@@ -389,7 +402,8 @@ _FILTER_HELP = "equal|ancestor|descendant|equal-or-descendant|sibling|neighborho
 
 # Every subcommand, in the order --help lists them: its help, its defaults
 # (access, sections and, for a handler that reads or edits named artifacts
-# alone, ``touches``, the function giving their ids) and its arguments.
+# alone, ``touches``, the function giving their ids, and ``codes``, giving
+# the classes it assigns) and its arguments.
 # Its handler is the function ``cmd_<name>``, with "-" as "_", found when
 # its parser is built.
 _COMMANDS = {
@@ -411,7 +425,8 @@ _COMMANDS = {
         _arg("artifact_id"),
         _arg("-n", type=int, default=5),
     ]),
-    "assign": ("link an artifact to a class", dict(access=EDIT, touches=_artifact), [
+    "assign": ("link an artifact to a class",
+               dict(access=EDIT, touches=_artifact, codes=_code), [
         _arg("artifact_id"),
         _arg("code"),
         _arg("--provenance", choices=sorted(linkage.PROVENANCES), default=linkage.MANUAL),
@@ -427,7 +442,7 @@ _COMMANDS = {
         _arg("--note"),
     ]),
     "split": ("replace an artifact by parts, reallocating codes",
-              dict(access=EDIT, touches=_split_ids), [
+              dict(access=EDIT, touches=_split_ids, codes=_part_codes), [
         _arg("artifact_id"),
         _arg("--part", action="append", required=True, metavar="NEW_ID:CODE[,CODE...]",
              help="repeat once per part"),
@@ -535,7 +550,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    touches = getattr(args, "touches", None)
+    touches, codes = getattr(args, "touches", None), getattr(args, "codes", None)
     only = touches(args) if touches else None
     try:
         if args.access is None:
@@ -546,7 +561,7 @@ def main(argv=None) -> int:
             with store._gc_paused():
                 out = args.func(args, store.read_sections(_repo_path(args), args.sections, only))
         else:
-            with store.editing(_repo_path(args), only) as repo:
+            with store.editing(_repo_path(args), only, codes(args) if codes else ()) as repo:
                 out = args.func(args, repo)
         for w in out.warnings:
             print(f"warning: {w}", file=sys.stderr)

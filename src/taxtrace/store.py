@@ -32,34 +32,22 @@ first faulty record by index, the header not counted.  The taxonomy's
 nodes are decoded alike (``taxonomy``).
 
 Commands that change the repository go through ``editing``: one writer
-at a time holds an exclusive lock on the sidecar file ``<path>.lock``.
-The save keeps the edit log's lines and encodes every other record.  An
-edit of some artifacts' records, as ``assign``, ``unassign``,
-``mark-unclassifiable`` and ``split`` are, names those artifacts, and
-may add one under a name that is absent, as a split adds its parts:
-while the stamp vouches for a file that holds no backslash, it decodes
-the taxonomy, the named artifacts and their assignments alone, and its
-save encodes those again and splices them, with the new artifacts,
-assignments and log entries, into the file's other bytes, copied unread.
-So under a forged stamp a hand edit of another artifact's records passes
-it unchecked.  The sidecar never holds data, only the stamp of the bytes
-last saved, which ``editing`` and ``save_repository`` write; deleting it
-costs the next command one full load.  Library callers that mutate a
-repository and ``save_repository`` it take no lock, so they must not run
-alongside a command that edits the same file.
-
-Read commands go through ``read_sections``, which reads the stamp but
-never creates or writes the sidecar.  While the stamp vouches for the
-file, they decode and check only the sections they read, each parsed in
-place, and leave the others empty; a command that reads named artifacts
-builds and checks those records alone, so under a forged stamp a hand
-edit of any other artifact passes it unchecked.  ``load_repository`` and
-``deserialize_repository`` always decode and check every section.
-
-The edit log is append-only.  Inside ``editing``, ``repo.edit_log`` starts
-empty and holds only the entries the block appends; the save writes the
-file's log lines and then theirs.  While the sidecar vouches for the file,
-the log's lines are kept as text, neither decoded nor checked.
+at a time holds an exclusive lock on the sidecar file ``<path>.lock``,
+which holds no data, only the stamp of the bytes last saved; deleting it
+costs the next command one full load.  Read commands go through
+``read_sections``, which only reads it.  While the stamp vouches for a
+file, a command reads only what it needs: a read, its sections; ``assign``,
+``unassign``, ``mark-unclassifiable`` and ``split``, the rows of their
+artifacts, of those artifacts' assignments and of the classes either
+names, with their ancestors, and the save splices the records back into
+the file's other bytes, the log's lines included, copied unread.  So
+under a forged stamp a hand edit of any other record passes them
+unchecked; ``load_repository`` and ``deserialize_repository`` check
+every section.  The edit log is append-only: inside ``editing``,
+``repo.edit_log`` holds only the entries the block appends, which the
+save writes after the file's log lines.  Library callers that mutate a
+repository and ``save_repository`` it take no lock, so they must not
+run alongside a command that edits the same file.
 
 Records are values.  An edit replaces a record with a changed copy
 (``dataclasses.replace``) at its key or position, and never sets a field
@@ -75,7 +63,6 @@ caller's other threads run without cyclic collection meanwhile.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import csv
 import fcntl
@@ -86,6 +73,7 @@ import itertools
 import json
 import operator
 import os
+import re
 import shutil
 import zlib
 from dataclasses import dataclass, field, fields
@@ -93,6 +81,7 @@ from typing import NamedTuple
 
 from .errors import (
     DuplicateId,
+    EmptyCode,
     MalformedRecord,
     ReferentialIntegrityError,
     RepositoryIOError,
@@ -101,9 +90,9 @@ from .errors import (
     TaxTraceError,
     UnknownId,
 )
-from .taxonomy import (_NODE_COLUMNS, _NODE_HEADER, _STR, _STR_OR_NONE, Taxonomy, _build,
-                       _keyed_as_rows, _node_rows, _record_lines, _stored_text,
-                       _structured_records, _text)
+from .taxonomy import (_NODE_COLUMNS, _NODE_HEADER, _STR, _STR_OR_NONE, Taxonomy, TaxonomyNode,
+                       _build, _keyed_as_rows, _node_row, _node_rows, _record_lines,
+                       _stored_text, _structured_records, _text, normalize_code)
 
 REQUIREMENT = "requirement"
 DESIGN_OBJECT = "design-object"
@@ -572,33 +561,6 @@ def _rows(value, key: str, columns: tuple[str, ...]) -> list:
     return records[1:]
 
 
-def _one_artifact(rows: list, ids: tuple[str, ...]) -> tuple[dict[str, Artifact], list]:
-    """The artifacts of the stored ``rows``, holding at most the artifacts ``ids``.
-
-    Only those records are decoded and checked, as a load does and under
-    the same ``artifacts[i]`` location; an absent id is left out.  Of the
-    others only the id, the first value, is looked at: the list of every
-    record's id, in file order, is returned too.  Rows that are not all
-    lists of one value per field, or that hold one of ``ids`` twice, are
-    decoded in full, which raises what a load raises.
-    """
-    table = _TABLES["artifacts"]
-    if {list}.issuperset(map(type, rows)) and {len(table.fields)}.issuperset(map(len, rows)):
-        stored = list(map(operator.itemgetter(0), rows))
-        artifacts = {}
-        for artifact_id in ids:
-            count = stored.count(artifact_id)
-            if count > 1:
-                break
-            if count:
-                i = stored.index(artifact_id)
-                [artifacts[artifact_id]] = _decode(table, [rows[i]], f"artifacts[{i}]")
-        else:
-            return artifacts, stored
-    _by_id(_decode(table, rows, "artifacts[{}]"))  # raises: a faulty row, or an id twice
-    raise AssertionError("unreachable")
-
-
 # The order in which a load decodes the sections, which is also the order
 # of ``Repository``'s fields: the first fault in it is the one reported.
 _LOAD_ORDER = ("taxonomy", "artifacts", "assignments", "edit_log")
@@ -772,6 +734,8 @@ def _put_stamp(sidecar: int, stamp: bytes) -> None:
 # newline, so in a file this module wrote no other line starts so.
 _SECTIONS = ("artifacts", "assignments", "edit_log", "schema_version", "taxonomy")
 _raw_decode = json.JSONDecoder().raw_decode
+# A line break in the edit log that does not stand in "],\n[".
+_ODD_BREAK = re.compile(r"\n(?:(?!\[)|(?<!\],\n))")
 
 
 class _OtherLayout(Exception):
@@ -784,8 +748,8 @@ def _spans(text: str) -> dict[str, tuple[int, int]]:
     A value runs from its header to the comma before the next header, the
     last one to the closing "\\n}\\n".  ``_OtherLayout`` unless the headers
     are in order, each value but the last is followed by a comma, each
-    record section's header row stands on a line of its own, and the
-    schema version is the current one.
+    record section's header row stands on a line of its own and its list
+    closes on one, and the schema version is the current one.
     """
     if not (text.startswith("{") and text.endswith("\n}\n")):
         raise _OtherLayout
@@ -803,9 +767,10 @@ def _spans(text: str) -> dict[str, tuple[int, int]]:
     if text[slice(*span["schema_version"])] != str(SCHEMA_VERSION):
         raise _OtherLayout
     for name, header in _HEADERS.items():
-        start = span[name][0]
+        start, end = span[name]
         if not (text.startswith(f"[\n{header}", start)
-                and text.startswith(("\n]", ",\n["), start + 2 + len(header))):
+                and text.startswith(("\n]", ",\n["), start + 2 + len(header))
+                and text.startswith("\n]", end - 2)):
             raise _OtherLayout
     return span
 
@@ -813,49 +778,119 @@ def _spans(text: str) -> dict[str, tuple[int, int]]:
 def _log_lines(text: str, start: int, end: int) -> tuple[int, int]:
     """The offsets of the record lines of the edit log ``text[start:end]``; equal for none.
 
-    ``_spans`` has checked that its header row stands on a line of its
-    own.  ``_OtherLayout`` unless the log holds one row per line: the list
-    closes "]\\n]", and every line break after the header stands in
-    "],\\n[", so each line runs from "[" to "]".  The lines are neither
-    decoded nor checked.
+    ``_OtherLayout`` unless the list closes "]\\n]" and one scan finds no
+    line break after the header row outside "],\\n[": one row per line.
     """
     start, end = start + 2 + len(_HEADERS["edit_log"]), end - 2
-    if not (text.startswith("]\n]", end - 1)
-            and text.count("\n", start, end) == text.count("],\n[", start - 1, end)):
+    if not text.startswith("]\n]", end - 1) or _ODD_BREAK.search(text, start, end):
         raise _OtherLayout
     return (start + 2, end) if start < end else (end, end)
 
 
-def _value(text: str, start: int, end: int):
-    """The JSON value that fills ``text[start:end]``, parsed in place, copying no part of it."""
+def _parsed(text: str, pos: int):
+    """The JSON value at ``pos``, parsed in place, and the offset past it; else ``_OtherLayout``."""
     try:
-        value, stop = _raw_decode(text, start)
+        return _raw_decode(text, pos)
     except json.JSONDecodeError:
         raise _OtherLayout from None
+
+
+def _value(text: str, start: int, end: int):
+    """The JSON value that fills ``text[start:end]``, parsed in place, copying no part of it."""
+    value, stop = _parsed(text, start)
     if stop != end:
         raise _OtherLayout
     return value
+
+
+def _rows_at(span: dict[str, tuple[int, int]], name: str) -> tuple[int, int]:
+    """Where section ``name``'s record lines are: from the end of its header row to its end."""
+    return span[name][0] + 2 + len(_HEADERS[name]), span[name][1]
+
+
+def _line(text: str, pos: int) -> tuple[int, int, list]:
+    """The offsets of the record line at ``pos`` and its row, which must fill it, parsed."""
+    row, stop = _parsed(text, pos)
+    if not text.startswith((",\n[", "\n]"), stop):
+        raise _OtherLayout
+    return pos, stop, row
+
+
+def _headed(text: str, start: int, end: int, keys, once: bool = True) -> list:
+    """The record lines in ``text[start:end]`` keyed by one of ``keys``, in file order (``_line``).
+
+    A line is found by its head "\\n[<key>, ", as a save writes it; with
+    ``once``, ``_OtherLayout`` for a key that heads two lines.
+    """
+    found = []
+    for key in keys:
+        head = f"\n[{_text(key)}, "
+        pos = text.find(head, start, end)
+        while pos >= 0:
+            found.append(_line(text, pos + 1))
+            pos = text.find(head, found[-1][1], end)
+            if once and pos >= 0:
+                raise _OtherLayout
+    found.sort(key=operator.itemgetter(0))
+    return found
+
+
+def _key_at(text: str, pos: int) -> str:
+    """The key of the record line at ``pos``: a string, then ", "; else ``_OtherLayout``."""
+    key, stop = _parsed(text, pos + 1)
+    if type(key) is not str or not text.startswith(", ", stop):
+        raise _OtherLayout
+    return key
+
+
+def _place(text: str, start: int, end: int, key: str) -> int | None:
+    """The offset of the first record line in ``text[start:end]`` whose key is not below ``key``.
+
+    The lines are sorted by key, as a save writes artifacts and classes;
+    None when every key is below.  Each step of the bisection reads the
+    key of the first line at or after the middle (``_key_at``), and those
+    on either side of the place are read.
+    """
+    lo, hi, place = start, end, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        pos = text.find("\n[", mid, hi + 1) + 1  # a line whose line break is in [mid, hi)
+        if not pos:
+            hi = mid
+        elif _key_at(text, pos) < key:
+            lo = pos
+        else:
+            hi, place = pos - 1, pos
+    return place
+
+
+def _named(text: str, span: dict[str, tuple[int, int]], ids) -> tuple[dict, dict, dict]:
+    """Those of the artifacts ``ids`` present, decoded and checked, their lines, and the others'
+    places (``_place``).  A line is found by its head (``_headed``), or, for an id written
+    with escapes, at its place."""
+    start, end = _rows_at(span, "artifacts")
+    found, places = _headed(text, start, end, ids), {}
+    for artifact_id in set(ids) - {row[0] for *_, row in found}:
+        place = places[artifact_id] = _place(text, start, end, artifact_id)
+        if place is not None and _key_at(text, place) == artifact_id:
+            found.append(_line(text, places.pop(artifact_id)))
+            stop = found[-1][1]
+            if text.startswith(",\n", stop) and _key_at(text, stop + 2) == artifact_id:
+                raise _OtherLayout  # the id heads two lines
+    artifacts = _by_id(_decode(_TABLES["artifacts"], [row for *_, row in found], "artifacts[{}]"))
+    return artifacts, {row[0]: (pos, stop) for pos, stop, row in found}, places
 
 
 def _load_vouched(text: str, sections: tuple[str, ...],
                   ids: tuple[str, ...] | None = None) -> tuple[Repository, str] | None:
     """The repository of ``text``, a file its stamp vouches for, with only ``sections`` read.
 
-    Each of the taxonomy, artifacts and assignments named is parsed in
-    place (``_value``), then decoded and checked as
-    ``deserialize_repository`` does, and so is the repository
-    (``check_integrity``).  With ``ids`` given, the artifacts hold those
-    of them that are present: the section's other records are parsed but
-    neither built nor checked (``_one_artifact``), so under a forged
-    stamp a hand edit of one of them passes unchecked.
-    Every other section is left empty and unchecked, but "edit_log" named
-    returns the log's record lines as they stand in ``text``, unread.
-    None unless ``text`` is laid out as a save writes it (``_spans``), a
-    read section ends at the next header and the log holds one record per
-    line (``_log_lines``).  The caller then loads the file in full.  A
-    section not read is not scanned either, so a key repeated inside one
-    under a forged stamp goes unseen, where the full load takes the last
-    of two equal keys.
+    Each section named is parsed in place (``_value``) and checked as a
+    load checks it, of the artifacts only ``ids`` when given (``_named``);
+    the others are left out unread, but "edit_log" named returns the log's
+    lines as text.  None when ``text`` is not laid out as a save writes it
+    (``_spans``, ``_log_lines``), or a check fails: the caller then loads
+    it in full, which reports the fault as a load does.
     """
     try:
         span = _spans(text)
@@ -863,15 +898,13 @@ def _load_vouched(text: str, sections: tuple[str, ...],
         fields = {"taxonomy": Taxonomy()}
         for name in _LOAD_ORDER[:-1]:  # all but the log, which is never decoded here
             if name in sections:
-                value = _value(text, *span[name])
-                fields[name] = (_one_artifact(_rows(value, name, _TABLES[name].fields), ids)[0]
-                                if name == "artifacts" and ids is not None
-                                else _section(name, value))
-                del value  # a parsed section is dropped once decoded
-    except _OtherLayout:
+                named = name == "artifacts" and ids is not None
+                fields[name] = (_named(text, span, ids)[0] if named
+                                else _section(name, _value(text, *span[name])))
+        repo = Repository(**fields)
+        check_integrity(repo)
+    except (_OtherLayout, TaxTraceError):
         return None
-    repo = Repository(**fields)
-    check_integrity(repo)
     return repo, log
 
 
@@ -880,14 +913,11 @@ def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None,
     """The repository at ``path``, with only ``sections`` read when its sidecar vouches for it.
 
     ``sections`` names some of "taxonomy", "artifacts" and "assignments".
-    When the sidecar ``<path>.lock`` holds the stamp of the file's bytes,
-    only those are decoded and checked (``_load_vouched``); with the
-    artifact ``ids`` given too, of the artifacts only those are built and
-    checked, so a hand edit of another artifact passes unchecked under a
-    forged stamp.  Otherwise, and always with ``sections`` None, this is
-    ``load_repository``: all are.
-    The sidecar is only read, never created or written.  The cyclic
-    garbage collector is paused meanwhile.
+    While the sidecar ``<path>.lock`` holds the stamp of the file's bytes,
+    only those are read, and of the artifacts only ``ids`` when given
+    (``_load_vouched``).  Otherwise, with ``sections`` None, or when a
+    check fails, this is ``load_repository``.  The sidecar is only read.
+    The cyclic garbage collector is paused meanwhile.
     """
     if sections is None:
         return load_repository(path)
@@ -907,106 +937,86 @@ def read_sections(path: str | os.PathLike, sections: tuple[str, ...] | None,
 # --- editing: one locked writer, keeping the edit log's lines ---
 
 
-def _load_one(text: str, ids: tuple[str, ...]):
+def _classes(text: str, span: dict[str, tuple[int, int]], codes: set[str] | None) -> Taxonomy:
+    """The classes ``codes`` of ``text`` and their ancestors, or with ``codes`` None all of them.
+
+    The rows are found by their heads (``_headed``), a generation of
+    parents at a time, and decoded and checked together; an absent code's
+    place is read (``_place``).  ``_OtherLayout`` unless each row read is
+    its node's encoding, as the save copies the section unread.
+    """
+    if codes is None:
+        taxonomy = _section("taxonomy", _value(text, *span["taxonomy"]))
+        if _stored_text(taxonomy) != text[slice(*span["taxonomy"])]:
+            raise _OtherLayout
+        return taxonomy
+    start, end = _rows_at(span, "taxonomy")
+    found, seen = {}, set()
+    while codes:
+        seen |= codes
+        found.update((line[2][0], line) for line in _headed(text, start, end, codes))
+        for code in codes - found.keys():
+            _place(text, start, end, code)
+        codes = {parent for *_, row in found.values() for parent in row[4:5]
+                 if type(parent) is str} - seen
+    lines = sorted(found.values(), key=operator.itemgetter(0))
+    nodes = _node_rows([row for *_, row in lines])
+    if list(map(_node_row, nodes)) != [text[pos:stop] for pos, stop, _ in lines]:
+        raise _OtherLayout
+    return _build(nodes)
+
+
+def _load_one(text: str, ids: tuple[str, ...], codes):
     """The repository of ``text`` holding the records of the artifacts ``ids``, and their save.
 
-    ``text`` is a file its stamp vouches for, holding no backslash, so
-    every string in it is written as a save writes it.  The repository
-    holds the taxonomy, decoded and checked as a load does; those of the
-    artifacts that are present, an absent id loading as absent
-    (``_one_artifact``); their assignments, each found as a line after
-    the header that starts ``[<its id>, ``, decoded together in file
-    order; and an empty log.  ``check_integrity`` checks them.  No other
-    record is checked, and the log is not read.  The only other record
-    built is, for each absent id, the stored artifact whose line a new
-    line of that id would precede: its line is found by encoding it, as a
-    present artifact's is, and the id's place is found by bisecting the
-    stored ids.  An id whose line would follow every other goes at the
-    section's end.
-
-    Returns the repository and a function that, given it after the edit,
-    returns the pieces of the file to write (``_spliced``).  Raises
-    ``_OtherLayout`` unless ``text`` is laid out as a save writes it
-    (``_spans``, ``_log_lines``) and each artifact line looked for is
-    exactly its artifact's encoding; a fault in a record read raises a
-    ``TaxTraceError``, as a load does.
+    ``text`` is a file its stamp vouches for, holding no backslash.  The
+    repository holds those of the artifacts present (``_named``) and their
+    assignments, found by their line heads (``_headed``); the classes
+    ``codes`` in normal form (one that normalizes to nothing left out, for
+    ``linkage`` to refuse), those the assignments name and their
+    ancestors, or all with ``codes`` None (``_classes``); and an empty
+    log.  It is checked as a load checks it.  The save is ``_spliced``.
     """
     ids = tuple(dict.fromkeys(ids))
     span = _spans(text)
     _log_lines(text, *span["edit_log"])
-    taxonomy = _section("taxonomy", _value(text, *span["taxonomy"]))
-    start, end = span["artifacts"]
-    table = _TABLES["artifacts"]
-    rows = _rows(_value(text, start, end), "artifacts", table.fields)
-    artifacts, stored = _one_artifact(rows, ids)
-
-    def line_of(artifact: Artifact) -> tuple[int, int]:
-        encoded = _artifact_row(artifact)
-        pos = text.find(f"\n{encoded}", start, end) + 1
-        if not pos:
-            raise _OtherLayout
-        return pos, pos + len(encoded)
-
-    lines = {artifact_id: line_of(artifact) for artifact_id, artifact in artifacts.items()}
-    places: dict[str, int | None] = {}
-    for artifact_id in ids:
-        if artifact_id in artifacts:
-            continue
-        if not _STR.issuperset(map(type, stored)):  # bisect compares them with ``artifact_id``
-            raise _OtherLayout
-        i = bisect.bisect_left(stored, artifact_id)
-        if i == len(stored):
-            places[artifact_id] = None
-        else:
-            after = artifacts.get(stored[i]) or _decode(table, [rows[i]], f"artifacts[{i}]")[0]
-            places[artifact_id] = line_of(after)[0]
-    del rows
-    start, end = span["assignments"]
-    start += 2  # past the header row's line break, so that its line is not found
-    found = []
-    for artifact_id in ids:
-        head = f"\n[{_text(artifact_id)}, "
-        pos = text.find(head, start, end)
-        while pos >= 0:
-            try:
-                row, stop = _raw_decode(text, pos + 1)
-            except json.JSONDecodeError:
-                raise _OtherLayout from None
-            found.append((pos + 1, stop, row))
-            pos = text.find(head, stop, end)
-    found.sort(key=lambda record: record[0])
+    artifacts, lines, places = _named(text, span, ids)
+    found = _headed(text, *_rows_at(span, "assignments"), ids, once=False)
     assignments = _decode(_TABLES["assignments"], [row for *_, row in found], "assignments[{}]")
+    if codes is not None:
+        named = {a.code for a in assignments if a.code is not None}
+        for code in codes:
+            with contextlib.suppress(EmptyCode):
+                named.add(normalize_code(code))
+        codes = named
+    taxonomy = _classes(text, span, codes)
     repo = Repository(taxonomy, artifacts, assignments)
     check_integrity(repo)
-    codes = set(taxonomy.nodes)
+    classes = {code: TaxonomyNode(node.code, node.title, node.description, [*node.synonyms],
+                                  node.parent) for code, node in taxonomy.nodes.items()}
     links = [(pos, stop) for pos, stop, _ in found]
-    return repo, lambda edited: _spliced(text, span, ids, lines, places, links, codes, edited)
+    return repo, lambda edited: _spliced(text, span, ids, lines, places, links, classes, edited)
 
 
 def _spliced(text: str, span: dict[str, tuple[int, int]], ids: tuple[str, ...],
              lines: dict[str, tuple[int, int]], places: dict[str, int | None],
-             links: list[tuple[int, int]], codes: set[str], repo: Repository):
+             links: list[tuple[int, int]], classes: dict[str, TaxonomyNode], repo: Repository):
     """The pieces of ``text`` with the records of ``repo``, loaded by ``_load_one``, put back.
 
-    The taxonomy, each loaded artifact (at ``lines``) and each loaded
-    assignment (at ``links``) are encoded again at their places.  A new
-    artifact goes in at its place in ``places``, before the line found
-    there or at the section's end, after any other new artifact of the
-    same place with a lower id.  New assignments and new log entries are
-    added at the end of their sections, and every other character is
-    copied.  ValueError, before anything is encoded, when the edit reached
-    beyond what was loaded: an artifact removed or added under an id not
-    in ``ids``, fewer assignments, an assignment of an artifact not in
-    ``ids``, or a class removed, which another artifact's assignments may
-    name.  Then the records are checked as a save checks them
-    (``_check_saved``).
+    Each loaded artifact (at ``lines``) and assignment (at ``links``) is
+    encoded again in its place, a new artifact goes in at its place in
+    ``places`` (in id order), new assignments and log entries at the end
+    of their sections, and every other character is copied.  ValueError,
+    before anything is encoded, when the edit reached beyond what was
+    loaded: an artifact not in ``ids`` added or one removed, fewer
+    assignments, one of an artifact not in ``ids``, or a class changed.
     """
     artifacts, assignments = repo.artifacts, repo.assignments
     named = set(ids)
     if (not lines.keys() <= artifacts.keys() <= named
             or len(assignments) < len(links)
             or any(a.artifact_id not in named for a in assignments)
-            or not repo.taxonomy.nodes.keys() >= codes):
+            or repo.taxonomy.nodes != classes):
         raise ValueError(f"an edit of artifact {ids[0]!r} changed other records")
     edits = [(*lines[i], _artifact_row(artifacts[i])) for i in lines]
     edits += [(*link, _assignment_row(a)) for link, a in zip(links, assignments)]
@@ -1021,7 +1031,6 @@ def _spliced(text: str, span: dict[str, tuple[int, int]], ids: tuple[str, ...],
         _appended(span["artifacts"], last),
         _appended(span["assignments"], map(_assignment_row, assignments[len(links):])),
         _appended(span["edit_log"], map(_edit_row, repo.edit_log)),
-        (*span["taxonomy"], _stored_text(repo.taxonomy)),
     ]
     _check_saved(repo)
     edits.sort(key=lambda edit: edit[:2])  # stable: new lines of one place stay in id order
@@ -1044,17 +1053,16 @@ def _pieces(text: str, edits: list[tuple[int, int, str]]):
     yield text[pos:]
 
 
-def _load_for_edit(text: str, trusted: bool, ids: tuple[str, ...] | None):
+def _load_for_edit(text: str, trusted: bool, ids: tuple[str, ...] | None, codes):
     """The repository of ``text`` for ``editing``, and the function giving the pieces of its save.
 
     With ``ids`` given, a file the stamp vouches for, holding no
-    backslash, loads those artifacts' records alone (``_load_one``).  A
-    file in another layout, or one in which they fail a check, loads as
-    without ``ids``, so a fault is reported as a load reports it.
+    backslash, loads only what they and ``codes`` name (``_load_one``);
+    else, or when a check fails, as without them.
     """
     if trusted and ids is not None and "\\" not in text:
         try:
-            return _load_one(text, ids)
+            return _load_one(text, ids, codes)
         except (_OtherLayout, TaxTraceError):
             pass
     kept = _load_vouched(text, _LOAD_ORDER) if trusted else None
@@ -1067,7 +1075,7 @@ def _load_for_edit(text: str, trusted: bool, ids: tuple[str, ...] | None):
 
 
 @contextlib.contextmanager
-def editing(path: str | os.PathLike, ids: tuple[str, ...] | None = None):
+def editing(path: str | os.PathLike, ids: tuple[str, ...] | None = None, codes=None):
     """Load the repository at ``path`` for one edit, and save it if the block succeeds.
 
     An exclusive ``flock`` on the sidecar ``<path>.lock`` (next to a
@@ -1078,31 +1086,21 @@ def editing(path: str | os.PathLike, ids: tuple[str, ...] | None = None):
     ``<path>.tmp`` is deleted: only a writer killed mid-save leaves one.
 
     The block's ``repo.edit_log`` starts empty and is only appended to.
-    The save writes the file's log lines, then the block's entries, and
-    encodes every other record, so the file gets the bytes of
-    ``serialize_repository``.
-
-    After a save, the sidecar holds the ``_stamp`` of the bytes written,
-    rewritten in place because renaming over a locked file would void the
-    lock.  When the file still holds exactly those bytes, the log's lines
-    are kept as text, neither decoded nor checked, and every other section
-    loads with every check ``load_repository`` makes (``_load_vouched``).
-    Otherwise (no sidecar, a stamp of an older schema or codec revision, a
-    log not one row per line, a hand edit) the whole file loads with those
-    checks, and its log is encoded to lines at once.
+    The file gets the bytes of ``serialize_repository``, and the sidecar
+    the ``_stamp`` of them, rewritten in place because renaming over a
+    locked file would void the lock.  While the file still holds exactly
+    those bytes, the log's lines are kept as text, unread, and every other
+    section loads with every check ``load_repository`` makes
+    (``_load_vouched``); else the whole file does.
 
     With the artifact ``ids`` given, the block edits those artifacts'
-    records alone, and may add an artifact under an id of them that is
-    absent, as ``split`` adds its parts.  While the stamp vouches for a
-    file that holds no backslash, the repository holds only the taxonomy,
-    those of the artifacts that are present and their assignments, and the
-    save encodes those again and splices them, with the new artifacts,
-    assignments and log entries, into the file's other bytes, which are
-    copied unread (``_load_one``).  So under a forged stamp a hand edit of
-    another artifact's records is copied unchecked.  The file gets the
-    bytes of a full load, the same edit and ``serialize_repository``.  A
-    block that changes any other record raises ValueError, and nothing is
-    written.
+    records alone, and may add one under an id of them that is absent, as
+    ``split`` adds its parts; ``codes`` names the classes it may assign,
+    None for any.  While the stamp vouches for a file that holds no
+    backslash, only their records and those classes, the assignments'
+    classes and their ancestors are loaded, and the save splices them back
+    into the file's other bytes, copied unread (``_load_one``).  A block
+    that changes any other record, or a class, raises ValueError.
 
     The load and the encode run with the cyclic garbage collector paused
     (``_gc_paused``); the block runs with it as the caller left it.
@@ -1128,7 +1126,7 @@ def editing(path: str | os.PathLike, ids: tuple[str, ...] | None = None):
         with _gc_paused():
             text = data.decode("utf-8")
             del data  # the file is held once, as text
-            repo, save = _load_for_edit(text, trusted, ids)
+            repo, save = _load_for_edit(text, trusted, ids, codes)
             del text
         yield repo
         with _gc_paused():

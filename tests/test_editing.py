@@ -915,6 +915,19 @@ def built_artifacts(monkeypatch):
     return built
 
 
+def decoded_classes(monkeypatch):
+    """The codes of the taxonomy rows ``store`` decodes from now on, in order."""
+    codes = []
+    real = store._node_rows
+
+    def nodes(rows):
+        codes.extend(row[0] for row in rows)
+        return real(rows)
+
+    monkeypatch.setattr(store, "_node_rows", nodes)
+    return codes
+
+
 VOUCHING, STALE_STAMP, NO_SIDECAR = "stamp vouching", "stamp stale", "no sidecar"
 
 
@@ -1017,6 +1030,43 @@ class TestVouchedReads:
                        capsys) == 0
         assert decoded == {"taxonomy": 1, "assignments": own, "edit_log": 0}
         assert read(marked_path) == canonical(marked_path)
+
+    def test_one_artifact_edits_decode_only_the_classes_they_name(self, marked_path, capsys,
+                                                                 monkeypatch):
+        # R1 holds 18B, below 1, and T0 holds 18B too; 31B is below 31, below 3.
+        classes, built = decoded_classes(monkeypatch), built_artifacts(monkeypatch)
+
+        def run(argv, code=0):
+            classes.clear()
+            built.clear()
+            assert cli.main(["--repo", marked_path, *argv]) == code
+            capsys.readouterr()
+            return sorted(classes), built
+
+        assert run(["assign", "R1", "63FH"]) == (["1", "18B", "63FH"], ["R1"])
+        assert run(["assign", "R1", "31b -"]) == (["1", "18B", "3", "31", "31B", "63FH"], ["R1"])
+        # A split builds the original and those of its parts that are stored:
+        # none, or T0, which is refused.
+        assert run(["split", "R2", "--part", "R2a:2", "--part", "R2b:63n"]) == (
+            ["2", "63N"], ["R2"])
+        assert run(["split", "R3", "--part", "R3a:3", "--part", "T0:"], 2) == (
+            ["1", "18B", "3"], ["R3", "T0"])
+        assert read(marked_path) == canonical(marked_path)
+
+    @pytest.mark.parametrize("state", [STALE_STAMP, NO_SIDECAR, "import"])
+    def test_a_full_load_decodes_every_class(self, marked_path, tmp_path, capsys, monkeypatch,
+                                             state):
+        every = sorted(load_repository(marked_path).taxonomy.nodes)
+        argv = ["assign", "R1", "63FH"]
+        if state == "import":  # under a stamp that vouches for the file
+            jsonl = tmp_path / "a.jsonl"
+            jsonl.write_text('{"id": "N1", "kind": "source-unit", "title": "New"}\n')
+            argv = ["import", "artifacts", str(jsonl)]
+        else:
+            self.set_sidecar(marked_path, state)
+        decoded, classes = count_decoded(monkeypatch), decoded_classes(monkeypatch)
+        assert run_cli(marked_path, argv, capsys) == 0
+        assert (decoded["taxonomy"], sorted(classes)) == (1, every)
 
     def test_a_stamp_vouches_only_for_the_sections_a_command_skips(self, marked_path, capsys):
         # As with the edit log under an edit, a forged stamp is believed for
@@ -1191,6 +1241,8 @@ class TestSchema2File:
         assert (after.artifacts, after.taxonomy) == (before.artifacts, before.taxonomy)
 
 
+# The classes of ``CANONICAL_TAXONOMY_CSV`` and 0A, whose parent 63FH sorts after it.
+LATE_PARENT_CSV = os.path.join(os.path.dirname(__file__), "data", "late_parent.csv")
 # Artifact ids whose JSON needs an escape (a quote, a backslash, a control
 # character) or that a save writes as they are (non-ASCII, above U+FFFF).
 ODD_IDS = ['R"q', "R\\b", "R\x07", "Rü–1", "R\U0001F600"]
@@ -1274,6 +1326,15 @@ class TestOneArtifactEdits:
     @example(True, set(ODD_IDS), [
         ["split", "R1", "--part", 'P"q:18B', "--part", "P\\b:18B"],
         ["split", 'R"q', "--part", "P\x07:1", "--part", "R\x07a:1"]])
+    # A deep class, given padded; a class whose parent's row comes after its
+    # own; splits whose parts get classes that no loaded assignment names.
+    @example(True, set(), [
+        ["assign", "R1", "31b -"], ["assign", "T5", "31B"], ["unassign", "R1", "31B"],
+        ["import", "taxonomy", LATE_PARENT_CSV], ["assign", "R1", "0a"], ["assign", "R2", "0A"],
+        ["unassign", "R1", "0A"], ["split", "R1", "--part", "R1a:31B,63N", "--part", "R1b:0A"]])
+    @example(False, set(), [
+        ["split", "R2", "--part", "R2a:63N", "--part", "R2b:31b-"],
+        ["split", "R2a", "--part", "R2c:63FH,3", "--part", "R2d:"]])
     def test_every_sidecar_state_prints_and_writes_alike(self, linked, stored, commands):
         # Without links, the file's assignments and log are empty lists.
         repo = starting_repo()
@@ -1327,6 +1388,8 @@ class TestOneArtifactEdits:
         assert capsys.readouterr().err == "error: artifacts[2]: unknown artifact kind 'widget'\n"
 
     R1_LINK = b'["R1", "18B", "manual", "confirmed", null, "2026-01-15T09:00:00+00:00"]'
+    CLASS_1 = b'["1", "Compound building components", null, [], null],\n'
+    CLASS_63FH = b'["63FH", "Emergency lighting", null, [], null],\n'
 
     ASSIGN = ["assign", "R1", "63FH"]
 
@@ -1335,10 +1398,17 @@ class TestOneArtifactEdits:
         (R1_LINK, R1_LINK.replace(b'"confirmed"', b'"maybe"'), ASSIGN),
         (R1_LINK, R1_LINK.replace(b'"18B"', b'"99ZZ"'), ASSIGN),
         (R1_LINK, R1_LINK.replace(b'00:00"]', b'00:00", "R2"]'), ASSIGN),
-        # A split's parts are placed by comparing their ids with the stored ones.
-        (b'["R4", "requirement"', b'[4, "requirement"', ["split", "R1", "--part", "R1a:18B", "--part", "R1b:"]),
+        # A split's parts are placed by comparing their ids with stored ones,
+        # those on either side of their place among them: R1a goes before R2.
+        (b'["R2", "requirement"', b'[2, "requirement"', ["split", "R1", "--part", "R1a:18B", "--part", "R1b:"]),
+        # A line written twice, of its artifact, of the class it assigns or
+        # of an ancestor of the class of its assignment (18B, below 1).
+        (TestVouchedReads.R1_LINE, TestVouchedReads.R1_LINE * 2, ASSIGN),
+        (CLASS_63FH, CLASS_63FH * 2, ASSIGN),
+        (CLASS_1, CLASS_1 * 2, ASSIGN),
     ], ids=["its artifact", "its assignment", "its assignment's code",
-            "an assignment with a value past its last column", "a stored id a part is placed by"])
+            "an assignment with a value past its last column", "a stored id a part is placed by",
+            "its artifact twice", "its class twice", "an ancestor class twice"])
     def test_a_fault_in_a_record_it_loads_is_reported_as_a_full_load_does(
             self, marked_path, tmp_path, capsys, old, new, argv):
         self.forge(marked_path, old, new)
@@ -1352,15 +1422,34 @@ class TestOneArtifactEdits:
         if seen[0][0] != 0:
             assert (read(marked_path), read(sidecar(marked_path))) == start
 
+    def test_a_stamp_vouches_for_the_classes_an_edit_does_not_load(self, marked_path, capsys):
+        # Assigning 63FH to R1, which holds 18B, loads 63FH, 18B and 1 alone.
+        self.forge(marked_path, b'["32QD", "Fences", ', b'["32QD", " ", ')
+        assert run_cli(marked_path, self.ASSIGN, capsys) == 0
+        assert b'["32QD", " ", ' in read(marked_path)
+        assert read(sidecar(marked_path)) == store._stamp(read(marked_path))
+        assert cli.main(["--repo", marked_path, "validate"]) == 2
+        assert capsys.readouterr().err == "error: nodes[7]: empty title for code '32QD'\n"
+
     @pytest.mark.parametrize("line", [b'["Z0", "requirement", "Unlinked"',
-                                      b'["63FH", "Emergency lighting"'],
-                             ids=["its artifact", "a class"])
+                                      b'["63FH", "Emergency lighting"',
+                                      b'"Unlinked", null', b'"Emergency lighting", null'],
+                             ids=["its artifact", "a class", "inside its artifact's line",
+                                  "inside a class's row"])
     def test_a_hand_spaced_line_it_loads_is_encoded_again(self, marked_path, capsys, line):
         # Z0 has no links, so only the check of its own line sees the spacing.
         with store.editing(marked_path) as repo:
             add_artifact(repo, Artifact(id="Z0", kind="requirement", title="Unlinked"))
         self.forge(marked_path, line, line.replace(b", ", b",", 1))
         assert run_cli(marked_path, ["assign", "Z0", "63FH"], capsys) == 0
+        assert read(marked_path) == canonical(marked_path)
+
+    def test_without_codes_every_class_is_loaded_and_checked(self, marked_path):
+        # The splice would copy a class row spaced by hand; the full save encodes it again.
+        self.forge(marked_path, b'"Emergency lighting", null', b'"Emergency lighting",null')
+        with store.editing(marked_path, ("R1",)) as repo:
+            assert len(repo.taxonomy.nodes) == 11
+            linkage.assign(repo, "R1", "63N", now=NOW)
         assert read(marked_path) == canonical(marked_path)
 
     @pytest.mark.parametrize("change", ["artifact", "assignment"])
